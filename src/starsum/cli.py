@@ -30,17 +30,7 @@ from starsum.stuffle import verify_middlestep_1, verify_middlestep_2
 from starsum import zeta_numeric as zn
 from starsum.index_core import parse_index, pi_expand_weighted
 
-FAMILY_NAMES = {
-    "two-one": fam.TWO_ONE,
-    "two-one-two": fam.TWO_ONE_TWO,
-    "c21": fam.C21,
-    "one-c21": fam.ONE_C21,
-    "c212": fam.C212,
-    "one-c212": fam.ONE_C212,
-    "two-one-c2": fam.TWO_ONE_C2,
-    "c2-two-one-c2": fam.C2_TWO_ONE_C2,
-    "ones-c": fam.ONES_C,
-}
+FAMILY_NAMES = {row.cli_name: row.family for row in fam.FAMILY_TABLE}
 
 SUITES = ("ittw", "lemma31", "middlestep", "paper-examples")
 
@@ -50,26 +40,20 @@ class RunConfig:
     """Effective settings of one invocation, echoed into every report."""
 
     command: str
-    tol: float = 1e-6
+    tol: Optional[float] = None
     fmt: str = "text"
-    workers: int = 1
     seed: int = 0
     timings: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if self.tol is not None and self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
 
     def as_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "format": self.fmt,
-            "workers": self.workers,
-            "seed": self.seed,
-            "timings": self.timings,
-        }
+        out = {"format": self.fmt, "seed": self.seed, "timings": self.timings}
+        if self.tol is not None:
+            out["tol"] = self.tol
+        return out
 
 
 def _int_list(text: Optional[str]) -> tuple:
@@ -85,35 +69,17 @@ def _int_list(text: Optional[str]) -> tuple:
 def _build_spec(args) -> fam.FamilySpec:
     """FamilySpec from CLI flags, zero-filling omitted 2-run lists.
 
-    Lengths are dictated by --c (or --a for the two families without c), so
-    "--family c21 --c 3" means a_1 = b_1 = 0 rather than a length error;
-    constraints that have no such default (c >= 3, t >= 1, nonempty leading
-    run) surface as usage errors.
+    The family's table row sizes them from --c (or --a for the two families
+    without c), so "--family c21 --c 3" means a_1 = b_1 = 0 rather than a
+    length error; constraints that have no such default (c >= 3, t >= 1,
+    nonempty leading run) surface as usage errors.
     """
-    family = FAMILY_NAMES[args.family]
-    a = _int_list(args.a)
-    b = _int_list(args.b)
-    c = _int_list(args.c)
-    t = args.t if args.t is not None else 0
-    if family in (fam.C21, fam.C212, fam.TWO_ONE_C2):
-        if not a:
-            a = (0,) * len(c)
-        if not b:
-            b = (0,) * len(c)
-    elif family in (fam.ONE_C21, fam.ONE_C212):
-        if not a:
-            a = (0,) * (len(c) + 1)
-        if not b:
-            b = (0,) * len(c)
-    elif family == fam.C2_TWO_ONE_C2:
-        if not a and len(c) >= 1:
-            a = (0,) * (len(c) - 1)
-        if not b:
-            b = (0,) * len(c)
-    elif family == fam.ONES_C:
-        if not a:
-            a = (0,) * len(c)
-    return fam.FamilySpec(family, a=a, b=b, c=c, t=t, r=args.r)
+    row = fam.family_row(FAMILY_NAMES[args.family])
+    a, b, c = map(_int_list, (args.a, args.b, args.c))
+    r = row.infer_r(a, c)
+    a = a or (0,) * row.slot_len("a", r)
+    b = b or (0,) * row.slot_len("b", r)
+    return fam.FamilySpec(row.family, a=a, b=b, c=c, t=args.t, r=args.r)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +174,11 @@ def _cmd_verify(args, stream) -> int:
         raise ValueError("--n-max must be >= 1")
     if args.memo_cap is not None:
         exact_eval.configure_memo(args.memo_cap)
-    config = RunConfig("verify", fmt=args.format, workers=args.workers,
-                       timings=args.timings)
+    config = RunConfig("verify", fmt=args.format, timings=args.timings)
     records, _, _ = fam._spec_cells(spec, args.n_max, False, args.timings)
-    items = []
-    for record in records:
-        items.append({
-            "params": spec.params(),
-            "n": record["n"],
-            "lhs": record["lhs"],
-            "rhs": record["rhs"],
-            "equal": record["equal"],
-            "elapsed_ms": record["elapsed_ms"],
-        })
+    keys = ("n", "lhs", "rhs", "equal", "elapsed_ms")
+    items = [dict(params=spec.params(), **{key: record[key] for key in keys})
+             for record in records]
     report = _report(config, items)
     _emit(report, args.format, stream)
     return _exit_code(report)
@@ -329,53 +287,23 @@ def _suite_lemma31(args) -> List[dict]:
 
 
 def _paper_example_specs() -> List[fam.FamilySpec]:
-    """The published sanity set: every family instance small enough that the
-    source checked it by hand or by direct numerics."""
-    specs: List[fam.FamilySpec] = []
-    specs += fam.enumerate_specs(fam.TWO_ONE, r_values=(1, 2),
-                                 a_values=(0, 1, 2))
-    for spec in fam.enumerate_specs(fam.TWO_ONE_TWO, r_values=(2,),
-                                    a_values=(0, 1, 2)):
-        if spec.a[0] >= 1:
-            specs.append(spec)
-    specs += fam.enumerate_specs(fam.C21, r_values=(1,), a_values=(0, 1),
-                                 b_values=(0, 1))
-    specs += fam.enumerate_specs(fam.C212, r_values=(1,), a_values=(0, 1),
-                                 b_values=(0, 1), t_values=(1,))
-    for spec in fam.enumerate_specs(fam.ONE_C212, r_values=(0, 1),
-                                    a_values=(0, 1), b_values=(0, 1),
-                                    t_values=(1,)):
-        if spec.a[0] >= 1:
-            specs.append(spec)
-    for spec in fam.enumerate_specs(fam.TWO_ONE_C2, r_values=(1,),
-                                    a_values=(0, 1), b_values=(0, 1),
-                                    t_values=(0, 1)):
-        if spec.a[0] >= 1:
-            specs.append(spec)
-    specs += fam.enumerate_specs(fam.C2_TWO_ONE_C2, r_values=(0,),
-                                 b_values=(0, 1), t_values=(0, 1))
-    return specs
+    """The published sanity set: each family's example grid from the table,
+    less the instances whose left side starts with 1 (their limits diverge)."""
+    return [spec for row in fam.FAMILY_TABLE if row.examples is not None
+            for spec in fam._grid_specs(row.family, row.examples)
+            if fam.build_lhs(spec).parts[0] != 1]
 
 
 def _suite_paper_examples(args) -> List[dict]:
     items = [_mzsv_item(spec, args.tol, args.timings)
              for spec in _paper_example_specs()]
-    for n in (1, 2, 3):
+    checks = [("zlobin", zn.check_zlobin, n) for n in (1, 2, 3)]
+    checks += [("three-n", zn.check_three_n, n) for n in (1, 2)]
+    for name, check, n in checks:
         started = time.perf_counter()
-        result = zn.check_zlobin(n, args.tol)
+        result = check(n, args.tol)
         items.append({
-            "params": {"check": "zlobin"},
-            "n": n,
-            "lhs": result["lhs"],
-            "rhs": result["rhs"],
-            "within_tol": result["within_tol"],
-            "elapsed_ms": _elapsed_ms(started, args.timings),
-        })
-    for n in (1, 2):
-        started = time.perf_counter()
-        result = zn.check_three_n(n, args.tol)
-        items.append({
-            "params": {"check": "three-n"},
+            "params": {"check": name},
             "n": n,
             "lhs": result["lhs"],
             "rhs": result["rhs"],
@@ -410,7 +338,7 @@ def _add_family_flags(parser) -> None:
     parser.add_argument("--a", help="comma-separated 2-run lengths")
     parser.add_argument("--b", help="comma-separated 2-run lengths")
     parser.add_argument("--c", help="comma-separated block heights")
-    parser.add_argument("--t", type=int, default=None,
+    parser.add_argument("--t", type=int, default=0,
                         help="trailing run length")
     parser.add_argument("--r", type=int, default=None,
                         help="block count (inferred when omitted)")
@@ -454,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact sweep of one family instance over n")
     _add_family_flags(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--memo-cap", type=int, default=None,
                    help="cap on the exact-evaluator memo cache")
     _add_report_flags(p, with_tol=False)

@@ -6,6 +6,11 @@ of the two damped companion sums.  This module constructs both sides from a
 parameter tuple, verifies instances and whole parameter sweeps as exact
 rationals, and also hosts the binomial-kernel identities and small closed
 forms used as independent cross-checks.
+
+The families are declared once, in FAMILY_TABLE, one row each (see Family);
+a new family is one new row.  Slot lengths, r inference, validation, the
+left-hand builder, enumeration and the CLI defaults are read off the row, and
+build_rhs derives the right-hand side from the left-hand layout.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
@@ -39,20 +46,86 @@ TWO_ONE_C2 = "TWO_ONE_C2"
 C2_TWO_ONE_C2 = "C2_TWO_ONE_C2"
 ONES_C = "ONES_C"
 
-FAMILIES = (
-    TWO_ONE,
-    TWO_ONE_TWO,
-    C21,
-    ONE_C21,
-    C212,
-    ONE_C212,
-    TWO_ONE_C2,
-    C2_TWO_ONE_C2,
-    ONES_C,
-)
-
 BIG = "big"
 SMALL = "small"
+
+
+class Family(NamedTuple):
+    """One identity family: H*_n of prefix + block * (r - r_min) + suffix.
+
+    Layout letters: "a", "b" and "t" are runs of `part` (2, or 1 for the
+    trailing-ones family) whose lengths are the next a_j, the next b_j and
+    t; "c" is the next block c_j >= c_min; "1" is a literal 1.  An upper-case
+    "A" or "T" is a run that must be nonempty; it opens or closes the layout.
+    examples is the grid (as in verify_sweep) of the paper-example suite, or
+    None when the family has no limit form there.
+    """
+
+    family: str
+    cli_name: str
+    prefix: str
+    block: str
+    suffix: str
+    r_min: int
+    c_min: int = 3
+    part: int = 2
+    examples: Optional[dict] = None
+
+    def slot_len(self, slot: str, r: int) -> int:
+        """Number of entries of slot "a", "b" or "c" at block count r."""
+        fixed = (self.prefix + self.suffix).lower().count(slot)
+        return fixed + self.block.lower().count(slot) * (r - self.r_min)
+
+    def infer_r(self, a: Tuple[int, ...], c: Tuple[int, ...]) -> int:
+        """Block count implied by the c list, or by a without blocks c_j."""
+        slot, values = ("c", c) if "c" in self.block else ("a", a)
+        return len(values) - self.slot_len(slot, 0)
+
+
+FAMILY_TABLE = (
+    Family(TWO_ONE, "two-one", "A1", "a1", "", r_min=1,
+           examples=dict(r=(1, 2), a=(0, 1, 2))),
+    Family(TWO_ONE_TWO, "two-one-two", "", "a1", "A", r_min=0,
+           examples=dict(r=(2,), a=(0, 1, 2))),
+    Family(C21, "c21", "bca1", "bca1", "", r_min=1,
+           examples=dict(r=(1,), a=(0, 1), b=(0, 1))),
+    Family(ONE_C21, "one-c21", "a1", "bca1", "", r_min=0),
+    Family(C212, "c212", "bca1", "bca1", "T", r_min=1,
+           examples=dict(r=(1,), a=(0, 1), b=(0, 1), t=(1,))),
+    Family(ONE_C212, "one-c212", "a1", "bca1", "T", r_min=0,
+           examples=dict(r=(0, 1), a=(0, 1), b=(0, 1), t=(1,))),
+    Family(TWO_ONE_C2, "two-one-c2", "a1bc", "a1bc", "t", r_min=1,
+           examples=dict(r=(1,), a=(0, 1), b=(0, 1), t=(0, 1))),
+    Family(C2_TWO_ONE_C2, "c2-two-one-c2", "bc", "a1bc", "t", r_min=0,
+           examples=dict(r=(0,), b=(0, 1), t=(0, 1))),
+    Family(ONES_C, "ones-c", "", "ac", "t", r_min=0, c_min=1, part=1),
+)
+
+FAMILIES = tuple(row.family for row in FAMILY_TABLE)
+_ROWS = {row.family: row for row in FAMILY_TABLE}
+
+
+def family_row(family: str) -> Family:
+    if family not in _ROWS:
+        raise ValueError("unknown family %r" % (family,))
+    return _ROWS[family]
+
+
+@lru_cache(maxsize=256)
+def _shape(family: str, r: int) -> tuple:
+    """Layout at block count r, its (len a, len b, len c) and a function
+    giving a spec's value (run length, c_j or 1) for each layout letter."""
+    row = _ROWS[family]
+    layout = row.prefix + row.block * (r - row.r_min) + row.suffix
+    low = layout.lower()
+    lengths = tuple(map(low.count, "abc"))
+    start = dict(zip("abct1", itertools.accumulate((0,) + lengths + (1,))))
+    # the k-th a, b or c letter takes the k-th entry of its list
+    index = [start[x] + (low[:i].count(x) if x in "abc" else 0)
+             for i, x in enumerate(low)]
+    # the extra index keeps the getter's result a tuple for one letter
+    pick = itemgetter(*index, 0)
+    return layout, lengths, lambda s: pick(s.a + s.b + s.c + (s.t, 1))
 
 
 class RhsForm(NamedTuple):
@@ -65,24 +138,21 @@ class RhsForm(NamedTuple):
     companion: str
 
 
-def _int_tuple(name: str, value) -> Tuple[int, ...]:
+def _int_tuple(value) -> Tuple[int, ...]:
     if value is None:
         return ()
     if isinstance(value, int):
         value = (value,)
-    out = tuple(int(v) for v in value)
-    if any(not isinstance(v, int) for v in out):
-        raise ValueError("%s entries must be integers" % name)
-    return out
+    return tuple(map(int, value))
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameter tuple selecting one instance of one identity family.
 
-    Which fields are meaningful depends on the family; unused fields must be
-    left at their defaults.  r may be omitted, in which case it is inferred
-    from the list lengths.
+    Which fields are meaningful depends on the family's row in FAMILY_TABLE;
+    unused fields must be left at their defaults.  r may be omitted, in
+    which case it is inferred from the list lengths.
     """
 
     family: str
@@ -93,23 +163,13 @@ class FamilySpec:
     r: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _int_tuple("a", self.a))
-        object.__setattr__(self, "b", _int_tuple("b", self.b))
-        object.__setattr__(self, "c", _int_tuple("c", self.c))
+        for name in "abc":
+            object.__setattr__(self, name, _int_tuple(getattr(self, name)))
         object.__setattr__(self, "t", int(self.t))
+        row = family_row(self.family)
         if self.r is None:
-            object.__setattr__(self, "r", self._inferred_r())
-        _validate(self)
-
-    def _inferred_r(self) -> int:
-        f = self.family
-        if f == TWO_ONE:
-            return len(self.a)
-        if f == TWO_ONE_TWO:
-            return len(self.a) - 1
-        if f == C2_TWO_ONE_C2:
-            return len(self.c) - 1
-        return len(self.c)
+            object.__setattr__(self, "r", row.infer_r(self.a, self.c))
+        _validate(self, row)
 
     def params(self) -> dict:
         return {
@@ -126,114 +186,53 @@ def _fail(spec: FamilySpec, message: str) -> None:
     raise ValueError("%s spec invalid: %s" % (spec.family, message))
 
 
-def _require_unused(spec: FamilySpec, b: bool = False, c: bool = False,
-                    t: bool = False) -> None:
-    if b and spec.b:
-        _fail(spec, "parameter b is not used by this family")
-    if c and spec.c:
-        _fail(spec, "parameter c is not used by this family")
-    if t and spec.t != 0:
-        _fail(spec, "parameter t is not used by this family")
-
-
-def _validate(spec: FamilySpec) -> None:
-    f = spec.family
-    if f not in FAMILIES:
-        raise ValueError("unknown family %r" % (f,))
+def _validate(spec: FamilySpec, row: Family) -> None:
     if spec.t < 0:
         _fail(spec, "t must be nonnegative")
-    if any(v < 0 for v in spec.a):
-        _fail(spec, "a entries must be nonnegative")
-    if any(v < 0 for v in spec.b):
-        _fail(spec, "b entries must be nonnegative")
+    for slot in "ab":
+        if min(getattr(spec, slot), default=0) < 0:
+            _fail(spec, "%s entries must be nonnegative" % slot)
+    used = (row.prefix + row.block + row.suffix).lower()
+    for slot in "bct":
+        if getattr(spec, slot) and slot not in used:
+            _fail(spec, "parameter %s is not used by this family" % slot)
     r = spec.r
-
-    if f == TWO_ONE:
-        _require_unused(spec, b=True, c=True, t=True)
-        if r < 1 or len(spec.a) != r:
-            _fail(spec, "needs r >= 1 with len(a) == r")
-        if spec.a[0] < 1:
-            _fail(spec, "leading 2-run must be nonempty (a_1 >= 1)")
-    elif f == TWO_ONE_TWO:
-        _require_unused(spec, b=True, c=True, t=True)
-        if r < 0 or len(spec.a) != r + 1:
-            _fail(spec, "needs r >= 0 with len(a) == r + 1")
-        if spec.a[-1] < 1:
-            _fail(spec, "trailing 2-run must be nonempty (a_{r+1} >= 1)")
-    elif f in (C21, C212):
-        if r < 1 or not len(spec.a) == len(spec.b) == len(spec.c) == r:
-            _fail(spec, "needs r >= 1 with len(a) == len(b) == len(c) == r")
-        if any(v < 3 for v in spec.c):
-            _fail(spec, "every c_j must be >= 3")
-        if f == C21 and spec.t != 0:
-            _fail(spec, "parameter t is not used by this family")
-        if f == C212 and spec.t < 1:
-            _fail(spec, "trailing 2-run must be nonempty (t >= 1)")
-    elif f in (ONE_C21, ONE_C212):
-        if r < 0 or len(spec.a) != r + 1 or not len(spec.b) == len(spec.c) == r:
-            _fail(spec, "needs r >= 0 with len(a) == r + 1 and "
-                        "len(b) == len(c) == r")
-        if any(v < 3 for v in spec.c):
-            _fail(spec, "every c_j must be >= 3")
-        if f == ONE_C21 and spec.t != 0:
-            _fail(spec, "parameter t is not used by this family")
-        if f == ONE_C212 and spec.t < 1:
-            _fail(spec, "trailing 2-run must be nonempty (t >= 1)")
-    elif f == TWO_ONE_C2:
-        if r < 1 or not len(spec.a) == len(spec.b) == len(spec.c) == r:
-            _fail(spec, "needs r >= 1 with len(a) == len(b) == len(c) == r")
-        if any(v < 3 for v in spec.c):
-            _fail(spec, "every c_j must be >= 3")
-    elif f == C2_TWO_ONE_C2:
-        if r < 0 or len(spec.a) != r or not len(spec.b) == len(spec.c) == r + 1:
-            _fail(spec, "needs r >= 0 with len(a) == r and "
-                        "len(b) == len(c) == r + 1")
-        if any(v < 3 for v in spec.c):
-            _fail(spec, "every c_j must be >= 3")
-    elif f == ONES_C:
-        _require_unused(spec, b=True)
-        if r < 0 or not len(spec.a) == len(spec.c) == r:
-            _fail(spec, "needs len(a) == len(c) == r")
-        if any(v < 1 for v in spec.c):
-            _fail(spec, "every c_j must be >= 1")
-        if r == 0 and spec.t < 1:
-            _fail(spec, "empty spec; needs r >= 1 or t >= 1")
+    # each block holds an a or c: r past the lists fails before any layout
+    lists = (len(spec.a), len(spec.b), len(spec.c))
+    if (r < row.r_min or r - row.r_min > lists[0] + lists[2]
+            or lists != _shape(spec.family, r)[1]):
+        groups: dict = {}
+        for slot in "abc":
+            if slot in used:
+                offset = row.slot_len(slot, 0)
+                groups.setdefault("r + %d" % offset if offset else "r",
+                                  []).append("len(%s)" % slot)
+        _fail(spec, "needs r >= %d with %s" % (row.r_min, " and ".join(
+            " == ".join(names + [expr]) for expr, names in groups.items())))
+    layout = _shape(spec.family, r)[0]
+    if min(spec.c, default=row.c_min) < row.c_min:
+        _fail(spec, "every c_j must be >= %d" % row.c_min)
+    if layout.endswith("A") and spec.a[-1] < 1:
+        _fail(spec, "trailing %d-run must be nonempty (a_{r+%d} >= 1)"
+              % (row.part, row.slot_len("a", 0)))
+    if layout.startswith("A") and spec.a[0] < 1:
+        _fail(spec, "leading %d-run must be nonempty (a_1 >= 1)" % row.part)
+    if layout.endswith("T") and spec.t < 1:
+        _fail(spec, "trailing %d-run must be nonempty (t >= 1)" % row.part)
+    if not ("1" in layout or spec.c or any(spec.a) or any(spec.b) or spec.t):
+        _fail(spec, "empty spec; needs r >= %d or t >= 1" % (row.r_min + 1))
 
 
 def build_lhs(spec: FamilySpec) -> SignedIndex:
     """Fully expanded left-hand argument composition (runs written out)."""
-    f = spec.family
+    part = _ROWS[spec.family].part
+    layout, _, values = _shape(spec.family, spec.r)
     parts: List[int] = []
-    if f == TWO_ONE:
-        for aj in spec.a:
-            parts += [2] * aj + [1]
-    elif f == TWO_ONE_TWO:
-        for aj in spec.a[:-1]:
-            parts += [2] * aj + [1]
-        parts += [2] * spec.a[-1]
-    elif f in (C21, C212):
-        for bj, cj, aj in zip(spec.b, spec.c, spec.a):
-            parts += [2] * bj + [cj] + [2] * aj + [1]
-        parts += [2] * spec.t
-    elif f in (ONE_C21, ONE_C212):
-        parts += [2] * spec.a[0] + [1]
-        for bj, cj, aj in zip(spec.b, spec.c, spec.a[1:]):
-            parts += [2] * bj + [cj] + [2] * aj + [1]
-        parts += [2] * spec.t
-    elif f == TWO_ONE_C2:
-        for aj, bj, cj in zip(spec.a, spec.b, spec.c):
-            parts += [2] * aj + [1] + [2] * bj + [cj]
-        parts += [2] * spec.t
-    elif f == C2_TWO_ONE_C2:
-        parts += [2] * spec.b[0] + [spec.c[0]]
-        for j in range(spec.r):
-            parts += [2] * spec.a[j] + [1]
-            parts += [2] * spec.b[j + 1] + [spec.c[j + 1]]
-        parts += [2] * spec.t
-    else:  # ONES_C
-        for aj, cj in zip(spec.a, spec.c):
-            parts += [1] * aj + [cj]
-        parts += [1] * spec.t
+    for letter, v in zip(layout, values(spec)):
+        if letter in "1c":
+            parts.append(v)
+        else:
+            parts += [part] * v
     return SignedIndex(parts)
 
 
@@ -256,50 +255,38 @@ def _ones_runs(parts: Tuple[int, ...]) -> Tuple[List[Tuple[int, int]], int]:
 
 
 def build_rhs(spec: FamilySpec) -> RhsForm:
-    """Base index, per-image coefficient base, global sign and companion."""
-    f = spec.family
-    if f == TWO_ONE:
-        base = [2 * aj + 1 for aj in spec.a]
-        return RhsForm(SignedIndex(base), 2, 1, BIG)
-    if f == TWO_ONE_TWO:
-        base = [2 * aj + 1 for aj in spec.a[:-1]] + [-2 * spec.a[-1]]
-        return RhsForm(SignedIndex(base), 2, -1, BIG)
-    if f in (C21, C212):
-        base = []
-        for bj, cj, aj in zip(spec.b, spec.c, spec.a):
-            base += [-(2 * bj + 2)] + [1] * (cj - 3) + [-(2 * aj + 2)]
-        if f == C212:
-            base.append(-2 * spec.t)
-            return RhsForm(SignedIndex(base), 2, -1, BIG)
-        return RhsForm(SignedIndex(base), 2, 1, BIG)
-    if f in (ONE_C21, ONE_C212):
-        base = [2 * spec.a[0] + 1]
-        for bj, cj, aj in zip(spec.b, spec.c, spec.a[1:]):
-            base += [-(2 * bj + 2)] + [1] * (cj - 3) + [-(2 * aj + 2)]
-        if f == ONE_C212:
-            base.append(-2 * spec.t)
-            return RhsForm(SignedIndex(base), 2, -1, BIG)
-        return RhsForm(SignedIndex(base), 2, 1, BIG)
-    if f == TWO_ONE_C2:
-        base = [2 * spec.a[0] + 1]
-        for j in range(spec.r):
-            base += [-(2 * spec.b[j] + 2)] + [1] * (spec.c[j] - 3)
-            if j < spec.r - 1:
-                base.append(-(2 * spec.a[j + 1] + 2))
+    """Base index, per-image coefficient base, global sign and companion.
+
+    Pair runs give the big companion: along the left side a 2 adds 2 to the
+    open run, a 1 closes it at value + 1, a block c closes it at value + 2,
+    writes c - 3 ones and opens the next run at 1; a nonzero run left open
+    is closed.  Even closed values enter negated, each with a factor -1 in
+    the sign.  Runs of ones give the small companion.
+    """
+    row = _ROWS[spec.family]
+    if row.part == 2:
+        layout, _, values = _shape(spec.family, spec.r)
+        closed: List[int] = []
+        run = 0
+        for letter, v in zip(layout, values(spec)):
+            if letter == "1":
+                closed.append(run + 1)
+                run = 0
+            elif letter == "c":
+                closed += [run + 2] + [1] * (v - 3)
+                run = 1
             else:
-                base.append(2 * spec.t + 1)
-        return RhsForm(SignedIndex(base), 2, -1, BIG)
-    if f == C2_TWO_ONE_C2:
-        base = []
-        for j in range(spec.r + 1):
-            base += [-(2 * spec.b[j] + 2)] + [1] * (spec.c[j] - 3)
-            if j < spec.r:
-                base.append(-(2 * spec.a[j] + 2))
-            else:
-                base.append(2 * spec.t + 1)
-        return RhsForm(SignedIndex(base), 2, -1, BIG)
-    # ONES_C: canonicalize through the expanded composition so that inner
-    # runs created by c_j = 1 entries are merged before the base is formed.
+                run += 2 * v
+        if run:
+            closed.append(run)
+        # the negative entries are the even ones; their count, len - #odd,
+        # has the parity of len + sum
+        sign = (-1) ** (len(closed) + sum(closed))
+        base = SignedIndex([v if v % 2 else -v for v in closed])
+        return RhsForm(base, 2, sign, BIG)
+    # Runs of ones: canonicalize through the expanded composition so that
+    # inner runs created by c_j = 1 entries are merged before the base is
+    # formed.
     parts = build_lhs(spec).parts
     blocks, trail = _ones_runs(parts)
     if not blocks:
@@ -359,74 +346,30 @@ def enumerate_specs(family: str, *, r_values: Iterable[int],
     skipped rather than reported as errors, so the pools may be shared
     across slots.
     """
-    av = tuple(a_values)
-    bv = tuple(b_values)
-    cv = tuple(c_values)
-    tv = tuple(t_values)
-    a_pos = tuple(v for v in av if v >= 1)
-    c3 = tuple(v for v in cv if v >= 3)
-    c1 = tuple(v for v in cv if v >= 1)
-    t_pos = tuple(v for v in tv if v >= 1)
-    t_any = tuple(v for v in tv if v >= 0)
-
+    row = family_row(family)
+    av, bv, cv, tv = map(tuple, (a_values, b_values, c_values, t_values))
+    pools = {"a": av, "A": tuple(v for v in av if v >= 1), "b": bv,
+             "c": tuple(v for v in cv if v >= row.c_min),
+             "t": tuple(v for v in tv if v >= 0),
+             "T": tuple(v for v in tv if v >= 1)}
     for r in r_values:
-        if family == TWO_ONE:
-            if r < 1:
-                continue
-            for a in itertools.product(a_pos, *(av,) * (r - 1)):
-                yield FamilySpec(TWO_ONE, a=a)
-        elif family == TWO_ONE_TWO:
-            if r < 0:
-                continue
-            for a in itertools.product(*(av,) * r, a_pos):
-                yield FamilySpec(TWO_ONE_TWO, a=a)
-        elif family in (C21, C212):
-            if r < 1:
-                continue
-            trange = t_pos if family == C212 else (0,)
-            for a in itertools.product(*(av,) * r):
-                for b in itertools.product(*(bv,) * r):
-                    for c in itertools.product(*(c3,) * r):
-                        for t in trange:
-                            yield FamilySpec(family, a=a, b=b, c=c, t=t)
-        elif family in (ONE_C21, ONE_C212):
-            if r < 0:
-                continue
-            trange = t_pos if family == ONE_C212 else (0,)
-            for a in itertools.product(*(av,) * (r + 1)):
-                for b in itertools.product(*(bv,) * r):
-                    for c in itertools.product(*(c3,) * r):
-                        for t in trange:
-                            yield FamilySpec(family, a=a, b=b, c=c, t=t)
-        elif family == TWO_ONE_C2:
-            if r < 1:
-                continue
-            for a in itertools.product(*(av,) * r):
-                for b in itertools.product(*(bv,) * r):
-                    for c in itertools.product(*(c3,) * r):
-                        for t in t_any:
-                            yield FamilySpec(family, a=a, b=b, c=c, t=t)
-        elif family == C2_TWO_ONE_C2:
-            if r < 0:
-                continue
-            for a in itertools.product(*(av,) * r):
-                for b in itertools.product(*(bv,) * (r + 1)):
-                    for c in itertools.product(*(c3,) * (r + 1)):
-                        for t in t_any:
-                            yield FamilySpec(family, a=a, b=b, c=c, t=t)
-        elif family == ONES_C:
-            if r < 0:
-                continue
-            if r == 0:
-                for t in t_pos:
-                    yield FamilySpec(ONES_C, t=t)
-                continue
-            for a in itertools.product(*(av,) * r):
-                for c in itertools.product(*(c1,) * r):
-                    for t in t_any:
-                        yield FamilySpec(ONES_C, a=a, c=c, t=t)
-        else:
-            raise ValueError("unknown family %r" % (family,))
+        if r < row.r_min:
+            continue
+        layout, (na, nb, nc), _ = _shape(family, r)
+        slots = sorted(layout.replace("1", ""), key=str.lower)  # a, b, c, t
+        for v in itertools.product(*map(pools.get, slots)):
+            if "1" not in layout and not any(v):
+                continue  # the empty composition
+            # the values of the a, b and c slots, then t if the layout has it
+            yield FamilySpec(family, v[:na], v[na:na + nb],
+                             v[na + nb:na + nb + nc], *v[na + nb + nc:], r=r)
+
+
+def _grid_specs(family: str, grid: dict) -> Iterator[FamilySpec]:
+    """enumerate_specs over a grid mapping any of "r", "a", "b", "c", "t" to
+    value pools; r defaults to (1,)."""
+    pools = {key + "_values": grid[key] for key in "abct" if key in grid}
+    return enumerate_specs(family, r_values=grid.get("r", (1,)), **pools)
 
 
 def _spec_cells(spec: FamilySpec, n_max: int, failures_only: bool,
@@ -452,20 +395,10 @@ def _spec_cells(spec: FamilySpec, n_max: int, failures_only: bool,
                 continue
         else:
             failed += 1
-        record = spec.params()
-        record["n"] = n
-        record["equal"] = ok
-        record["elapsed_ms"] = (
-            int((time.perf_counter() - started) * 1000) if timings else 0)
-        if not ok or not failures_only:
-            record["lhs"] = rat_str(lhs)
-            record["rhs"] = rat_str(rhs)
-        records.append(record)
+        elapsed = int((time.perf_counter() - started) * 1000) if timings else 0
+        records.append(dict(spec.params(), n=n, equal=ok, elapsed_ms=elapsed,
+                            lhs=rat_str(lhs), rhs=rat_str(rhs)))
     return records, passed, failed
-
-
-def _spec_cells_task(args):
-    return _spec_cells(*args)
 
 
 def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
@@ -484,32 +417,21 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
         raise ValueError("n_max must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    specs = list(enumerate_specs(
-        family,
-        r_values=param_ranges.get("r", (1,)),
-        a_values=param_ranges.get("a", (0,)),
-        b_values=param_ranges.get("b", (0,)),
-        c_values=param_ranges.get("c", (3,)),
-        t_values=param_ranges.get("t", (0,)),
-    ))
+    specs = list(_grid_specs(family, param_ranges))
+    cells = partial(_spec_cells, n_max=n_max, failures_only=failures_only,
+                    timings=timings)
+    if workers > 1 and len(specs) > 1:
+        chunk = max(1, len(specs) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(cells, specs, chunksize=chunk))
+    else:
+        outcomes = map(cells, specs)
     results: List[dict] = []
     passed = failed = 0
-    if workers > 1 and len(specs) > 1:
-        tasks = [(spec, n_max, failures_only, timings) for spec in specs]
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for records, ok_count, bad_count in pool.map(
-                    _spec_cells_task, tasks, chunksize=chunk):
-                results.extend(records)
-                passed += ok_count
-                failed += bad_count
-    else:
-        for spec in specs:
-            records, ok_count, bad_count = _spec_cells(
-                spec, n_max, failures_only, timings)
-            results.extend(records)
-            passed += ok_count
-            failed += bad_count
+    for records, ok_count, bad_count in outcomes:
+        results.extend(records)
+        passed += ok_count
+        failed += bad_count
     return {
         "family": family,
         "n_max": n_max,

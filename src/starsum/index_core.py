@@ -39,10 +39,9 @@ class SignedIndex:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p == 0:
-                raise ValueError("index parts must be nonzero integers")
+        parts = tuple(map(int, parts))
+        if 0 in parts:
+            raise ValueError("index parts must be nonzero integers")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):

@@ -114,6 +114,9 @@ class TestVerify:
         assert report["command"] == "verify"
         assert report["config"]["format"] == "json"
         assert report["config"]["timings"] is False
+        # verify runs serially at no tolerance: neither is echoed
+        assert report["config"] == {"format": "json", "seed": 0,
+                                    "timings": False}
         assert report["summary"] == {"items": 4, "passed": 4, "failed": 0}
         for pos, item in enumerate(report["items"], start=1):
             assert item["n"] == pos
@@ -127,6 +130,49 @@ class TestVerify:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+    def test_workers_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--family", "two-one", "--a", "1", "--n-max", "2",
+                  "--workers", "2"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("name,flags,params", [
+        ("two-one", ["--a", "1,0"],
+         {"family": "TWO_ONE", "a": [1, 0], "b": [], "c": [], "t": 0,
+          "r": 2}),
+        ("two-one-two", ["--a", "0,1"],
+         {"family": "TWO_ONE_TWO", "a": [0, 1], "b": [], "c": [], "t": 0,
+          "r": 1}),
+        ("c21", ["--c", "3,4"],
+         {"family": "C21", "a": [0, 0], "b": [0, 0], "c": [3, 4], "t": 0,
+          "r": 2}),
+        ("one-c21", ["--c", "3,4"],
+         {"family": "ONE_C21", "a": [0, 0, 0], "b": [0, 0], "c": [3, 4],
+          "t": 0, "r": 2}),
+        ("c212", ["--c", "3,4", "--t", "1"],
+         {"family": "C212", "a": [0, 0], "b": [0, 0], "c": [3, 4], "t": 1,
+          "r": 2}),
+        ("one-c212", ["--c", "3,4", "--t", "1"],
+         {"family": "ONE_C212", "a": [0, 0, 0], "b": [0, 0], "c": [3, 4],
+          "t": 1, "r": 2}),
+        ("two-one-c2", ["--c", "3,4"],
+         {"family": "TWO_ONE_C2", "a": [0, 0], "b": [0, 0], "c": [3, 4],
+          "t": 0, "r": 2}),
+        ("c2-two-one-c2", ["--c", "3,4"],
+         {"family": "C2_TWO_ONE_C2", "a": [0], "b": [0, 0], "c": [3, 4],
+          "t": 0, "r": 1}),
+        ("ones-c", ["--c", "2,3"],
+         {"family": "ONES_C", "a": [0, 0], "b": [], "c": [2, 3], "t": 0,
+          "r": 2}),
+    ])
+    def test_omitted_runs_are_zero_filled(self, capsys, name, flags, params):
+        code, out, _ = run_cli(capsys, "verify", "--family", name, *flags,
+                               "--n-max", "2", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["summary"] == {"items": 2, "passed": 2, "failed": 0}
+        assert all(item["params"] == params for item in report["items"])
 
     def test_csv_layout(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "two-one",
@@ -190,8 +236,10 @@ class TestSuites:
                                "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["summary"]["failed"] == 0
-        assert report["summary"]["items"] == report["summary"]["passed"]
+        assert report["summary"] == {"items": 46, "passed": 46, "failed": 0}
+        kinds = [item["params"].get("check", "family")
+                 for item in report["items"]]
+        assert kinds == ["family"] * 41 + ["zlobin"] * 3 + ["three-n"] * 2
 
     def test_unknown_suite_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,7 +6,9 @@ pin both the term multiset and the coefficients, so a refactor of the builder
 cannot silently drop a merge or flip a sign.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -47,6 +49,7 @@ from starsum.families import (
     rhs_value,
     rhs_value_expanded,
     verify_instance,
+    verify_sweep,
 )
 from starsum.index_core import FormalSum, SignedIndex, pi_expand_weighted
 
@@ -473,6 +476,66 @@ class TestEnumerateSpecs:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             list(enumerate_specs("NOPE", r_values=(1,)))
+
+
+# The nine acceptance (c1) grids with their spec counts, and the sha256 of
+# every spec's parameters, left-hand parts and right-hand form over them in
+# enumeration order, as the per-family builders produced them before the
+# families became rows of one table.
+C1_GRIDS = {
+    TWO_ONE: (dict(r_values=(1, 2, 3), a_values=(0, 1, 2)), 26),
+    TWO_ONE_TWO: (dict(r_values=(0, 1, 2), a_values=(0, 1, 2)), 26),
+    C21: (dict(r_values=(1, 2), a_values=(0, 1, 2), b_values=(0, 1, 2),
+               c_values=(3, 4)), 342),
+    C212: (dict(r_values=(1, 2), a_values=(0, 1, 2), b_values=(0, 1, 2),
+                c_values=(3, 4), t_values=(0, 1, 2)), 684),
+    ONE_C21: (dict(r_values=(0, 1, 2), a_values=(0, 1, 2),
+                   b_values=(0, 1, 2), c_values=(3, 4)), 1029),
+    ONE_C212: (dict(r_values=(0, 1, 2), a_values=(0, 1, 2),
+                    b_values=(0, 1, 2), c_values=(3, 4),
+                    t_values=(0, 1, 2)), 2058),
+    TWO_ONE_C2: (dict(r_values=(1, 2), a_values=(0, 1, 2),
+                      b_values=(0, 1, 2), c_values=(3, 4),
+                      t_values=(0, 1, 2)), 1026),
+    C2_TWO_ONE_C2: (dict(r_values=(0, 1, 2), a_values=(0, 1, 2),
+                         b_values=(0, 1, 2), c_values=(3, 4),
+                         t_values=(0, 1, 2)), 6174),
+    ONES_C: (dict(r_values=(0, 1, 2), a_values=(0, 1, 2),
+                  c_values=(1, 2, 3), t_values=(0, 1, 2)), 272),
+}
+C1_DIGEST = ("cc1121dc27dd5249f0a719cca7aba886"
+              "1126e18b6e2e24198c8d4c3254b245e1")
+
+
+def c1_digest():
+    digest = hashlib.sha256()
+    counts = {}
+    for family, (grid, _) in C1_GRIDS.items():
+        specs = list(enumerate_specs(family, **grid))
+        counts[family] = len(specs)
+        for spec in specs:
+            form = build_rhs(spec)
+            record = [spec.params(), build_lhs(spec).parts, form.base.parts,
+                      form.coeff_base, form.sign, form.companion]
+            digest.update(json.dumps(record).encode() + b"\n")
+    return counts, digest.hexdigest()
+
+
+class TestFamilyTable:
+    def test_c1_grids_are_unchanged(self):
+        counts, digest = c1_digest()
+        assert counts == {family: count
+                          for family, (_, count) in C1_GRIDS.items()}
+        assert digest == C1_DIGEST
+        assert FAMILIES == (TWO_ONE, TWO_ONE_TWO, C21, ONE_C21, C212,
+                            ONE_C212, TWO_ONE_C2, C2_TWO_ONE_C2, ONES_C)
+
+    def test_process_pool_matches_serial(self):
+        grid = dict(r=(1,), a=(0, 1), b=(0, 1), c=(3, 4))
+        serial = verify_sweep(C21, grid, 8)
+        assert serial["specs"] == 8
+        assert serial["summary"] == {"cells": 64, "passed": 64, "failed": 0}
+        assert verify_sweep(C21, grid, 8, workers=2) == serial
 
 
 class TestKernelIdentities:
