@@ -172,8 +172,6 @@ def _cmd_verify(args, stream) -> int:
     spec = _build_spec(args)
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
-    if args.memo_cap is not None:
-        exact_eval.configure_memo(args.memo_cap)
     config = RunConfig("verify", fmt=args.format, timings=args.timings)
     records, _, _ = fam._spec_cells(spec, args.n_max, False, args.timings)
     keys = ("n", "lhs", "rhs", "equal", "elapsed_ms")
@@ -382,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact sweep of one family instance over n")
     _add_family_flags(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--memo-cap", type=int, default=None,
-                   help="cap on the exact-evaluator memo cache")
     _add_report_flags(p, with_tol=False)
     p.set_defaults(handler=_cmd_verify)
 

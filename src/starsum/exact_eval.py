@@ -14,6 +14,10 @@ plus brute-force oracles that re-evaluate the defining sums by direct
 enumeration (no recursion, no caching) so the fast engine has something
 independent to be checked against.
 
+The damping weights are plain integers from ``math.comb``: C(n,k) for the
+small companion, and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) for the big one,
+whose shared denominator C(2n,n) the companion pass applies once per sum.
+
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
 slower on large sweeps.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 from fractions import Fraction
+from math import comb, lcm
 from typing import Dict, List, Tuple
 
 from starsum.index_core import SignedIndex, as_index, oplus
@@ -32,7 +37,6 @@ __all__ = [
     "RATIONAL_BACKEND",
     "rational",
     "rat_str",
-    "BinomialCache",
     "mhs",
     "mhs_star",
     "mollified_big",
@@ -40,7 +44,6 @@ __all__ = [
     "pi_companion_sum",
     "mhs_oracle",
     "mhs_star_oracle",
-    "configure_memo",
     "clear_memo",
     "memo_stats",
 ]
@@ -67,36 +70,6 @@ def rat_str(value) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-class BinomialCache:
-    """Triangular table of binomial coefficients, immutable after build.
-
-    choose(n, k) returns C(n, k) for 0 <= n <= n_max and any integer k
-    (out-of-range k gives 0).
-    """
-
-    __slots__ = ("n_max", "_rows")
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        rows = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1] * (n + 1)
-            for k in range(1, n):
-                row[k] = prev[k - 1] + prev[k]
-            rows.append(row)
-        self.n_max = n_max
-        self._rows = rows
-
-    def choose(self, n: int, k: int) -> int:
-        if n < 0 or n > self.n_max:
-            raise ValueError("n=%d outside cached range 0..%d" % (n, self.n_max))
-        if k < 0 or k > n:
-            return 0
-        return self._rows[n][k]
-
-
 # ---------------------------------------------------------------------------
 # memoized fast engine
 #
@@ -104,28 +77,19 @@ class BinomialCache:
 # star value).  _t_cache[(parts, coeff)][x] holds the comma-or-merge
 # aggregate T(x) = sum over the expansion q of parts of coeff^depth(q) *
 # H_x(q); the pi_companion_sum of a base against either companion is then a
-# single weighted pass over the increments of the base's own T list.  Sweep
-# drivers share work across cells only through these caches.
+# single integer-weighted pass over the increments of the base's own T list.
+# Sweep drivers share work across cells only through these caches.
+#
+# Memory bound: once more than _MEMO_LIMIT rational values are cached, the
+# caches are dropped wholesale at the next public entry point; computations
+# started before the drop are unaffected.
 # ---------------------------------------------------------------------------
 
 _lock = threading.RLock()
 _h_cache: Dict[Tuple[tuple, bool], List] = {}
 _t_cache: Dict[Tuple[tuple, int], List] = {}
-_w_cache: Dict[Tuple[str, int], List] = {}
 _stored_values = 0
-_memo_limit = 600_000
-
-
-def configure_memo(max_values: int) -> None:
-    """Bound the total number of cached rational values.
-
-    When the bound is exceeded the caches are dropped wholesale at the next
-    public entry point; computations started before the drop are unaffected.
-    """
-    global _memo_limit
-    if max_values < 1000:
-        raise ValueError("memo limit below 1000 would thrash")
-    _memo_limit = max_values
+_MEMO_LIMIT = 600_000
 
 
 def clear_memo() -> None:
@@ -133,7 +97,6 @@ def clear_memo() -> None:
     with _lock:
         _h_cache.clear()
         _t_cache.clear()
-        _w_cache.clear()
         _stored_values = 0
 
 
@@ -143,18 +106,13 @@ def memo_stats() -> dict:
             "stored_values": _stored_values,
             "h_lists": len(_h_cache),
             "t_lists": len(_t_cache),
-            "w_rows": len(_w_cache),
-            "limit": _memo_limit,
+            "limit": _MEMO_LIMIT,
         }
 
 
 def _maybe_evict() -> None:
-    global _stored_values
-    if _stored_values > _memo_limit:
-        _h_cache.clear()
-        _t_cache.clear()
-        _w_cache.clear()
-        _stored_values = 0
+    if _stored_values > _MEMO_LIMIT:
+        clear_memo()
 
 
 def _term(part: int, k: int):
@@ -221,37 +179,6 @@ def mhs_star(n: int, s) -> "rational":
         return _h_value(n, s.parts, star=True)
 
 
-def _weight_row(kind: str, n: int) -> List:
-    """Row of outer weights for k = 0..n.
-
-    kind "big": C(n,k)/C(n+k,k); kind "small": C(n,k).  Rows are built
-    incrementally (ratio of consecutive entries) and cached per n.
-    """
-    key = (kind, n)
-    row = _w_cache.get(key)
-    if row is not None:
-        return row
-    global _stored_values
-    if kind == "big":
-        row = [_ONE]
-        w = _Q(n, n + 1) if n >= 1 else None
-        for k in range(1, n + 1):
-            row.append(w)
-            if k < n:
-                w = w * _Q(n - k, n + k + 1)
-    elif kind == "small":
-        row = [1]
-        c = 1
-        for k in range(1, n + 1):
-            c = c * (n - k + 1) // k
-            row.append(c)
-    else:
-        raise ValueError("unknown weight kind %r" % (kind,))
-    _w_cache[key] = row
-    _stored_values += n + 1
-    return row
-
-
 def _mollified(n: int, s: SignedIndex, kind: str):
     if n < 1:
         raise ValueError("mollified sums need n >= 1")
@@ -262,7 +189,6 @@ def _mollified(n: int, s: SignedIndex, kind: str):
     tail = s.parts[1:]
     with _lock:
         _maybe_evict()
-        weights = _weight_row(kind, n)
         tail_vals = _ensure_h(tail, False, n - 1) if tail else None
         total = _ZERO
         for k in range(1, n + 1):
@@ -272,7 +198,11 @@ def _mollified(n: int, s: SignedIndex, kind: str):
                 inner = tail_vals[k - 1]
                 if inner == 0:
                     continue
-            total += _term(head, k) * weights[k] * inner
+            if kind == "big":
+                weight = _Q(comb(n, k), comb(n + k, k))
+            else:
+                weight = comb(n, k)
+            total += _term(head, k) * weight * inner
         return total
 
 
@@ -337,6 +267,11 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     Equivalent to expanding with pi_expand_weighted and evaluating each
     image separately; this pass is O(n * depth) after cache warmup and is
     what the sweep drivers call.
+
+    The pass is one integer sum: with D the lcm of the denominators of the
+    increments dT(k) = T(k) - T(k-1), the result is sign * sum_k w_k *
+    dT(k)*D over D (small, w_k = C(n,k)) or over D*C(2n,n) (big,
+    w_k = C(2n,n-k)).
     """
     base = as_index(base)
     if base.is_empty():
@@ -350,16 +285,17 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     with _lock:
         _maybe_evict()
         tvals = _ensure_t(base.parts, coeff_base, n)
-        weights = _weight_row(companion, n)
-        total = _ZERO
-        prev = tvals[0]
-        for k in range(1, n + 1):
-            cur = tvals[k]
-            delta = cur - prev
-            prev = cur
-            if delta != 0:
-                total += weights[k] * delta
-        return total if global_sign == 1 else -total
+        deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
+    denom = lcm(*(delta.denominator for delta in deltas))
+    if companion == "big":
+        weights = [comb(2 * n, n - k) for k in range(1, n + 1)]
+    else:
+        weights = [comb(n, k) for k in range(1, n + 1)]
+    total = sum(w * delta.numerator * (denom // delta.denominator)
+                for w, delta in zip(weights, deltas))
+    if companion == "big":
+        denom *= comb(2 * n, n)
+    return _Q(global_sign * total, denom)
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ build_rhs derives the right-hand side from the left-hand layout.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from math import factorial
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
-    BinomialCache,
     mhs,
     mhs_star,
     mollified_big,
@@ -138,12 +138,17 @@ class RhsForm(NamedTuple):
     companion: str
 
 
-def _int_tuple(value) -> Tuple[int, ...]:
+def _int_tuple(name: str, value) -> Tuple[int, ...]:
+    """None, one int or ints as a tuple; 1.7 or "3" is refused, not cut."""
     if value is None:
         return ()
     if isinstance(value, int):
         value = (value,)
-    return tuple(map(int, value))
+    try:
+        return tuple(map(operator.index, value))
+    except TypeError:
+        raise ValueError("%s must hold integers, got %r"
+                         % (name, value)) from None
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,9 @@ class FamilySpec:
 
     def __post_init__(self):
         for name in "abc":
-            object.__setattr__(self, name, _int_tuple(getattr(self, name)))
-        object.__setattr__(self, "t", int(self.t))
+            object.__setattr__(self, name,
+                               _int_tuple(name, getattr(self, name)))
+        object.__setattr__(self, "t", _int_tuple("t", (self.t,))[0])
         row = family_row(self.family)
         if self.r is None:
             object.__setattr__(self, "r", row.infer_r(self.a, self.c))
@@ -470,17 +476,17 @@ class KernelParams:
             raise ValueError("exponent a must be nonnegative")
 
 
-def _kernel_row(kind: str, m: int, n: int, cache: BinomialCache) -> List:
+def _kernel_row(kind: str, m: int, n: int) -> List:
     """K[k] for k = 0..n with K = (-1)^k C(mn, n-k) c_n ("A") or its
-    unsigned counterpart ("B"); c_n is 1 for m = 1 and (n!)^2/(2n)! for
+    unsigned counterpart ("B"); c_n is 1 for m = 1 and 1/C(2n,n) for
     m = 2, so that |K| = C(n,k)/C(n+k,k) in the damped case."""
     if m == 1:
         cn = rational(1)
     else:
-        cn = rational(factorial(n) ** 2, factorial(2 * n))
+        cn = rational(1, comb(2 * n, n))
     row = [rational(0)] * (n + 1)
     for k in range(1, n + 1):
-        value = cache.choose(m * n, n - k) * cn
+        value = comb(m * n, n - k) * cn
         if kind == "A" and k % 2 == 1:
             value = -value
         row[k] = value
@@ -558,9 +564,8 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
         raise ValueError("variant %r uses kernel kind %r"
                          % (variant, expected_kind))
 
-    cache = BinomialCache(m * n)
-    row_a = _kernel_row("A", m, n, cache)
-    row_b = _kernel_row("B", m, n, cache)
+    row_a = _kernel_row("A", m, n)
+    row_b = _kernel_row("B", m, n)
 
     if variant == "i":
         lhs = _kernel_sum(v, a, row_a, n) / rational(n) ** c
@@ -595,10 +600,9 @@ def check_ones_bar_one(a: int, n: int) -> bool:
     if a < 0 or n < 1:
         raise ValueError("need a >= 0 and n >= 1")
     lhs = mhs_star(n, (1,) * a + (-1,))
-    cache = BinomialCache(n)
     rhs = rational(0)
     for k in range(1, n + 1):
-        term = rational((2 ** k - 1) * cache.choose(n, k), k ** (a + 1))
+        term = rational((2 ** k - 1) * comb(n, k), k ** (a + 1))
         rhs += -term if k % 2 else term
     return lhs == rhs
 
@@ -607,12 +611,11 @@ def check_tail_weight_sum(l: int, n: int) -> bool:
     """2 sum_{k=l+1}^n k C(n,k)/C(n+k,k) against both closed forms."""
     if not 0 <= l < n:
         raise ValueError("need 0 <= l < n")
-    cache = BinomialCache(2 * n)
     total = rational(0)
     for k in range(l + 1, n + 1):
-        total += rational(2 * k * cache.choose(n, k), cache.choose(n + k, k))
-    first = rational(n * cache.choose(n - 1, l), cache.choose(n + l, l))
-    second = rational((n - l) * cache.choose(n, l), cache.choose(n + l, l))
+        total += rational(2 * k * comb(n, k), comb(n + k, k))
+    first = rational(n * comb(n - 1, l), comb(n + l, l))
+    second = rational((n - l) * comb(n, l), comb(n + l, l))
     return total == first and total == second
 
 

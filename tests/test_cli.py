@@ -132,10 +132,12 @@ class TestVerify:
         assert first == second
 
     def test_workers_flag_is_gone(self):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["verify", "--family", "two-one", "--a", "1", "--n-max", "2",
-                  "--workers", "2"])
-        assert exit_info.value.code == 2
+        # so is --memo-cap: the memo limit is a constant of exact_eval
+        for flag in ("--workers", "--memo-cap"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["verify", "--family", "two-one", "--a", "1",
+                      "--n-max", "2", flag, "2000"])
+            assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("name,flags,params", [
         ("two-one", ["--a", "1,0"],

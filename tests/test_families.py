@@ -10,13 +10,13 @@ import hashlib
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsum.exact_eval import (
-    BinomialCache,
     mhs,
     mhs_star,
     mollified_big,
@@ -145,6 +145,16 @@ class TestSpecValidation:
     def test_explicit_r_must_match_lengths(self):
         with pytest.raises(ValueError):
             FamilySpec(TWO_ONE, a=(1,), r=2)
+
+    @pytest.mark.parametrize("family,kwargs,field", [
+        (TWO_ONE, dict(a=(1.7,)), "a"),
+        (C21, dict(a=(0,), b=(0,), c=(3.9,)), "c"),
+        (C212, dict(a=(0,), b=(0,), c=(3,), t=1.5), "t"),
+    ])
+    def test_non_integral_entries_rejected(self, family, kwargs, field):
+        # int() would cut these to 1, 3 and 1 without a word
+        with pytest.raises(ValueError, match="^%s must" % field):
+            FamilySpec(family, **kwargs)
 
 
 class TestBuilders:
@@ -408,10 +418,9 @@ class TestBinomialReductions:
             spec = FamilySpec(TWO_ONE, a=(a,))
             assert expansion(spec) == FormalSum({(2 * a + 1,): 2})
             for n in (1, 4, 11, 30):
-                cache = BinomialCache(2 * n)
                 total = sum(
-                    rational(2 * cache.choose(n, k),
-                             k ** (2 * a + 1) * cache.choose(n + k, k))
+                    rational(2 * comb(n, k),
+                             k ** (2 * a + 1) * comb(n + k, k))
                     for k in range(1, n + 1))
                 assert mhs_star(n, build_lhs(spec)) == total
 
@@ -424,15 +433,13 @@ class TestBinomialReductions:
                     (-(2 * a + 2 * b + 1),): -2,
                 })
                 for n in (1, 5, 17):
-                    cache = BinomialCache(2 * n)
                     plain = sum(
-                        rational((-1) ** k * 2 * cache.choose(n, k),
-                                 k ** (2 * a + 2 * b + 1)
-                                 * cache.choose(n + k, k))
+                        rational((-1) ** k * 2 * comb(n, k),
+                                 k ** (2 * a + 2 * b + 1) * comb(n + k, k))
                         for k in range(1, n + 1))
                     nested = sum(
-                        rational(4 * cache.choose(n, k),
-                                 k ** (2 * a + 1) * cache.choose(n + k, k))
+                        rational(4 * comb(n, k),
+                                 k ** (2 * a + 1) * comb(n + k, k))
                         * mhs(k - 1, (-2 * b,))
                         for k in range(1, n + 1))
                     assert mhs_star(n, build_lhs(spec)) == -plain - nested
