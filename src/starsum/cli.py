@@ -138,8 +138,22 @@ def _exit_code(report: dict) -> int:
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
-def _elapsed_ms(started: float, timings: bool) -> int:
-    return int((time.perf_counter() - started) * 1000) if timings else 0
+def _timed_item(timings: bool, build, check, *args) -> dict:
+    """The report item build(check(*args)), plus elapsed_ms: the wall time
+    in ms from the call to the built item, or 0 unless timings is set."""
+    started = time.perf_counter()
+    item = build(check(*args))
+    item["elapsed_ms"] = (int((time.perf_counter() - started) * 1000)
+                          if timings else 0)
+    return item
+
+
+def _compared(params: dict, n: Optional[int], *extra: str):
+    """Item builder for a numeric limit check: its two sides and verdict,
+    plus the extra keys of its report named."""
+    keys = ("lhs", "rhs", "within_tol") + extra
+    return lambda result: {"params": params, "n": n,
+                           **{key: result[key] for key in keys}}
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +197,8 @@ def _cmd_verify(args, stream) -> int:
 
 
 def _mzsv_item(spec: fam.FamilySpec, tol: float, timings: bool) -> dict:
-    started = time.perf_counter()
-    result = zn.verify_mzsv_family(spec, tol)
-    return {
-        "params": spec.params(),
-        "n": None,
-        "lhs": result["lhs"],
-        "rhs": result["rhs"],
-        "within_tol": result["within_tol"],
-        "diff": result["diff"],
-        "budget": result["budget"],
-        "lhs_index": result["lhs_index"],
-        "elapsed_ms": _elapsed_ms(started, timings),
-    }
+    build = _compared(spec.params(), None, "diff", "budget", "lhs_index")
+    return _timed_item(timings, build, zn.verify_mzsv_family, spec, tol)
 
 
 def _cmd_verify_mzsv(args, stream) -> int:
@@ -216,40 +219,27 @@ def _suite_middlestep(args) -> List[dict]:
     for n in range(1, n_max + 1):
         for name, check in (("middlestep-1", verify_middlestep_1),
                             ("middlestep-2", verify_middlestep_2)):
-            started = time.perf_counter()
-            result = check(n)
-            items.append({
+            items.append(_timed_item(args.timings, lambda result: {
                 "params": {"check": name, "depth": result["depth"],
                            "lhs_multiplicity": result["lhs_multiplicity"]},
                 "n": n,
                 "lhs": "%d terms" % result["lhs_terms"],
                 "rhs": "%d terms" % result["rhs_terms"],
                 "equal": result["equal"],
-                "elapsed_ms": _elapsed_ms(started, args.timings),
-            })
+            }, check, n))
     return items
 
 
 def _suite_ittw(args) -> List[dict]:
     n_max = args.n if args.n is not None else 1
-    items = []
     cases = [("i", {"m": m, "n": n}) for m in range(2) for n in range(2)]
     cases += [("ii", {"n": n}) for n in range(1, n_max + 1)]
     cases += [("iii", {"n": n}) for n in range(1, n_max + 1)]
-    for part, params in cases:
-        started = time.perf_counter()
-        result = zn.verify_ittw_conj2(part, params, args.tol)
-        items.append({
-            "params": {"part": part, **params},
-            "n": params.get("n"),
-            "lhs": result["lhs"],
-            "rhs": result["rhs"],
-            "within_tol": result["within_tol"],
-            "diff": result["diff"],
-            "budget": result["budget"],
-            "elapsed_ms": _elapsed_ms(started, args.timings),
-        })
-    return items
+    return [_timed_item(args.timings,
+                        _compared({"part": part, **params}, params.get("n"),
+                                  "diff", "budget"),
+                        zn.verify_ittw_conj2, part, params, args.tol)
+            for part, params in cases]
 
 
 def _suite_lemma31(args) -> List[dict]:
@@ -269,9 +259,7 @@ def _suite_lemma31(args) -> List[dict]:
                 kp = fam.KernelParams(m=2, kind=kind, a=rng.randint(1, 3),
                                       v=rng.choice(inner))
             n = rng.randint(1, 12)
-            started = time.perf_counter()
-            equal = fam.check_lemma31(variant, kp, n)
-            items.append({
+            items.append(_timed_item(args.timings, lambda equal: {
                 "params": {"variant": variant, "m": kp.m, "kind": kp.kind,
                            "a": kp.a, "c": kp.c,
                            "v": list(kp.v.parts)},
@@ -279,8 +267,7 @@ def _suite_lemma31(args) -> List[dict]:
                 "lhs": None,
                 "rhs": None,
                 "equal": equal,
-                "elapsed_ms": _elapsed_ms(started, args.timings),
-            })
+            }, fam.check_lemma31, variant, kp, n))
     return items
 
 
@@ -297,17 +284,9 @@ def _suite_paper_examples(args) -> List[dict]:
              for spec in _paper_example_specs()]
     checks = [("zlobin", zn.check_zlobin, n) for n in (1, 2, 3)]
     checks += [("three-n", zn.check_three_n, n) for n in (1, 2)]
-    for name, check, n in checks:
-        started = time.perf_counter()
-        result = check(n, args.tol)
-        items.append({
-            "params": {"check": name},
-            "n": n,
-            "lhs": result["lhs"],
-            "rhs": result["rhs"],
-            "within_tol": result["within_tol"],
-            "elapsed_ms": _elapsed_ms(started, args.timings),
-        })
+    items += [_timed_item(args.timings, _compared({"check": name}, n),
+                          check, n, args.tol)
+              for name, check, n in checks]
     return items
 
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -175,6 +174,8 @@ class FamilySpec:
         row = family_row(self.family)
         if self.r is None:
             object.__setattr__(self, "r", row.infer_r(self.a, self.c))
+        else:
+            object.__setattr__(self, "r", _int_tuple("r", (self.r,))[0])
         _validate(self, row)
 
     def params(self) -> dict:
@@ -408,33 +409,22 @@ def _spec_cells(spec: FamilySpec, n_max: int, failures_only: bool,
 
 
 def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
-                 failures_only: bool = False, workers: int = 1,
-                 timings: bool = False) -> dict:
-    """Verify every (spec, n) cell of a parameter grid.
+                 failures_only: bool = False) -> dict:
+    """Verify every (spec, n) cell of a parameter grid, in enumeration order.
 
     param_ranges maps any of "r", "a", "b", "c", "t" to value pools (see
-    enumerate_specs).  Cells are independent; with workers > 1 they are
-    fanned out per spec and merged back in enumeration order.  With
-    failures_only the per-cell records of passing cells are omitted (the
-    summary still counts them), which is how the full acceptance grid stays
-    within memory.
+    enumerate_specs).  With failures_only the per-cell records of passing
+    cells are omitted (the summary still counts them), which is how the full
+    acceptance grid stays within memory.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     specs = list(_grid_specs(family, param_ranges))
-    cells = partial(_spec_cells, n_max=n_max, failures_only=failures_only,
-                    timings=timings)
-    if workers > 1 and len(specs) > 1:
-        chunk = max(1, len(specs) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(cells, specs, chunksize=chunk))
-    else:
-        outcomes = map(cells, specs)
     results: List[dict] = []
     passed = failed = 0
-    for records, ok_count, bad_count in outcomes:
+    for spec in specs:
+        records, ok_count, bad_count = _spec_cells(spec, n_max, failures_only,
+                                                   False)
         results.extend(records)
         passed += ok_count
         failed += bad_count

@@ -7,7 +7,9 @@ recurrence in m, and for large m it has an asymptotic expansion of the form
 P(1/m) + (-1)^m A(1/m) with no logarithms, generated symbolically from the
 level below.  Seeding the recurrences from the expansions at an even point N
 and running them down to m = 0 yields the value; running again from 2N gives
-the doubling-based error estimate that justifies the reported tolerance.
+a doubling-based error estimate, which must fall below the requested
+tolerance.  That estimate is a heuristic, not a rigorous enclosure: it
+assumes the seed error shrinks when N doubles.
 
 The mollified and plain partial-sum evaluators are kept as independent
 cross-check paths; they only reach loose tolerances.
@@ -27,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from . import families as fam
-from .index_core import EMPTY, SignedIndex, as_index, format_index, oplus, \
+from .index_core import SignedIndex, as_index, format_index, oplus, \
     pi_expand_weighted, star_expand
 
 DEFAULT_TOL = 1e-6
@@ -43,8 +45,9 @@ _EXTRA_ORDERS = 20
 class NumericValue:
     """One evaluated limit with the error contract it was produced under.
 
-    value is a high-precision float (mpmath mpf); the evaluator guarantees
-    |value - truth| <= tol and records the path taken in method_note.
+    value is a high-precision float (mpmath mpf); the evaluator's error
+    estimate for it (a doubling check, not a proof) is at most tol, and
+    method_note records the path taken.
     """
 
     value: object
@@ -56,54 +59,40 @@ class NumericValue:
 
 
 class EvaluationError(ArithmeticError):
-    """Requested tolerance could not be certified by the chosen method."""
+    """The chosen method's error estimate could not reach the requested
+    tolerance."""
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and the beta weights
 # ---------------------------------------------------------------------------
 
-class BernoulliTable:
-    """Exact rationals B_0 .. B_{2 n_max} plus the derived beta weights.
-
-    The table is filled once from the defining recurrence
-    sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), so B_1 = -1/2.
-    """
-
-    def __init__(self, n_max: int = 40):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self.n_max = n_max
-        values = [Fraction(1)]
-        for m in range(1, 2 * n_max + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += comb(m + 1, j) * values[j]
-            values.append(-acc / (m + 1))
-        self._values = values
-
-    def bernoulli(self, k: int) -> Fraction:
-        if k < 0 or k > 2 * self.n_max:
-            raise ValueError("B_%d outside table range 0..%d" % (k, 2 * self.n_max))
-        return self._values[k]
-
-    def beta_coeff(self, n: int) -> Fraction:
-        """beta_n = (-1)^n (2 - 2^(2n)) B_(2n) / (2n)!"""
-        if n < 0 or 2 * n > 2 * self.n_max:
-            raise ValueError("beta_%d outside table range" % n)
-        return (Fraction((-1) ** n) * (2 - 2 ** (2 * n))
-                * self._values[2 * n] / factorial(2 * n))
+def _bernoulli_numbers(k_max: int) -> List[Fraction]:
+    """Exact rationals B_0 .. B_k_max from the defining recurrence
+    sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), so B_1 = -1/2."""
+    values = [Fraction(1)]
+    for m in range(1, k_max + 1):
+        acc = sum(comb(m + 1, j) * values[j] for j in range(m))
+        values.append(-acc / (m + 1))
+    return values
 
 
-_BERNOULLI = BernoulliTable(40)
+_BERNOULLI = _bernoulli_numbers(80)
 
 
 def bernoulli(k: int) -> Fraction:
-    return _BERNOULLI.bernoulli(k)
+    if k < 0 or k >= len(_BERNOULLI):
+        raise ValueError("B_%d outside table range 0..%d"
+                         % (k, len(_BERNOULLI) - 1))
+    return _BERNOULLI[k]
 
 
 def beta_coeff(n: int) -> Fraction:
-    return _BERNOULLI.beta_coeff(n)
+    """beta_n = (-1)^n (2 - 2^(2n)) B_(2n) / (2n)!"""
+    if n < 0 or 2 * n >= len(_BERNOULLI):
+        raise ValueError("beta_%d outside table range" % n)
+    return (Fraction((-1) ** n) * (2 - 2 ** (2 * n))
+            * _BERNOULLI[2 * n] / factorial(2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +418,8 @@ def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
     """Limit of the strict-descent sums H_n(s) as n grows.
 
     The index must be admissible (leading part != +1); the returned value
-    carries |value - truth| <= tol backed by a doubling check.
+    has a doubling-based error estimate of at most tol (an estimate, not a
+    rigorous bound on |value - truth|).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -465,11 +455,7 @@ def zeta_star(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValu
         value, _, note = _chain_eval(parts, True, tol)
     elif method == "expand":
         terms = list(star_expand(SignedIndex(parts)))
-        each = tol / sum(abs(c) for _, c in terms)
-        with mp.workdps(_DPS):
-            value = mpf(0)
-            for idx, coeff in terms:
-                value += coeff * zeta(idx, each).value
+        value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
         note = "star expansion over %d strict limits" % len(terms)
     else:
         raise ValueError("unknown method %r" % (method,))
@@ -520,9 +506,66 @@ def _value_str(v) -> str:
         return mp.nstr(mpf(v), 20)
 
 
-def _pi_power(power: int):
+# ---------------------------------------------------------------------------
+# The comparison record shared by the limit checks
+# ---------------------------------------------------------------------------
+
+def _limit_sum(evaluate, terms, tol: float):
+    """Sum of coeff * evaluate(idx, tol).value over (idx, coeff) terms.
+
+    Summed at _DPS in the order given.  A unit coefficient adds the value
+    as evaluated, without first rounding it to _DPS by a product.
+    """
     with mp.workdps(_DPS):
-        return mp.pi ** power
+        total = mpf(0)
+        for idx, coeff in terms:
+            value = evaluate(idx, tol).value
+            total += value if coeff == 1 else coeff * value
+    return total
+
+
+def _compare(lhs, rhs, budget: float) -> dict:
+    """Both sides, their distance and whether it is within the budget."""
+    with mp.workdps(_DPS):
+        diff = float(abs(lhs - rhs))
+    return {
+        "lhs": _value_str(lhs),
+        "rhs": _value_str(rhs),
+        "diff": diff,
+        "budget": budget,
+        "within_tol": diff <= budget,
+    }
+
+
+def _recognition(ratio, tol: float,
+                 expected: Optional[Fraction] = None) -> dict:
+    """Rational recognition of ratio in a 10*tol window.
+
+    With a predicted coefficient the check is equality with it; without
+    one it only says that a capped-denominator rational was found.
+    """
+    found = recognize_rational(ratio, tol * 10)
+    return {
+        "recognized": "unrecognized" if found is None else str(found),
+        "recognition_ok": (found is not None if expected is None
+                           else found == expected),
+    }
+
+
+def _against_pi_power(lhs, coefficient: Fraction, power: int,
+                      budget: float, tol: float) -> dict:
+    """lhs against coefficient * pi^power, and lhs / pi^power recognized
+    against the coefficient."""
+    with mp.workdps(_DPS):
+        pi_power = mp.pi ** power
+        rhs = mpf(coefficient.numerator) / coefficient.denominator * pi_power
+        ratio = lhs / pi_power
+    return {
+        "rhs_coefficient": str(coefficient),
+        "pi_power": power,
+        **_compare(lhs, rhs, budget),
+        **_recognition(ratio, tol, coefficient),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +595,14 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
                              % format_index(idx))
     coeff_mass = sum(abs(c) for _, c in terms)
     tol_each = min(tol, 10.0 * tol / (1 + coeff_mass))
-    lhs = zeta_star(lhs_idx, tol_each)
-    with mp.workdps(_DPS):
-        rhs = mpf(0)
-        for idx, coeff in terms:
-            rhs += coeff * zeta(idx, tol_each).value
-        diff = float(abs(lhs.value - rhs))
-    budget = (1 + coeff_mass) * tol_each
+    lhs = zeta_star(lhs_idx, tol_each).value
+    rhs = _limit_sum(zeta, terms, tol_each)
     return {
         "family": spec.family,
         "params": spec.params(),
         "lhs_index": format_index(lhs_idx),
-        "lhs": _value_str(lhs.value),
-        "rhs": _value_str(rhs),
         "rhs_terms": len(terms),
-        "diff": diff,
-        "budget": budget,
-        "within_tol": diff <= budget,
+        **_compare(lhs, rhs, (1 + coeff_mass) * tol_each),
     }
 
 
@@ -577,19 +611,9 @@ def check_zlobin(n: int, tol: float = DEFAULT_TOL) -> dict:
     if n < 1:
         raise ValueError("n must be >= 1")
     each = tol / 3
-    lhs = zeta_star(SignedIndex((2,) * n), each)
-    rhs_term = zeta(SignedIndex((-2 * n,)), each)
-    with mp.workdps(_DPS):
-        rhs = -2 * rhs_term.value
-        diff = float(abs(lhs.value - rhs))
-    return {
-        "n": n,
-        "lhs": _value_str(lhs.value),
-        "rhs": _value_str(rhs),
-        "diff": diff,
-        "budget": 3 * each,
-        "within_tol": diff <= 3 * each,
-    }
+    lhs = zeta_star(SignedIndex((2,) * n), each).value
+    rhs = _limit_sum(zeta, [(SignedIndex((-2 * n,)), -2)], each)
+    return {"n": n, **_compare(lhs, rhs, 3 * each)}
 
 
 def check_three_n(n: int, tol: float = DEFAULT_TOL) -> dict:
@@ -597,19 +621,10 @@ def check_three_n(n: int, tol: float = DEFAULT_TOL) -> dict:
     if n < 1:
         raise ValueError("n must be >= 1")
     scale = 8 ** n
-    lhs = zeta(SignedIndex((3,) * n), tol / 2)
-    rhs_term = zeta(SignedIndex((-2, 1) * n), tol / (2 * scale))
-    with mp.workdps(_DPS):
-        rhs = scale * rhs_term.value
-        diff = float(abs(lhs.value - rhs))
-    return {
-        "n": n,
-        "lhs": _value_str(lhs.value),
-        "rhs": _value_str(rhs),
-        "diff": diff,
-        "budget": tol,
-        "within_tol": diff <= tol,
-    }
+    lhs = zeta(SignedIndex((3,) * n), tol / 2).value
+    rhs = _limit_sum(zeta, [(SignedIndex((-2, 1) * n), scale)],
+                     tol / (2 * scale))
+    return {"n": n, **_compare(lhs, rhs, tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +642,7 @@ def _set_partitions(items: List[int]) -> Iterable[List[List[int]]]:
         yield [[head]] + partial
 
 
-def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL,
-                            den_cap: int = RECOGNITION_DEN_CAP) -> dict:
+def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     """Full symmetrization of a depth-<=4 strict limit vs its partition form.
 
     Left side sums the strict limit over every permutation of the given even
@@ -643,11 +657,10 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL,
     if any(v == 0 or v % 2 for v in parts):
         raise ValueError("arguments must be even and nonzero")
     perms = list(itertools.permutations(parts))
-    each = tol / (2 * len(perms))
+    lhs = _limit_sum(zeta, [(SignedIndex(perm), 1) for perm in perms],
+                     tol / (2 * len(perms)))
+    weight = sum(abs(v) for v in parts)
     with mp.workdps(_DPS):
-        lhs = mpf(0)
-        for perm in perms:
-            lhs += zeta(SignedIndex(perm), each).value
         rhs = mpf(0)
         for partition in _set_partitions(list(range(depth))):
             coeff = (-1) ** (depth - len(partition))
@@ -659,22 +672,13 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL,
                     merged = oplus(merged, parts[pos])
                 block_product *= zeta(SignedIndex((merged,)), 1e-16).value
             rhs += coeff * block_product
-        diff = float(abs(lhs - rhs))
-        weight = sum(abs(v) for v in parts)
-        ratio = lhs / _pi_power(weight)
-    budget = tol / 2 + 1e-10
-    recognized = recognize_rational(ratio, tol * 10, den_cap)
+        ratio = lhs / mp.pi ** weight
     return {
         "args": list(parts),
-        "lhs": _value_str(lhs),
-        "rhs": _value_str(rhs),
-        "diff": diff,
-        "budget": budget,
-        "within_tol": diff <= budget,
+        **_compare(lhs, rhs, tol / 2 + 1e-10),
         "pi_power": weight,
         "ratio": _value_str(ratio),
-        "recognized": str(recognized) if recognized is not None else "unrecognized",
-        "recognition_ok": recognized is not None,
+        **_recognition(ratio, tol),
     }
 
 
@@ -726,37 +730,16 @@ def yamamoto_rhs(r: int, m: int) -> Fraction:
     return total
 
 
-def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL,
-                    den_cap: int = RECOGNITION_DEN_CAP) -> dict:
+def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL) -> dict:
     """Composition sum of weak-descent limits vs the exact pi-power formula."""
     coefficient = yamamoto_rhs(r, m)
     comps = list(_weak_compositions(m, 2 * r + 1))
     each = tol / (len(comps) + 1)
-    power = 4 * r + 2 * m
-    with mp.workdps(_DPS):
-        lhs = mpf(0)
-        for e in comps:
-            idx = _interleaved_index(e, 2 * r, trailing=e[2 * r])
-            lhs += zeta_star(idx, each).value
-        rhs = (mpf(coefficient.numerator) / coefficient.denominator
-               * _pi_power(power))
-        diff = float(abs(lhs - rhs))
-        ratio = lhs / _pi_power(power)
-    budget = len(comps) * each
-    recognized = recognize_rational(ratio, tol * 10, den_cap)
-    return {
-        "r": r,
-        "m": m,
-        "lhs": _value_str(lhs),
-        "rhs": _value_str(rhs),
-        "rhs_coefficient": str(coefficient),
-        "pi_power": power,
-        "diff": diff,
-        "budget": budget,
-        "within_tol": diff <= budget,
-        "recognized": str(recognized) if recognized is not None else "unrecognized",
-        "recognition_ok": recognized == coefficient,
-    }
+    terms = [(_interleaved_index(e, 2 * r, trailing=e[2 * r]), 1)
+             for e in comps]
+    lhs = _limit_sum(zeta_star, terms, each)
+    return {"r": r, "m": m, **_against_pi_power(
+        lhs, coefficient, 4 * r + 2 * m, len(comps) * each, tol)}
 
 
 def muneta_value(n: int) -> Fraction:
@@ -775,34 +758,27 @@ def muneta_value(n: int) -> Fraction:
     return total
 
 
-def verify_muneta(n: int, tol: float = DEFAULT_TOL,
-                  den_cap: int = RECOGNITION_DEN_CAP) -> dict:
+def verify_muneta(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta*((3,1)^n) against the double-Bernoulli pi^(4n) closed form."""
     coefficient = muneta_value(n)
-    power = 4 * n
-    lhs = zeta_star(SignedIndex((3, 1) * n), tol / 2)
+    lhs = zeta_star(SignedIndex((3, 1) * n), tol / 2).value
+    return {"n": n,
+            **_against_pi_power(lhs, coefficient, 4 * n, tol / 2, tol)}
+
+
+def _product_sum(pairs, each: float, budget: float):
+    """Sum of zeta*(a) * zeta*(b) over index pairs (a, b) at _DPS, every
+    limit taken to tolerance each, and budget grown by each product's
+    error bound."""
     with mp.workdps(_DPS):
-        rhs = (mpf(coefficient.numerator) / coefficient.denominator
-               * _pi_power(power))
-        diff = float(abs(lhs.value - rhs))
-        ratio = lhs.value / _pi_power(power)
-    recognized = recognize_rational(ratio, tol * 10, den_cap)
-    return {
-        "n": n,
-        "lhs": _value_str(lhs.value),
-        "rhs": _value_str(rhs),
-        "rhs_coefficient": str(coefficient),
-        "pi_power": power,
-        "diff": diff,
-        "budget": tol / 2,
-        "within_tol": diff <= tol / 2,
-        "recognized": str(recognized) if recognized is not None else "unrecognized",
-        "recognition_ok": recognized == coefficient,
-    }
-
-
-def _product_err(va: float, ea: float, vb: float, eb: float) -> float:
-    return abs(va) * eb + abs(vb) * ea + ea * eb
+        total = mpf(0)
+        for a, b in pairs:
+            va = zeta_star(a, each).value
+            vb = zeta_star(b, each).value
+            total += va * vb
+            budget += (abs(float(va)) * each + abs(float(vb)) * each
+                       + each * each)
+    return total, budget
 
 
 def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict:
@@ -821,66 +797,37 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         each = tol / 8
         left_a = zeta_star(SignedIndex((2,) * n + (3,) + (2,) * m + (1,)), each)
         left_b = zeta_star(SignedIndex((2,) * m + (3,) + (2,) * n + (1,)), each)
-        right_a = zeta_star(SignedIndex((2,) * (n + 1)), each)
-        right_b = zeta_star(SignedIndex((2,) * (m + 1)), each)
         with mp.workdps(_DPS):
             lhs = left_a.value + left_b.value
-            rhs = right_a.value * right_b.value
-            diff = float(abs(lhs - rhs))
-            budget = 2 * each + _product_err(float(right_a.value), each,
-                                             float(right_b.value), each)
+        pairs = [(SignedIndex((2,) * (n + 1)), SignedIndex((2,) * (m + 1)))]
+        rhs, budget = _product_sum(pairs, each, 2 * each)
     elif part == "ii":
         n = int(params["n"])
         if n < 1:
             raise ValueError("needs n >= 1")
         each = tol / (8 * (n + 2))
-        with mp.workdps(_DPS):
-            core = zeta_star(SignedIndex((3, 1) * n + (2,)), each)
-            lhs = (2 * n + 1) * core.value
-            rhs = mpf(0)
-            budget = (2 * n + 1) * each
-            for j in range(n + 1):
-                va = zeta_star(SignedIndex((3, 1) * j), each)
-                vb = zeta_star(SignedIndex((2,) * (2 * (n - j) + 1)), each)
-                rhs += va.value * vb.value
-                budget += _product_err(float(va.value), each,
-                                       float(vb.value), each)
-            diff = float(abs(lhs - rhs))
+        core = SignedIndex((3, 1) * n + (2,))
+        lhs = _limit_sum(zeta_star, [(core, 2 * n + 1)], each)
+        pairs = [(SignedIndex((3, 1) * j),
+                  SignedIndex((2,) * (2 * (n - j) + 1))) for j in range(n + 1)]
+        rhs, budget = _product_sum(pairs, each, (2 * n + 1) * each)
     elif part == "iii":
         n = int(params["n"])
         if n < 1:
             raise ValueError("needs n >= 1")
         comps = list(_weak_compositions(1, 2 * n))
         each = tol / (4 * (len(comps) + n + 1))
-        with mp.workdps(_DPS):
-            lhs = mpf(0)
-            for e in comps:
-                idx = _interleaved_index(e, 2 * n)
-                lhs += zeta_star(idx, each).value
-            rhs = mpf(0)
-            budget = len(comps) * each
-            for j in range(n):
-                va = zeta_star(SignedIndex((3, 1) * j + (2,)), each)
-                vb = zeta_star(SignedIndex((2,) * (2 * (n - 1 - j) + 2)), each)
-                rhs += va.value * vb.value
-                budget += _product_err(float(va.value), each,
-                                       float(vb.value), each)
-            diff = float(abs(lhs - rhs))
+        lhs = _limit_sum(zeta_star, [(_interleaved_index(e, 2 * n), 1)
+                                     for e in comps], each)
+        pairs = [(SignedIndex((3, 1) * j + (2,)),
+                  SignedIndex((2,) * (2 * (n - 1 - j) + 2))) for j in range(n)]
+        rhs, budget = _product_sum(pairs, each, len(comps) * each)
     else:
         raise ValueError("part must be 'i', 'ii' or 'iii'")
-    return {
-        "part": part,
-        "params": dict(params),
-        "lhs": _value_str(lhs),
-        "rhs": _value_str(rhs),
-        "diff": diff,
-        "budget": budget,
-        "within_tol": diff <= budget,
-    }
+    return {"part": part, "params": dict(params), **_compare(lhs, rhs, budget)}
 
 
-def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL,
-                     den_cap: int = RECOGNITION_DEN_CAP) -> dict:
+def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL) -> dict:
     """Permutation-symmetrized composition sums recognized as pi powers.
 
     part "i" takes 2r run lengths (r >= 1), part "ii" takes 2r+1 where the
@@ -912,17 +859,12 @@ def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL,
     m = sum(e)
     power = 4 * r + 2 * m + (2 if trailing else 0)
     perms = list(itertools.permutations(e))
-    each = tol / (2 * len(perms))
+    terms = [(_interleaved_index(tau, 2 * r,
+                                 tau[2 * r] + 1 if trailing else None), 1)
+             for tau in perms]
+    lhs = _limit_sum(zeta_star, terms, tol / (2 * len(perms)))
     with mp.workdps(_DPS):
-        lhs = mpf(0)
-        for tau in perms:
-            if trailing:
-                idx = _interleaved_index(tau, 2 * r, trailing=tau[2 * r] + 1)
-            else:
-                idx = _interleaved_index(tau, 2 * r)
-            lhs += zeta_star(idx, each).value
-        ratio = lhs / _pi_power(power)
-    recognized = recognize_rational(ratio, tol * 10, den_cap)
+        ratio = lhs / mp.pi ** power
     return {
         "part": part,
         "e_values": list(e),
@@ -930,6 +872,5 @@ def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL,
         "lhs": _value_str(lhs),
         "pi_power": power,
         "ratio": _value_str(ratio),
-        "recognized": str(recognized) if recognized is not None else "unrecognized",
-        "recognition_ok": recognized is not None,
+        **_recognition(ratio, tol),
     }

@@ -5,6 +5,7 @@ covers the ``python -m starsum`` entry point.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 from starsum.cli import _normalize_argv, main
+from starsum.zeta_numeric import clear_value_cache
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +249,36 @@ class TestSuites:
         with pytest.raises(SystemExit) as exit_info:
             main(["suite", "--suite", "everything"])
         assert exit_info.value.code == 2
+
+
+class TestReportBytes:
+    """sha256 of whole reports, pinned so that refactors of the verifiers
+    and of the item builders cannot change a byte of what is printed."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("suite", "--suite", "paper-examples", "--format", "json"),
+         "8a0619715ed10f9a0e3b0591dc07448e04914519f0fb54ca0740b558c7bb875a"),
+        (("suite", "--suite", "ittw", "--format", "json"),
+         "1b6543d7e9d572ed2be3205750c3067ef822f7eef8257ab1cd9d5f601e15530f"),
+        (("suite", "--suite", "middlestep", "--format", "json"),
+         "85efbac083104d93a12270e3bf716625acf74b1945cbcebe0cd4e19a234ec832"),
+        (("suite", "--suite", "lemma31", "--format", "json"),
+         "ee96a83a83043dc122802e107827709558eb8cf8569b0781c71a95ca2534d26c"),
+        (("verify-mzsv", "--family", "two-one", "--a", "1,1"),
+         "970a10de8ebfd54359e5ffbf87b8cdad288eb45f283ce2218c15375dd7206168"),
+        (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
+          "json"),
+         "d0d075c6bab062a420edd71cf9b7582837a13c7961e465fcde394fb40ae0d3a4"),
+        (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
+          "csv"),
+         "b222909a973c837d677684f7a6bd01f4b3915927661e66dc34de614ecd42df11"),
+    ])
+    def test_report_digest(self, capsys, argv, digest):
+        # a value cached at a tighter tolerance would be served as is
+        clear_value_cache()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTopLevel:

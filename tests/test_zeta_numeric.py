@@ -27,7 +27,6 @@ from starsum.index_core import SignedIndex
 from starsum.zeta_numeric import (
     DEFAULT_TOL,
     RECOGNITION_DEN_CAP,
-    BernoulliTable,
     EvaluationError,
     NumericValue,
     bernoulli,
@@ -79,9 +78,9 @@ class TestBernoulli:
         with pytest.raises(ValueError, match="outside table range"):
             bernoulli(81)
         with pytest.raises(ValueError, match="outside table range"):
+            bernoulli(-1)
+        with pytest.raises(ValueError, match="outside table range"):
             beta_coeff(41)
-        with pytest.raises(ValueError, match="nonnegative"):
-            BernoulliTable(-1)
 
 
 class TestAnchors:
