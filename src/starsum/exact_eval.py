@@ -10,7 +10,11 @@ rationals, never floats.  The public evaluators are
 * ``pi_companion_sum``  a comma-or-merge expansion of a base index,
   evaluated against either mollified companion in one pass
 
-plus brute-force oracles that re-evaluate the defining sums by direct
+``mhs``, ``mhs_star`` and ``pi_companion_sum`` read one memoized list
+recurrence, L_k(s) = L_{k-1}(s) + term(s_1,k) * (eq * L_k(tail) + (lt - eq) *
+L_{k-1}(tail)); the three kinds of list differ only in the weight eq of an
+equal step and lt of a strict step (table at the memo below).  There are
+also brute-force oracles that re-evaluate the defining sums by direct
 enumeration (no recursion, no caching) so the fast engine has something
 independent to be checked against.
 
@@ -31,7 +35,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, List, Tuple
 
-from starsum.index_core import SignedIndex, as_index, oplus
+from starsum.index_core import SignedIndex, as_index
 
 __all__ = [
     "RATIONAL_BACKEND",
@@ -73,21 +77,30 @@ def rat_str(value) -> str:
 # ---------------------------------------------------------------------------
 # memoized fast engine
 #
-# Growing lists per suffix: _h_cache[(parts, star)][k] == H_k(parts) (or the
-# star value).  _t_cache[(parts, coeff)][x] holds the comma-or-merge
-# aggregate T(x) = sum over the expansion q of parts of coeff^depth(q) *
-# H_x(q); the pi_companion_sum of a base against either companion is then a
-# single integer-weighted pass over the increments of the base's own T list.
-# Sweep drivers share work across cells only through these caches.
+# One growing list per (suffix, eq, lt): _lists[(parts, eq, lt)][k] == L_k,
+# where, with s = (s_1, tail) and L(()) == 1,
+#
+#     L_k(s) = L_{k-1}(s) + term(s_1, k) * (eq * L_k(tail)
+#                                           + (lt - eq) * L_{k-1}(tail)).
+#
+#     (eq, lt) = (0, 1)   H_k(s), the strict sum (mhs)
+#     (eq, lt) = (1, 1)   H*_k(s), the weak sum (mhs_star)
+#     (eq, lt) = (1, c)   T_k(s), the sum over the comma-or-merge images q of
+#                         s of c^depth(q) * H_k(q) (pi_companion_sum)
+#
+# T is a weak sum in which an equal step weighs 1 and a strict step weighs c:
+# term(a,k) * term(b,k) == term(a (+) b, k), so a run of equal indices is one
+# merged entry, and each entry carries one factor c.  For c = 1 this is H*,
+# so the companion pass shares the mhs_star lists.  Sweep drivers share work
+# across cells only through these lists.
 #
 # Memory bound: once more than _MEMO_LIMIT rational values are cached, the
-# caches are dropped wholesale at the next public entry point; computations
+# lists are dropped wholesale at the next public entry point; computations
 # started before the drop are unaffected.
 # ---------------------------------------------------------------------------
 
 _lock = threading.RLock()
-_h_cache: Dict[Tuple[tuple, bool], List] = {}
-_t_cache: Dict[Tuple[tuple, int], List] = {}
+_lists: Dict[Tuple[tuple, int, int], List] = {}
 _stored_values = 0
 _MEMO_LIMIT = 600_000
 
@@ -95,17 +108,17 @@ _MEMO_LIMIT = 600_000
 def clear_memo() -> None:
     global _stored_values
     with _lock:
-        _h_cache.clear()
-        _t_cache.clear()
+        _lists.clear()
         _stored_values = 0
 
 
 def memo_stats() -> dict:
     with _lock:
+        h_lists = sum(1 for _, _, lt in _lists if lt == 1)
         return {
             "stored_values": _stored_values,
-            "h_lists": len(_h_cache),
-            "t_lists": len(_t_cache),
+            "h_lists": h_lists,
+            "t_lists": len(_lists) - h_lists,
             "limit": _MEMO_LIMIT,
         }
 
@@ -115,36 +128,42 @@ def _maybe_evict() -> None:
         clear_memo()
 
 
-def _term(part: int, k: int):
-    """sgn(part)^k / k^|part| as an exact rational."""
+def _term(part: int, k: int, numerator: int = 1):
+    """numerator * sgn(part)^k / k^|part| as an exact rational."""
     if part > 0 or k % 2 == 0:
-        return _Q(1, k ** abs(part))
-    return _Q(-1, k ** abs(part))
+        return _Q(numerator, k ** abs(part))
+    return _Q(-numerator, k ** abs(part))
 
 
-def _ensure_h(parts: tuple, star: bool, n: int) -> List:
-    """Grow (and return) the cached list of H_0..H_n for a nonempty suffix."""
+def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
+    """Grow (and return) the cached list L_0..L_n of a nonempty suffix."""
     global _stored_values
-    key = (parts, star)
-    vals = _h_cache.get(key)
+    key = (parts, eq, lt)
+    vals = _lists.get(key)
     if vals is None:
         vals = [_ZERO]
-        _h_cache[key] = vals
+        _lists[key] = vals
         _stored_values += 1
     if len(vals) > n:
         return vals
-    tail = parts[1:]
-    tail_vals = _ensure_h(tail, star, n) if tail else None
-    head = parts[0]
+    head, tail = parts[0], parts[1:]
+    tail_vals = _ensure(tail, eq, lt, n) if tail else None
     grown = len(vals)
     for k in range(grown, n + 1):
         if tail_vals is None:
-            inner = _ONE
-        elif star:
+            # L(()) == 1, so the bracket is eq + (lt - eq) == lt
+            vals.append(vals[k - 1] + _term(head, k, lt))
+            continue
+        if not eq:
+            inner = tail_vals[k - 1]
+        elif lt == 1:
             inner = tail_vals[k]
         else:
-            inner = tail_vals[k - 1]
-        vals.append(vals[k - 1] + _term(head, k) * inner)
+            inner = tail_vals[k] + (lt - 1) * tail_vals[k - 1]
+        if inner:
+            vals.append(vals[k - 1] + _term(head, k) * inner)
+        else:
+            vals.append(vals[k - 1])
     _stored_values += len(vals) - grown
     return vals
 
@@ -156,7 +175,7 @@ def _h_value(n: int, parts: tuple, star: bool):
         return _ZERO
     if n == 0:
         return _ZERO
-    return _ensure_h(parts, star, n)[n]
+    return _ensure(parts, int(star), 1, n)[n]
 
 
 def mhs(n: int, s) -> "rational":
@@ -189,7 +208,7 @@ def _mollified(n: int, s: SignedIndex, kind: str):
     tail = s.parts[1:]
     with _lock:
         _maybe_evict()
-        tail_vals = _ensure_h(tail, False, n - 1) if tail else None
+        tail_vals = _ensure(tail, 0, 1, n - 1) if tail else None
         total = _ZERO
         for k in range(1, n + 1):
             if tail_vals is None:
@@ -216,48 +235,6 @@ def mollified_small(n: int, s) -> "rational":
     return _mollified(n, s, "small")
 
 
-def _ensure_t(parts: tuple, coeff: int, x: int) -> List:
-    """Aggregate T(x) = sum over comma-or-merge images q of parts of
-    coeff^depth(q) * H_x(q), as a growing list T[0..x].
-
-    Recurrence: T(x) - T(x-1) collects, for every choice of how many leading
-    parts merge into the outermost entry, the merged head evaluated at x
-    times the deeper suffix aggregate at x-1.
-    """
-    global _stored_values
-    key = (parts, coeff)
-    vals = _t_cache.get(key)
-    if vals is None:
-        vals = [_ZERO]
-        _t_cache[key] = vals
-        _stored_values += 1
-    if len(vals) > x:
-        return vals
-    m = len(parts)
-    # oplus-chains of the leading parts and the matching deeper aggregates
-    heads = []
-    acc = None
-    for i in range(m):
-        acc = parts[i] if acc is None else oplus(acc, parts[i])
-        heads.append(acc)
-    suffix_lists = [_ensure_t(parts[i + 1:], coeff, x) for i in range(m - 1)]
-    grown = len(vals)
-    for k in range(grown, x + 1):
-        delta = _ZERO
-        for i in range(m):
-            if i < m - 1:
-                inner = suffix_lists[i][k - 1]
-                if inner == 0:
-                    continue
-            else:
-                inner = _ONE
-            delta += _term(heads[i], k) * inner
-        # the coeff per expansion image factors as coeff * coeff^depth(rest)
-        vals.append(vals[k - 1] + coeff * delta)
-    _stored_values += len(vals) - grown
-    return vals
-
-
 def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
                      n: int) -> "rational":
     """sign * sum over the comma-or-merge expansion p of base of
@@ -267,6 +244,11 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     Equivalent to expanding with pi_expand_weighted and evaluating each
     image separately; this pass is O(n * depth) after cache warmup and is
     what the sweep drivers call.
+
+    T(k) is the sum of coeff_base^depth(p) * H_k(p) over the images p: the
+    weak nested sum of base in which an equal step weighs 1 and a strict step
+    weighs coeff_base, grown by the list recurrence with (eq, lt) =
+    (1, coeff_base).  For coeff_base 1 it is the mhs_star list itself.
 
     The pass is one integer sum: with D the lcm of the denominators of the
     increments dT(k) = T(k) - T(k-1), the result is sign * sum_k w_k *
@@ -284,7 +266,7 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
         raise ValueError("n must be >= 1")
     with _lock:
         _maybe_evict()
-        tvals = _ensure_t(base.parts, coeff_base, n)
+        tvals = _ensure(base.parts, 1, coeff_base, n)
         deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
     denom = lcm(*(delta.denominator for delta in deltas))
     if companion == "big":

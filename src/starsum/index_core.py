@@ -6,8 +6,8 @@ for the nested sum whose inner summand carries a factor (-1)^k / k.
 
 The module supplies the merge operator ``oplus`` (magnitudes add, signs
 multiply), the comma-or-merge expansion ``pi_expand`` that underlies every
-right-hand side in this package, the star-to-strict expansion, the sign
-rule predicate, and the text round-trip used by the CLI and reports.
+right-hand side in this package, the star-to-strict expansion, and the
+text round-trip used by the CLI and reports.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "pi_expand",
     "pi_expand_weighted",
     "star_expand",
-    "sign_rule_holds",
     "parse_index",
     "format_index",
     "as_index",
@@ -246,11 +245,6 @@ def star_expand(s: SignedIndex) -> FormalSum:
     if s.is_empty():
         raise ValueError("star_expand needs a nonempty index")
     return pi_expand_weighted(s, coeff_base=1, global_sign=1)
-
-
-def sign_rule_holds(p: SignedIndex) -> bool:
-    """True iff every part a satisfies: a is positive exactly when 4 divides a."""
-    return all((a > 0) == (a % 4 == 0) for a in as_index(p))
 
 
 def parse_index(text: str) -> SignedIndex:

@@ -11,8 +11,10 @@ a doubling-based error estimate, which must fall below the requested
 tolerance.  That estimate is a heuristic, not a rigorous enclosure: it
 assumes the seed error shrinks when N doubles.
 
-The mollified and plain partial-sum evaluators are kept as independent
-cross-check paths; they only reach loose tolerances.
+Two independent cross-check paths are kept: zeta(method="partial"), a
+float partial sum with an explicit tail bound that only reaches loose
+tolerances, and zeta_star(method="expand"), which sums the strict limits of
+the contraction expansion.
 """
 
 from __future__ import annotations
@@ -312,40 +314,6 @@ def mhs_float(n: int, s) -> float:
     return level[n]
 
 
-def mollified_float(n: int, s) -> float:
-    """Damped companion sum (binomial-ratio weights) in ordinary floats."""
-    parts = as_index(s).parts
-    if not parts:
-        return 1.0
-    if n < 1:
-        raise ValueError("n must be positive")
-    head, rest = parts[0], parts[1:]
-    inner = [1.0] * (n + 1)
-    for part in reversed(rest):
-        a = abs(part)
-        negative = part < 0
-        nxt = [0.0] * (n + 1)
-        acc = 0.0
-        for k in range(1, n + 1):
-            w = float(k) ** (-a)
-            if negative and (k & 1):
-                w = -w
-            acc += w * inner[k - 1]
-            nxt[k] = acc
-        inner = nxt
-    a = abs(head)
-    negative = head < 0
-    ratio = 1.0
-    total = 0.0
-    for k in range(1, n + 1):
-        ratio *= (n - k + 1) / (n + k)
-        w = ratio * float(k) ** (-a)
-        if negative and (k & 1):
-            w = -w
-        total += w * inner[k - 1]
-    return total
-
-
 def partial_sum_tail_bound(s, n: int) -> float:
     """Upper bound for |zeta(s) - H_n(s)|, valid for admissible s.
 
@@ -364,39 +332,6 @@ def partial_sum_tail_bound(s, n: int) -> float:
         integrand = lambda x: x ** (-lead) * (1 + mp.log(x)) ** rest_depth
         bound = mp.quad(integrand, [n, mp.inf]) + integrand(mpf(n))
     return float(bound)
-
-
-def _aitken(seq: Sequence[float]) -> List[float]:
-    out = []
-    for a, b, c in zip(seq, seq[1:], seq[2:]):
-        second = c - 2 * b + a
-        out.append(c - (c - b) ** 2 / second if second else c)
-    return out
-
-
-def _mollified_eval(parts: Tuple[int, ...],
-                    tol: float) -> Tuple[object, float, str]:
-    """Doubling sequence of damped sums, accelerated by iterated Aitken.
-
-    The error of the damped sum decays like a power of n (the power depends
-    on the index class), so in the doubling index the error is close to
-    geometric and two Aitken passes extrapolate it; the last-change bound is
-    the doubling-based error estimate.  Loose tolerances only.
-    """
-    if tol < 1e-9:
-        raise EvaluationError("mollified float path is limited to tol >= 1e-9")
-    seq: List[float] = []
-    n = 64
-    while n <= (1 << 14):
-        n *= 2
-        seq.append(mollified_float(n, parts))
-        if len(seq) < 6:
-            continue
-        twice = _aitken(_aitken(seq))
-        bound = 6 * abs(twice[-1] - twice[-2]) + 1e-12
-        if bound <= tol:
-            return mpf(twice[-1]), bound, "mollified Aitken n=%d" % n
-    raise EvaluationError("mollified extrapolation stalled before tol=%g" % tol)
 
 
 def _partial_eval(parts: Tuple[int, ...],
@@ -429,8 +364,6 @@ def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
     _require_admissible(parts)
     if method == "chain":
         value, _, note = _chain_eval(parts, False, tol)
-    elif method == "mollified":
-        value, _, note = _mollified_eval(parts, tol)
     elif method == "partial":
         value, _, note = _partial_eval(parts, tol)
     else:
@@ -649,6 +582,12 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     nonzero arguments; the right side is the signed sum over set partitions
     with (block size - 1)! weights and merged single arguments.  The ratio of
     the left side to pi^weight is also pushed through rational recognition.
+
+    The left side gets tol / 2.  The right side's weights sum to depth!, and
+    each product of at most depth single-argument limits (each below 2 in
+    size) is taken at a tolerance that keeps its error near tol / 4; the
+    budget adds each product's error bound, grown factor by factor as in
+    _product_sum.
     """
     parts = tuple(int(v) for v in args)
     depth = len(parts)
@@ -660,22 +599,29 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     lhs = _limit_sum(zeta, [(SignedIndex(perm), 1) for perm in perms],
                      tol / (2 * len(perms)))
     weight = sum(abs(v) for v in parts)
+    each = tol / (2 * len(perms) * depth * 2 ** depth)
+    budget = tol / 2
     with mp.workdps(_DPS):
         rhs = mpf(0)
         for partition in _set_partitions(list(range(depth))):
             coeff = (-1) ** (depth - len(partition))
-            block_product = mpf(1)
+            block_product, product_err = mpf(1), 0.0
             for block in partition:
                 coeff *= factorial(len(block) - 1)
                 merged = parts[block[0]]
                 for pos in block[1:]:
                     merged = oplus(merged, parts[pos])
-                block_product *= zeta(SignedIndex((merged,)), 1e-16).value
+                value = zeta(SignedIndex((merged,)), each).value
+                product_err = (abs(float(block_product)) * each
+                               + abs(float(value)) * product_err
+                               + product_err * each)
+                block_product *= value
             rhs += coeff * block_product
+            budget += abs(coeff) * product_err
         ratio = lhs / mp.pi ** weight
     return {
         "args": list(parts),
-        **_compare(lhs, rhs, tol / 2 + 1e-10),
+        **_compare(lhs, rhs, budget),
         "pi_power": weight,
         "ratio": _value_str(ratio),
         **_recognition(ratio, tol),

@@ -5,6 +5,7 @@ before anything else trusts it; the spot values used elsewhere in the suite
 (11/8, 11/16, ...) are pinned here too.
 """
 
+import hashlib
 import random
 from math import comb
 
@@ -131,6 +132,39 @@ class TestCompanionSum:
             ee.pi_companion_sum((2,), 2, 1, "big", 0)
 
 
+class TestValueDigest:
+    """sha256 over rat_str of a seeded sample of the three list kinds.
+
+    Strict, weak and comma-or-merge lists share one memo and one grower, so
+    the sample interleaves them on one base, with n from 1 to 200; a change
+    to the recurrence or to the companion pass that moves any value fails
+    here.
+    """
+
+    DIGEST = "716ecc3e0086ae43f0bc66c57efcd4a68f4d3bb54870fcfc3b3ffce4ec9ee928"
+
+    def test_sample_digest(self):
+        ee.clear_memo()
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        count = 0
+        for _ in range(12):
+            parts = tuple(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+                          for _ in range(rng.randint(1, 4)))
+            for n in (1, 2, 7, 30, 50, 200):
+                values = [ee.mhs(n, parts), ee.mhs_star(n, parts)]
+                for coeff in (1, 2, 3):
+                    for sign in (1, -1):
+                        for companion in ("big", "small"):
+                            values.append(ee.pi_companion_sum(
+                                parts, coeff, sign, companion, n))
+                for value in values:
+                    digest.update(ee.rat_str(value).encode() + b"\n")
+                    count += 1
+        assert count == 1008
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestMemo:
     def test_stats_and_clear(self):
         ee.clear_memo()
@@ -142,19 +176,54 @@ class TestMemo:
         ee.clear_memo()
         assert ee.memo_stats()["stored_values"] == 0
 
+    def test_list_kinds_counted(self):
+        # h_lists: strict, weak and coefficient-1 aggregates; t_lists: the rest
+        ee.clear_memo()
+        try:
+            ee.mhs(10, (2, 1))
+            assert ee.memo_stats()["h_lists"] == 2
+            ee.mhs_star(10, (2, 1))
+            assert ee.memo_stats()["h_lists"] == 4
+            # the coefficient-1 aggregate is the mhs_star list itself
+            ee.pi_companion_sum((2, 1), 1, 1, "big", 10)
+            assert ee.memo_stats()["h_lists"] == 4
+            assert ee.memo_stats()["t_lists"] == 0
+            ee.pi_companion_sum((2, 1), 2, 1, "big", 10)
+            assert ee.memo_stats()["t_lists"] == 2
+        finally:
+            ee.clear_memo()
+
     def test_eviction_keeps_results_correct(self, monkeypatch):
         monkeypatch.setattr(ee, "_MEMO_LIMIT", 1000)
+        evictions = 0
+
+        def checked(compute, expect):
+            nonlocal evictions
+            before = ee.memo_stats()["stored_values"]
+            assert compute() == expect
+            if ee.memo_stats()["stored_values"] < before:
+                evictions += 1
+
         try:
+            ee.clear_memo()
             rng = random.Random(7)
             for _ in range(20):
                 n = rng.randint(1, 40)
                 parts = tuple(rng.choice((-3, -2, -1, 1, 2, 3))
                               for _ in range(rng.randint(1, 3)))
-                if parts and n <= 40:
-                    assert ee.mhs(n, parts) == ee.mhs(n, parts)
-            # values computed across evictions stay consistent with a fresh
-            # cache
-            ee.clear_memo()
-            assert ee.mhs_star(30, (2, 1, 2)) == ee.mhs_star(30, (2, 1, 2))
+                checked(lambda: ee.mhs(n, parts), ee.mhs_oracle(n, parts))
+                checked(lambda: ee.mhs_star(n, parts),
+                        ee.mhs_star_oracle(n, parts))
+                coeff, sign = rng.randint(1, 3), rng.choice((1, -1))
+                companion = rng.choice(("big", "small"))
+                evaluate = (ee.mollified_big if companion == "big"
+                            else ee.mollified_small)
+                expect = ee.rational(0)
+                for idx, c in pi_expand_weighted(SignedIndex(parts), coeff,
+                                                 sign):
+                    expect += c * evaluate(n, idx)
+                checked(lambda: ee.pi_companion_sum(parts, coeff, sign,
+                                                    companion, n), expect)
+            assert evictions > 0
         finally:
             ee.clear_memo()

@@ -13,9 +13,14 @@ from starsum.index_core import (
     parse_index,
     pi_expand,
     pi_expand_weighted,
-    sign_rule_holds,
     star_expand,
 )
+
+
+def sign_rule_holds(p: SignedIndex) -> bool:
+    """True iff every part a satisfies: a is positive exactly when 4 divides a."""
+    return all((a > 0) == (a % 4 == 0) for a in as_index(p))
+
 
 nonzero = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
 indices = st.lists(nonzero, min_size=1, max_size=6).map(SignedIndex)

@@ -116,6 +116,8 @@ class TestAnchors:
             zeta((2,), 0.0)
         with pytest.raises(ValueError, match="unknown method"):
             zeta((2,), method="newton")
+        with pytest.raises(ValueError, match="unknown method"):
+            zeta((2,), method="mollified")
 
 
 class TestConvergenceContract:
@@ -150,17 +152,10 @@ class TestPathConsistency:
 
     def test_method_cross_checks(self):
         chain = zeta((3,), 1e-8)
-        damped = zeta((3,), 1e-5, method="mollified")
         partial = zeta((3,), 1e-6, method="partial")
         assert "tail-chain" in chain.method_note
-        assert "mollified" in damped.method_note
         assert "partial sum" in partial.method_note
-        assert abs(chain.value - damped.value) <= 2e-5
         assert abs(chain.value - partial.value) <= 2e-6
-
-    def test_mollified_refuses_tight_tol(self):
-        with pytest.raises(EvaluationError, match="tol >= 1e-9"):
-            zeta((3,), 1e-10, method="mollified")
 
     def test_partial_refuses_slow_indices(self):
         # Leading exponent 2 with a nested factor: the monotone tail bound
@@ -279,6 +274,15 @@ class TestSymmetricSums:
         assert report["recognition_ok"]
         assert report["recognized"] == expected
         assert report["pi_power"] == sum(abs(v) for v in args)
+
+    @pytest.mark.parametrize("args", [(2, 2), (-2, -2), (2, 2, 2),
+                                      (2, -2, -4)])
+    def test_budget_follows_tol(self, args):
+        # a budget that does not shrink with tol would pass any small diff
+        report = hoffman_symmetric_check(args, 1e-30)
+        assert report["within_tol"], report
+        assert report["budget"] <= 1e-30
+        assert report["recognition_ok"]
 
     def test_argument_guards(self):
         with pytest.raises(ValueError, match="even and nonzero"):
