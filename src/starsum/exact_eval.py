@@ -30,7 +30,7 @@ slower on large sweeps.
 from __future__ import annotations
 
 import itertools
-import threading
+import operator
 from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, List, Tuple
@@ -99,7 +99,6 @@ def rat_str(value) -> str:
 # started before the drop are unaffected.
 # ---------------------------------------------------------------------------
 
-_lock = threading.RLock()
 _lists: Dict[Tuple[tuple, int, int], List] = {}
 _stored_values = 0
 _MEMO_LIMIT = 600_000
@@ -107,20 +106,18 @@ _MEMO_LIMIT = 600_000
 
 def clear_memo() -> None:
     global _stored_values
-    with _lock:
-        _lists.clear()
-        _stored_values = 0
+    _lists.clear()
+    _stored_values = 0
 
 
 def memo_stats() -> dict:
-    with _lock:
-        h_lists = sum(1 for _, _, lt in _lists if lt == 1)
-        return {
-            "stored_values": _stored_values,
-            "h_lists": h_lists,
-            "t_lists": len(_lists) - h_lists,
-            "limit": _MEMO_LIMIT,
-        }
+    h_lists = sum(1 for _, _, lt in _lists if lt == 1)
+    return {
+        "stored_values": _stored_values,
+        "h_lists": h_lists,
+        "t_lists": len(_lists) - h_lists,
+        "limit": _MEMO_LIMIT,
+    }
 
 
 def _maybe_evict() -> None:
@@ -183,9 +180,8 @@ def mhs(n: int, s) -> "rational":
     s = as_index(s)
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _lock:
-        _maybe_evict()
-        return _h_value(n, s.parts, star=False)
+    _maybe_evict()
+    return _h_value(n, s.parts, star=False)
 
 
 def mhs_star(n: int, s) -> "rational":
@@ -193,9 +189,8 @@ def mhs_star(n: int, s) -> "rational":
     s = as_index(s)
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _lock:
-        _maybe_evict()
-        return _h_value(n, s.parts, star=True)
+    _maybe_evict()
+    return _h_value(n, s.parts, star=True)
 
 
 def _mollified(n: int, s: SignedIndex, kind: str):
@@ -206,23 +201,22 @@ def _mollified(n: int, s: SignedIndex, kind: str):
         raise ValueError("mollified sums need a nonempty index")
     head = s.head()
     tail = s.parts[1:]
-    with _lock:
-        _maybe_evict()
-        tail_vals = _ensure(tail, 0, 1, n - 1) if tail else None
-        total = _ZERO
-        for k in range(1, n + 1):
-            if tail_vals is None:
-                inner = _ONE
-            else:
-                inner = tail_vals[k - 1]
-                if inner == 0:
-                    continue
-            if kind == "big":
-                weight = _Q(comb(n, k), comb(n + k, k))
-            else:
-                weight = comb(n, k)
-            total += _term(head, k) * weight * inner
-        return total
+    _maybe_evict()
+    tail_vals = _ensure(tail, 0, 1, n - 1) if tail else None
+    total = _ZERO
+    for k in range(1, n + 1):
+        if tail_vals is None:
+            inner = _ONE
+        else:
+            inner = tail_vals[k - 1]
+            if inner == 0:
+                continue
+        if kind == "big":
+            weight = _Q(comb(n, k), comb(n + k, k))
+        else:
+            weight = comb(n, k)
+        total += _term(head, k) * weight * inner
+    return total
 
 
 def mollified_big(n: int, s) -> "rational":
@@ -264,10 +258,16 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
         raise ValueError("global_sign must be +1 or -1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _lock:
-        _maybe_evict()
-        tvals = _ensure(base.parts, 1, coeff_base, n)
-        deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
+    try:
+        coeff_base = operator.index(coeff_base)
+    except TypeError:
+        raise ValueError("coeff_base must be an integer, got %r"
+                         % (coeff_base,)) from None
+    if coeff_base < 1:
+        raise ValueError("coeff_base must be >= 1, got %d" % coeff_base)
+    _maybe_evict()
+    tvals = _ensure(base.parts, 1, coeff_base, n)
+    deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
     denom = lcm(*(delta.denominator for delta in deltas))
     if companion == "big":
         weights = [comb(2 * n, n - k) for k in range(1, n + 1)]

@@ -11,6 +11,17 @@ a doubling-based error estimate, which must fall below the requested
 tolerance.  That estimate is a heuristic, not a rigorous enclosure: it
 assumes the seed error shrinks when N doubles.
 
+The level expansions are exact rational series, memoized per prefix of the
+index: the expansion of level i depends only on the first i parts, the
+descent kind and the expansion cap, and every comma-or-merge image of one
+base has the same weight, hence the same cap, so the images share the
+levels of their common prefixes.  The backward recurrences run on raw
+mpmath _mpf_ tuples through the libmp calls that mpf's operators make, with
+the signed weights sgn^k * k^-|a| taken from rows cached per part, seed and
+precision; each value therefore has exactly the bits of the plain
+operator-by-operator evaluation.  clear_value_cache() empties these caches
+along with the value cache.
+
 Two independent cross-check paths are kept: zeta(method="partial"), a
 float partial sum with an explicit tail bound that only reaches loose
 tolerances, and zeta_star(method="expand"), which sums the strict limits of
@@ -21,14 +32,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, \
+    mpf_neg, mpf_pos, mpf_pow_int, round_nearest
 
 from . import families as fam
 from .index_core import SignedIndex, as_index, format_index, oplus, \
@@ -101,17 +113,10 @@ def beta_coeff(n: int) -> Fraction:
 # Symbolic 1/m expansions (plain component P, alternating component A)
 # ---------------------------------------------------------------------------
 
-# A series is a dict {exponent: Fraction} standing for sum c_e * m**(-e).
+# A series is a dict {exponent: Fraction} standing for sum c_e * m**(-e); a
+# row lists the nonzero (exponent, coefficient) pairs of one in ascending order.
 _Series = Dict[int, Fraction]
-
-
-def _series_add(target: _Series, source: _Series, scale: Fraction) -> None:
-    for e, c in source.items():
-        v = target.get(e, Fraction(0)) + c * scale
-        if v:
-            target[e] = v
-        elif e in target:
-            del target[e]
+_Row = List[Tuple[int, Fraction]]
 
 
 def _series_shift(series: _Series, delta: int, cap: int) -> _Series:
@@ -122,22 +127,39 @@ def _series_reexpand(series: _Series, cap: int) -> _Series:
     """Rewrite a series in 1/(m-1) as a series in 1/m.
 
     Uses (m-1)^(-e) = sum_t C(e+t-1, t) m^(-e-t); the constant term passes
-    through unchanged.
+    through unchanged.  Sums are integers over the input's common
+    denominator, each reduced once at the end.
     """
-    out: Dict[int, Fraction] = {}
+    den = lcm(*(c.denominator for c in series.values() if c))
+    out: Dict[int, int] = {}
     for e, c in series.items():
         if not c:
             continue
+        v = c.numerator * (den // c.denominator)
         if e == 0:
-            out[0] = out.get(0, Fraction(0)) + c
+            out[0] = out.get(0, 0) + v
             continue
         for t in range(0, cap - e + 1):
-            out[e + t] = out.get(e + t, Fraction(0)) + c * comb(e + t - 1, t)
-    return out
+            out[e + t] = out.get(e + t, 0) + v * comb(e + t - 1, t)
+    return {e: Fraction(v, den) for e, v in out.items()}
 
 
-@lru_cache(maxsize=None)
-def _psi_series(j: int, cap: int) -> Tuple[Tuple[int, Fraction], ...]:
+def _dot(coeffs: Sequence[Fraction], weights: Sequence[int]) -> Fraction:
+    """Exact sum of c * w over the pairs, reduced once over a common
+    denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return Fraction(sum(c.numerator * (den // c.denominator) * w
+                        for c, w in zip(coeffs, weights)), den)
+
+
+# Coefficient rows of the two single-sum tails, one per exponent j.  The
+# order-by-order solutions never look ahead, so a row grown for one cap is a
+# prefix of the row for any larger cap.
+_PSI_ROWS: Dict[int, List[Fraction]] = {}
+_PHI_ROWS: Dict[int, List[Fraction]] = {}
+
+
+def _psi_series(j: int, cap: int) -> _Row:
     """Expansion of sum_{k>m} k^(-j) in 1/m, j >= 2, exponents j-1 .. cap.
 
     Coefficients solve the exact functional equation
@@ -146,17 +168,14 @@ def _psi_series(j: int, cap: int) -> Tuple[Tuple[int, Fraction], ...]:
     """
     if j < 2:
         raise ValueError("plain tail needs exponent >= 2, got %d" % j)
-    b: Dict[int, Fraction] = {}
-    for u in range(0, cap - j + 2):
-        acc = Fraction(1 if u == 0 else 0)
-        for r in range(-1, u - 1):
-            acc -= b[r] * comb(j + u - 1, u - r)
-        b[u - 1] = acc / (j + u - 1)
-    return tuple((j + r, c) for r, c in sorted(b.items()) if j + r <= cap and c)
+    b = _PSI_ROWS.setdefault(j, [])  # b[i] is the coefficient of m^-(j-1+i)
+    for u in range(len(b), cap - j + 2):
+        acc = _dot(b, [comb(j + u - 1, u - r) for r in range(-1, u - 1)])
+        b.append((Fraction(1 if u == 0 else 0) - acc) / (j + u - 1))
+    return [(j - 1 + i, c) for i, c in enumerate(b[:cap - j + 2]) if c]
 
 
-@lru_cache(maxsize=None)
-def _phi_series(j: int, cap: int) -> Tuple[Tuple[int, Fraction], ...]:
+def _phi_series(j: int, cap: int) -> _Row:
     """Expansion of phi_j(m) = sum_{i>=1} (-1)^(i-1) (m+i)^(-j), j >= 1.
 
     Solves phi(m-1) + phi(m) = m^(-j) order by order; the tail identity
@@ -165,56 +184,111 @@ def _phi_series(j: int, cap: int) -> Tuple[Tuple[int, Fraction], ...]:
     """
     if j < 1:
         raise ValueError("alternating tail needs exponent >= 1, got %d" % j)
-    c: Dict[int, Fraction] = {0: Fraction(1, 2)}
-    for u in range(1, cap - j + 1):
-        acc = Fraction(0)
-        for r in range(0, u):
-            acc += c[r] * comb(j + u - 1, u - r)
-        c[u] = -acc / 2
-    return tuple((j + r, v) for r, v in sorted(c.items()) if j + r <= cap and v)
+    c = _PHI_ROWS.setdefault(j, [Fraction(1, 2)])  # c[u]: m^-(j+u)
+    for u in range(len(c), cap - j + 1):
+        acc = _dot(c, [comb(j + u - 1, u - r) for r in range(0, u)])
+        c.append(-acc / 2)
+    return [(j + u, v) for u, v in enumerate(c[:cap - j + 1]) if v]
+
+
+def _combine(terms: List[Tuple[Fraction, _Row]]) -> _Series:
+    """Sum of scale * row over the (scale, row) terms, as a series.
+
+    The rows are added in turn, with running sums kept as integers over one
+    common denominator, so each coefficient is reduced once.  A key whose
+    running sum reaches zero is dropped and comes back at the end if a later
+    row revives it: the key order is that of adding the Fractions one by
+    one, and it is the order in which _series_eval rounds.
+    """
+    scale_den = lcm(*(scale.denominator for scale, _ in terms))
+    row_den = lcm(*(c.denominator for _, row in terms for _, c in row))
+    acc: Dict[int, int] = {}
+    for scale, row in terms:
+        factor = scale.numerator * (scale_den // scale.denominator)
+        for e, c in row:
+            v = acc.get(e, 0) + (factor * c.numerator
+                                 * (row_den // c.denominator))
+            if v:
+                acc[e] = v
+            elif e in acc:
+                del acc[e]
+    den = scale_den * row_den
+    return {e: Fraction(v, den) for e, v in acc.items()}
 
 
 def _tail_sum(plain: _Series, alt: _Series, cap: int) -> Tuple[_Series, _Series]:
     """Apply sum_{k>m} to a per-term series P(k) + (-1)^k A(k)."""
-    out_p: _Series = {}
-    out_a: _Series = {}
     for e, c in plain.items():
-        if not c:
-            continue
-        if e < 2:
+        if c and e < 2:
             raise ValueError("divergent plain tail at exponent %d" % e)
-        _series_add(out_p, dict(_psi_series(e, cap)), c)
-    for e, c in alt.items():
-        if not c:
-            continue
-        _series_add(out_a, dict(_phi_series(e, cap)), -c)
-    return out_p, out_a
+    return (
+        _combine([(c, _psi_series(e, cap)) for e, c in plain.items() if c]),
+        _combine([(-c, _phi_series(e, cap)) for e, c in alt.items() if c]))
+
+
+@lru_cache(maxsize=1024)
+def _chain_level(prefix: Tuple[int, ...], star: bool,
+                 cap: int) -> Tuple[_Series, _Series]:
+    """Expansion of the tail function of the last level of prefix.
+
+    Grown from the level below, which is shared by every index that starts
+    with prefix[:-1] and has the same cap (all images of one base do).  The
+    returned dicts are shared: callers must not mutate them.
+    """
+    if len(prefix) > 1:
+        plain, alt = _chain_level(prefix[:-1], star, cap)
+    else:
+        plain, alt = {0: Fraction(1)}, {}
+    if star:
+        plain = _series_reexpand(plain, cap)
+        alt = {e: -c for e, c in _series_reexpand(alt, cap).items()}
+    part = prefix[-1]
+    a = abs(part)
+    if part > 0:
+        plain, alt = _series_shift(plain, a, cap), _series_shift(alt, a, cap)
+    else:
+        plain, alt = _series_shift(alt, a, cap), _series_shift(plain, a, cap)
+    return _tail_sum(plain, alt, cap)
 
 
 def _chain_expansions(parts: Tuple[int, ...], star: bool,
                       cap: int) -> List[Tuple[_Series, _Series]]:
     """Per-level asymptotic expansions of the tail functions U_i(m)."""
-    levels: List[Tuple[_Series, _Series]] = []
-    plain: _Series = {0: Fraction(1)}
-    alt: _Series = {}
-    for part in parts:
-        if star:
-            plain = _series_reexpand(plain, cap)
-            alt = {e: -c for e, c in _series_reexpand(alt, cap).items()}
-        a = abs(part)
-        if part > 0:
-            plain, alt = _series_shift(plain, a, cap), _series_shift(alt, a, cap)
-        else:
-            plain, alt = _series_shift(alt, a, cap), _series_shift(plain, a, cap)
-        plain, alt = _tail_sum(plain, alt, cap)
-        levels.append((plain, alt))
-    return levels
+    return [_chain_level(parts[:i + 1], star, cap) for i in range(len(parts))]
 
 
-def _series_eval(series: _Series, m: int):
-    total = mpf(0)
+# The chain's mpf arithmetic runs on raw _mpf_ tuples through the libmp
+# calls that mpf's operators make (mpf(k) ** (-a) is mpf_pow_int of
+# from_int(k), x + y is mpf_add, ...), at mp's precision and with mp's
+# rounding, which is always round-to-nearest, so every value has the bits
+# the operator form gives.  The powers are made once per precision.
+_RND = round_nearest
+
+
+@lru_cache(maxsize=1024)
+def _inv_power(m: int, e: int, prec: int):
+    """m^(-e) at prec bits, as an _mpf_ tuple."""
+    return mpf_pow_int(from_int(m), -e, prec, _RND)
+
+
+@lru_cache(maxsize=64)
+def _weight_row(part: int, n: int, prec: int):
+    """The step weights sgn(part)^k * k^(-|part|), k = 1..n, at prec bits."""
+    a = abs(part)
+    row = []
+    for k in range(1, n + 1):
+        w = mpf_pow_int(from_int(k), -a, prec, _RND)
+        row.append(mpf_neg(w, prec, _RND) if part < 0 and (k & 1) else w)
+    return tuple(row)
+
+
+def _series_eval(series: _Series, m: int, prec: int):
+    total = fzero
     for e, c in series.items():
-        total += (mpf(c.numerator) / c.denominator) * mpf(m) ** (-e)
+        coeff = mpf_div(mpf_pos(from_int(c.numerator), prec, _RND),
+                        from_int(c.denominator), prec, _RND)
+        term = mpf_mul(coeff, _inv_power(m, e, prec), prec, _RND)
+        total = mpf_add(total, term, prec, _RND)
     return total
 
 
@@ -224,30 +298,33 @@ def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
 
     seed_n must be even so the (-1)^m component enters with a fixed sign.
     """
-    prev = [mpf(1)] * (seed_n + 1)
+    prec = mp.prec
+    # U_i(m) = U_i(m+1) + w(m+1) * U_{i-1}(m or m+1): weak or strict step
+    shift = 0 if star else 1
+    prev = [fone] * (seed_n + 1)
     for (plain, alt), part in zip(levels, parts):
-        a = abs(part)
-        negative = part < 0
-        cur = [mpf(0)] * (seed_n + 1)
-        cur[seed_n] = _series_eval(plain, seed_n) + _series_eval(alt, seed_n)
+        row = _weight_row(part, seed_n, prec)
+        acc = mpf_add(_series_eval(plain, seed_n, prec),
+                      _series_eval(alt, seed_n, prec), prec, _RND)
+        cur = [acc] * (seed_n + 1)
         for m in range(seed_n - 1, -1, -1):
-            k = m + 1
-            w = mpf(k) ** (-a)
-            if negative and (k & 1):
-                w = -w
-            upstream = prev[m] if star else prev[k]
-            cur[m] = cur[m + 1] + w * upstream
+            acc = mpf_add(acc, mpf_mul(row[m], prev[m + shift], prec, _RND),
+                          prec, _RND)
+            cur[m] = acc
         prev = cur
-    return prev[0]
+    return mp.make_mpf(prev[0])
 
 
-_EVAL_LOCK = threading.Lock()
 _VALUE_CACHE: Dict[Tuple[Tuple[int, ...], bool], Tuple[object, float]] = {}
 
 
 def clear_value_cache() -> None:
-    with _EVAL_LOCK:
-        _VALUE_CACHE.clear()
+    """Empty the value cache and the chain's expansion and power caches."""
+    _VALUE_CACHE.clear()
+    _PSI_ROWS.clear()
+    _PHI_ROWS.clear()
+    for cached in (_chain_level, _inv_power, _weight_row):
+        cached.cache_clear()
 
 
 def _require_admissible(parts: Tuple[int, ...]) -> None:
@@ -259,28 +336,27 @@ def _require_admissible(parts: Tuple[int, ...]) -> None:
 def _chain_eval(parts: Tuple[int, ...], star: bool,
                 tol: float) -> Tuple[object, float, str]:
     key = (parts, star)
-    with _EVAL_LOCK:
-        hit = _VALUE_CACHE.get(key)
-        if hit is not None and hit[1] <= tol:
-            return hit[0], hit[1], "tail-chain (cached)"
-        weight = sum(abs(p) for p in parts)
-        configs = (
-            (_SEED_N, _SEED_CHECK_N, weight + _EXTRA_ORDERS, _DPS),
-            (_SEED_CHECK_N, 2 * _SEED_CHECK_N, weight + _EXTRA_ORDERS + 12,
-             _DPS + 20),
-        )
-        for seed_n, check_n, cap, dps in configs:
-            with mp.workdps(dps):
-                levels = _chain_expansions(parts, star, cap)
-                first = _chain_value(parts, star, seed_n, levels)
-                second = _chain_value(parts, star, check_n, levels)
-                diff = abs(second - first)
-                floor = (abs(second) + 1) * mpf(10) ** (8 - dps)
-                bound = float(2 * diff + floor)
-            if bound <= tol:
-                note = "tail-chain seeds %d/%d dps %d" % (seed_n, check_n, dps)
-                _VALUE_CACHE[key] = (second, bound)
-                return second, bound, note
+    hit = _VALUE_CACHE.get(key)
+    if hit is not None and hit[1] <= tol:
+        return hit[0], hit[1], "tail-chain (cached)"
+    weight = sum(abs(p) for p in parts)
+    configs = (
+        (_SEED_N, _SEED_CHECK_N, weight + _EXTRA_ORDERS, _DPS),
+        (_SEED_CHECK_N, 2 * _SEED_CHECK_N, weight + _EXTRA_ORDERS + 12,
+         _DPS + 20),
+    )
+    for seed_n, check_n, cap, dps in configs:
+        with mp.workdps(dps):
+            levels = _chain_expansions(parts, star, cap)
+            first = _chain_value(parts, star, seed_n, levels)
+            second = _chain_value(parts, star, check_n, levels)
+            diff = abs(second - first)
+            floor = (abs(second) + 1) * mpf(10) ** (8 - dps)
+            bound = float(2 * diff + floor)
+        if bound <= tol:
+            note = "tail-chain seeds %d/%d dps %d" % (seed_n, check_n, dps)
+            _VALUE_CACHE[key] = (second, bound)
+            return second, bound, note
     raise EvaluationError("tail-chain could not certify tol=%g for %s"
                           % (tol, parts,))
 

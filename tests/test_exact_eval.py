@@ -131,6 +131,16 @@ class TestCompanionSum:
         with pytest.raises(ValueError):
             ee.pi_companion_sum((2,), 2, 1, "big", 0)
 
+    @pytest.mark.parametrize("coeff_base", [1.5, 0, -1])
+    def test_coeff_base_must_be_a_positive_integer(self, coeff_base):
+        # the expansion oracle refuses these too (pi_expand_weighted)
+        with pytest.raises(ValueError, match="coeff_base"):
+            ee.pi_companion_sum((2, 1), coeff_base, 1, "big", 3)
+
+    def test_coeff_base_true_is_one(self):
+        assert (ee.pi_companion_sum((2, 1), True, 1, "big", 3)
+                == ee.pi_companion_sum((2, 1), 1, 1, "big", 3))
+
 
 class TestValueDigest:
     """sha256 over rat_str of a seeded sample of the three list kinds.

@@ -5,6 +5,7 @@ that the evaluator is tested against an independent numeric source, not
 against itself.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from starsum import zeta_numeric as zn
 from starsum.exact_eval import mhs, rational
 from starsum.families import (
     C21,
@@ -31,6 +33,7 @@ from starsum.zeta_numeric import (
     NumericValue,
     bernoulli,
     beta_coeff,
+    clear_value_cache,
     check_three_n,
     check_zlobin,
     hoffman_symmetric_check,
@@ -120,6 +123,49 @@ class TestAnchors:
             zeta((2,), method="mollified")
 
 
+class TestValueDigest:
+    """sha256 over the exact mpf bits of a seeded sample of limits.
+
+    Every value is taken with a cold value cache, through zeta and
+    zeta_star, at tol 1e-6, 1e-30 and 1e-45; the last is below the first
+    configuration's floor, so it runs the 256/512-seed, 70-digit one.  A
+    change to the chain that moves any bit of any value fails here.
+    """
+
+    DIGEST = "aae8ba1b5726394bb8f1ba6f0f7e32036879d2bf138490377a770c6f4d4df5bd"
+
+    def test_sample_digest(self):
+        rng = random.Random(20261020)
+        pool = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+        digest = hashlib.sha256()
+        notes = set()
+        count = 0
+        while count < 96:
+            parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
+            if parts[0] == 1:
+                continue
+            for tol in (1e-6, 1e-30, 1e-45):
+                for evaluate in (zeta, zeta_star):
+                    clear_value_cache()
+                    value = evaluate(parts, tol)
+                    digest.update(repr(value.value._mpf_).encode() + b"\n")
+                    notes.add(value.method_note)
+                    count += 1
+        assert notes == {"tail-chain seeds 128/256 dps 50",
+                         "tail-chain seeds 256/512 dps 70"}
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_clear_empties_the_chain_caches(self):
+        # a cold evaluation must recompute everything, as a new process does
+        zeta_star((3, -2, 2), 1e-6)
+        cached = (zn._chain_level, zn._inv_power, zn._weight_row)
+        assert all(f.cache_info().currsize for f in cached)
+        assert zn._PSI_ROWS and zn._PHI_ROWS
+        clear_value_cache()
+        assert not any(f.cache_info().currsize for f in cached)
+        assert not zn._PSI_ROWS and not zn._PHI_ROWS
+
+
 class TestConvergenceContract:
     @pytest.mark.parametrize("s", [(3,), (2, 2), (-2, -2), (4, 1, 1)])
     def test_tightening_tol_is_consistent(self, s):
@@ -149,6 +195,27 @@ class TestPathConsistency:
             expand = zeta_star(parts, 1e-8, method="expand")
             assert abs(chain.value - expand.value) <= 2e-8, parts
             assert "strict limits" in expand.method_note
+
+    def test_star_chain_vs_expansion_tight(self):
+        # The expansion's strict limits have the index's weight, so the same
+        # expansion cap, and share its prefixes.  The weak chain run after
+        # them must still agree with them and give the bits it gives from
+        # cold caches: a chain memo that mixed strict and weak levels fails.
+        rng = random.Random(20261021)
+        pool = (-4, -3, -2, -1, 1, 2, 3, 4)
+        seen = 0
+        while seen < 12:
+            parts = tuple(rng.choice(pool) for _ in range(rng.randint(2, 4)))
+            if parts[0] == 1 or sum(abs(p) for p in parts) > 12:
+                continue
+            seen += 1
+            clear_value_cache()
+            cold = zeta_star(parts, 1e-30).value
+            clear_value_cache()
+            expand = zeta_star(parts, 1e-30, method="expand")
+            chain = zeta_star(parts, 1e-30)
+            assert abs(chain.value - expand.value) <= 2e-30, parts
+            assert chain.value._mpf_ == cold._mpf_, parts
 
     def test_method_cross_checks(self):
         chain = zeta((3,), 1e-8)
@@ -301,12 +368,14 @@ class TestProductIdentities:
                 assert report["within_tol"], report
 
     def test_odd_convolution(self):
-        report = verify_ittw_conj2("ii", {"n": 1})
-        assert report["within_tol"], report
+        for n, tol in ((1, DEFAULT_TOL), (2, 1e-20)):
+            report = verify_ittw_conj2("ii", {"n": n}, tol)
+            assert report["within_tol"], report
 
     def test_even_convolution(self):
-        report = verify_ittw_conj2("iii", {"n": 1})
-        assert report["within_tol"], report
+        for n, tol in ((1, DEFAULT_TOL), (2, 1e-20)):
+            report = verify_ittw_conj2("iii", {"n": n}, tol)
+            assert report["within_tol"], report
 
     def test_part_guards(self):
         with pytest.raises(ValueError, match="part must be"):
@@ -327,21 +396,27 @@ class TestPiPowerFormulas:
 
     def test_two_formulas_agree_at_m_zero(self):
         # Same coefficient reached through two unrelated Bernoulli sums.
-        for r in (1, 2, 3):
+        for r in range(1, 9):
             assert yamamoto_rhs(r, 0) == muneta_value(r)
 
     def test_composition_sum_verifies(self):
-        for m in (0, 1):
-            report = verify_yamamoto(1, m)
+        for r, m, tol, expected in ((1, 0, DEFAULT_TOL, "1/72"),
+                                    (1, 1, DEFAULT_TOL, "71/15120"),
+                                    (2, 0, 1e-20, "53/362880"),
+                                    (1, 2, 1e-20, "131/129600")):
+            report = verify_yamamoto(r, m, tol)
             assert report["within_tol"], report
             assert report["recognition_ok"], report
-            assert report["pi_power"] == 4 + 2 * m
+            assert report["recognized"] == expected
+            assert report["pi_power"] == 4 * r + 2 * m
 
     def test_block_power_verifies(self):
-        report = verify_muneta(1)
-        assert report["within_tol"]
-        assert report["recognition_ok"]
-        assert report["recognized"] == "1/72"
+        for n, tol, expected in ((1, DEFAULT_TOL, "1/72"),
+                                 (2, 1e-20, "53/362880")):
+            report = verify_muneta(n, tol)
+            assert report["within_tol"]
+            assert report["recognition_ok"]
+            assert report["recognized"] == expected
 
     def test_domain_guards(self):
         with pytest.raises(ValueError, match="needs r >= 1"):
