@@ -247,8 +247,7 @@ def _suite_lemma31(args) -> List[dict]:
     per_variant = args.n if args.n is not None else 3
     inner = ((), (1,), (-2,), (2, 1))
     items = []
-    for variant in ("i", "ii", "iii", "iv"):
-        kind = {"i": "A", "ii": "B", "iii": "B", "iv": "A"}[variant]
+    for variant, (kind, _, _) in fam.LEMMA31.items():
         for _ in range(per_variant):
             if variant in ("i", "iii"):
                 kp = fam.KernelParams(m=rng.choice((1, 2)), kind=kind,

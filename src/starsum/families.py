@@ -466,24 +466,23 @@ class KernelParams:
             raise ValueError("exponent a must be nonnegative")
 
 
-def _kernel_row(kind: str, m: int, n: int) -> List:
-    """K[k] for k = 0..n with K = (-1)^k C(mn, n-k) c_n ("A") or its
-    unsigned counterpart ("B"); c_n is 1 for m = 1 and 1/C(2n,n) for
-    m = 2, so that |K| = C(n,k)/C(n+k,k) in the damped case."""
-    if m == 1:
-        cn = rational(1)
-    else:
-        cn = rational(1, comb(2 * n, n))
-    row = [rational(0)] * (n + 1)
-    for k in range(1, n + 1):
-        value = comb(m * n, n - k) * cn
-        if kind == "A" and k % 2 == 1:
-            value = -value
-        row[k] = value
-    return row
+# Lemma 3.1, one row per variant: the kernel kind of the plain sums, the
+# kind of the correction sums, and whether the correction's signed part
+# (the last part of x, or the leading a) is negated.
+LEMMA31 = {"i": ("A", "A", False), "ii": ("B", "B", False),
+           "iii": ("B", "A", True), "iv": ("A", "B", True)}
 
 
-def _kernel_sum(v_parts: Tuple[int, ...], expo: int, row: List, n: int):
+def _kernel_row(kind: str, m: int, n: int) -> List[int]:
+    """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
+    counterpart ("B").  The kernels of the lemma carry a further factor c_n
+    (1 for m = 1, 1/C(2n,n) for m = 2, so that |K| = C(n,k)/C(n+k,k) in
+    the damped case); it is left out, see check_lemma31."""
+    sign = -1 if kind == "A" else 1
+    return [sign ** k * comb(m * n, n - k) for k in range(n + 1)]
+
+
+def _kernel_sum(v_parts: Tuple[int, ...], expo: int, row: List[int], n: int):
     # sum_{k=1..n} H_{k-1}(v) K_{n,k} / k^expo; expo = -1 gives the k-weighted
     # form that appears on the right of the two difference identities
     total = rational(0)
@@ -495,90 +494,59 @@ def _kernel_sum(v_parts: Tuple[int, ...], expo: int, row: List, n: int):
     return total
 
 
-def _compositions(total: int) -> Iterator[Tuple[int, ...]]:
-    """Positive integer compositions of total (the empty one for 0)."""
-    if total == 0:
-        yield ()
-        return
-    for mask in range(1 << (total - 1)):
-        comp = []
-        run = 1
-        for i in range(total - 1):
-            if mask >> i & 1:
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        yield tuple(comp)
-
-
-def _shift_compositions(weight: int, a: int,
-                        negative_last: bool) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """All (j, x) with j >= 0, x nonempty and j + |x| = weight.
-
-    The final component of x must exceed a in magnitude; it is positive like
-    the rest of x by default and negative when negative_last is set.
-    """
-    for j in range(weight):
-        w = weight - j
-        for last in range(a + 1, w + 1):
-            for prefix in _compositions(w - last):
-                yield j, prefix + (-last if negative_last else last,)
-
-
 def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     """Exact check of one of the four kernel summation identities.
 
-    Variants "i"/"iii" trade an outer 1/n^c for a shifted exponent plus a
-    composition-indexed correction (signed kernel throughout for "i";
-    unsigned kernel on the plain terms and signed kernel under the
-    corrections for "iii", whose correction compositions end in a negative
-    component).  Variants "ii"/"iv" are the k-weighted difference forms and
-    need the damped kernels (m = 2) with a >= 1.
+    Write S(x, e) = sum_{k=1..n} H_{k-1}(x) K_{n,k} / k^e.  A variant's
+    row in LEMMA31 gives the kernel kind of the plain sums S(v, .), the kind
+    of the correction sums (all others) and the sign s = -1 or +1 of the
+    correction's signed part.  The variants come in two shapes:
+
+    * shift form ("i", "iii"), c >= 1:
+      S(v, a) / n^c = S(v, a + c) + sum m^len(x) S(x + v, j), summed over
+      j >= 0 and x = y + (s l,) with l > a and y a composition of
+      a + c - j - l;
+    * difference form ("ii", "iv"), m = 2 and a >= 1:
+      n S(v, a) = S(v, a - 1) + 2 S((s a,) + v, -1).
+
+    The kernel factor c_n multiplies every sum on both sides alike, so the
+    sums run over the integer rows of _kernel_row and c_n is never formed.
     """
-    if variant not in ("i", "ii", "iii", "iv"):
+    if variant not in LEMMA31:
         raise ValueError("variant must be one of 'i', 'ii', 'iii', 'iv'")
     if n < 1:
         raise ValueError("n must be >= 1")
     m, a, c, v = kp.m, kp.a, kp.c, kp.v.parts
-    if variant in ("i", "iii") and c < 1:
+    shift = variant in ("i", "iii")
+    if shift and c < 1:
         raise ValueError("variants 'i' and 'iii' need c >= 1")
-    if variant in ("ii", "iv"):
+    if not shift:
         if m != 2:
             raise ValueError("variants 'ii' and 'iv' need m = 2")
         if a < 1:
             raise ValueError("variants 'ii' and 'iv' need a >= 1")
-    expected_kind = {"i": "A", "ii": "B", "iii": "B", "iv": "A"}[variant]
-    if kp.kind != expected_kind:
-        raise ValueError("variant %r uses kernel kind %r"
-                         % (variant, expected_kind))
+    plain, extra, negated = LEMMA31[variant]
+    if kp.kind != plain:
+        raise ValueError("variant %r uses kernel kind %r" % (variant, plain))
+    sign = -1 if negated else 1
+    rows = {kind: _kernel_row(kind, m, n) for kind in (plain, extra)}
 
-    row_a = _kernel_row("A", m, n)
-    row_b = _kernel_row("B", m, n)
+    def S(x: Tuple[int, ...], expo: int, kind: str = plain):
+        return _kernel_sum(x, expo, rows[kind], n)
 
-    if variant == "i":
-        lhs = _kernel_sum(v, a, row_a, n) / rational(n) ** c
-        rhs = _kernel_sum(v, a + c, row_a, n)
-        for j, x in _shift_compositions(a + c, a, negative_last=False):
-            rhs += m ** len(x) * _kernel_sum(x + v, j, row_a, n)
-        return lhs == rhs
-    if variant == "iii":
-        lhs = _kernel_sum(v, a, row_b, n) / rational(n) ** c
-        rhs = _kernel_sum(v, a + c, row_b, n)
-        for j, x in _shift_compositions(a + c, a, negative_last=True):
-            rhs += m ** len(x) * _kernel_sum(x + v, j, row_a, n)
-        return lhs == rhs
-    if variant == "ii":
-        lhs = n * _kernel_sum(v, a, row_b, n)
-        rhs = _kernel_sum(v, a - 1, row_b, n)
-        rhs += 2 * _kernel_sum((a,) + v, -1, row_b, n)
-        return lhs == rhs
-    # variant "iv"
-    lhs = n * _kernel_sum(v, a, row_a, n)
-    rhs = _kernel_sum(v, a - 1, row_a, n)
-    rhs += 2 * _kernel_sum((-a,) + v, -1, row_b, n)
-    return lhs == rhs
+    if not shift:
+        return n * S(v, a) == S(v, a - 1) + 2 * S((sign * a,) + v, -1, extra)
+    rhs = S(v, a + c)
+    for j in range(a + c):
+        for last in range(a + 1, a + c - j + 1):
+            rest = a + c - j - last
+            # the compositions of rest, each weighted m^depth
+            prefixes = (pi_expand_weighted(SignedIndex((1,) * rest), m)
+                        if rest else ((EMPTY, 1),))
+            for prefix, weight in prefixes:
+                rhs += m * weight * S(prefix.parts + (sign * last,) + v, j,
+                                      extra)
+    return S(v, a) == n ** c * rhs
 
 
 # ---------------------------------------------------------------------------

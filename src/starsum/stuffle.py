@@ -25,27 +25,18 @@ from .index_core import (
 DEPTH_CAP = 9
 
 
-def _merge(sp: Tuple[int, ...], tp: Tuple[int, ...], acc: dict) -> dict:
-    if not sp:
-        acc[tp] = acc.get(tp, 0) + 1
-        return acc
-    if not tp:
-        acc[sp] = acc.get(sp, 0) + 1
-        return acc
-    head_s, rest_s = sp[0], sp[1:]
-    head_t, rest_t = tp[0], tp[1:]
-    for branch_head, branch in (
-            (head_s, _stuffle_terms(rest_s, tp)),
-            (head_t, _stuffle_terms(sp, rest_t)),
-            (oplus(head_s, head_t), _stuffle_terms(rest_s, rest_t))):
+def _stuffle_terms(sp: Tuple[int, ...], tp: Tuple[int, ...]) -> dict:
+    if not sp or not tp:
+        return {sp + tp: 1}
+    acc = {}
+    for head, branch in (
+            (sp[0], _stuffle_terms(sp[1:], tp)),
+            (tp[0], _stuffle_terms(sp, tp[1:])),
+            (oplus(sp[0], tp[0]), _stuffle_terms(sp[1:], tp[1:]))):
         for parts, coeff in branch.items():
-            key = (branch_head,) + parts
+            key = (head,) + parts
             acc[key] = acc.get(key, 0) + coeff
     return acc
-
-
-def _stuffle_terms(sp: Tuple[int, ...], tp: Tuple[int, ...]) -> dict:
-    return _merge(sp, tp, {})
 
 
 def stuffle(s, t) -> FormalSum:

@@ -81,32 +81,19 @@ class EvaluationError(ArithmeticError):
 # Bernoulli numbers and the beta weights
 # ---------------------------------------------------------------------------
 
-def _bernoulli_numbers(k_max: int) -> List[Fraction]:
-    """Exact rationals B_0 .. B_k_max from the defining recurrence
-    sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), so B_1 = -1/2."""
-    values = [Fraction(1)]
-    for m in range(1, k_max + 1):
-        acc = sum(comb(m + 1, j) * values[j] for j in range(m))
-        values.append(-acc / (m + 1))
-    return values
-
-
-_BERNOULLI = _bernoulli_numbers(80)
-
-
 def bernoulli(k: int) -> Fraction:
-    if k < 0 or k >= len(_BERNOULLI):
-        raise ValueError("B_%d outside table range 0..%d"
-                         % (k, len(_BERNOULLI) - 1))
-    return _BERNOULLI[k]
+    """B_k for 0 <= k <= 80, with B_1 = -1/2."""
+    if not 0 <= k <= 80:
+        raise ValueError("B_%d outside table range 0..80" % k)
+    return Fraction(*mp.bernfrac(k))
 
 
 def beta_coeff(n: int) -> Fraction:
     """beta_n = (-1)^n (2 - 2^(2n)) B_(2n) / (2n)!"""
-    if n < 0 or 2 * n >= len(_BERNOULLI):
+    if not 0 <= 2 * n <= 80:
         raise ValueError("beta_%d outside table range" % n)
     return (Fraction((-1) ** n) * (2 - 2 ** (2 * n))
-            * _BERNOULLI[2 * n] / factorial(2 * n))
+            * bernoulli(2 * n) / factorial(2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +691,10 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def _weak_compositions(total: int, slots: int) -> Iterable[Tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, slots - 1):
-            yield (first,) + rest
+def _weak_compositions(total: int, slots: int) -> List[Tuple[int, ...]]:
+    """Nonnegative slots-tuples summing to total, in lexicographic order."""
+    return [e for e in itertools.product(range(total + 1), repeat=slots)
+            if sum(e) == total]
 
 
 def _interleaved_index(e: Sequence[int], pairs: int,
@@ -755,7 +739,7 @@ def yamamoto_rhs(r: int, m: int) -> Fraction:
 def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL) -> dict:
     """Composition sum of weak-descent limits vs the exact pi-power formula."""
     coefficient = yamamoto_rhs(r, m)
-    comps = list(_weak_compositions(m, 2 * r + 1))
+    comps = _weak_compositions(m, 2 * r + 1)
     each = tol / (len(comps) + 1)
     terms = [(_interleaved_index(e, 2 * r, trailing=e[2 * r]), 1)
              for e in comps]
@@ -837,7 +821,7 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         n = int(params["n"])
         if n < 1:
             raise ValueError("needs n >= 1")
-        comps = list(_weak_compositions(1, 2 * n))
+        comps = _weak_compositions(1, 2 * n)
         each = tol / (4 * (len(comps) + n + 1))
         lhs = _limit_sum(zeta_star, [(_interleaved_index(e, 2 * n), 1)
                                      for e in comps], each)

@@ -555,6 +555,18 @@ class TestKernelIdentities:
         assert check_lemma31("iv", KernelParams(m=2, kind="A", a=2,
                                                 v=(-1,)), 8)
 
+    def test_perturbed_sums_fail(self, monkeypatch):
+        # negative control: a check that compared a side with itself would
+        # still pass once every H_n(v) is off by 1/(n + 2)
+        monkeypatch.setattr("starsum.families.mhs",
+                            lambda n, s: mhs(n, s) + rational(1, n + 2))
+        for variant, kp, n in (
+                ("i", KernelParams(m=1, kind="A", a=0, c=2, v=(1,)), 6),
+                ("ii", KernelParams(m=2, kind="B", a=1), 5),
+                ("iii", KernelParams(m=2, kind="B", a=1, c=1, v=(-2,)), 7),
+                ("iv", KernelParams(m=2, kind="A", a=2, v=(-1,)), 8)):
+            assert check_lemma31(variant, kp, n) is False
+
     def test_grid(self):
         inner = (SignedIndex(()), SignedIndex((1,)), SignedIndex((-2,)))
         for m, a, c, v in itertools.product((1, 2), (0, 1), (1, 2), inner):
