@@ -16,7 +16,7 @@ L_{k-1}(tail)); the three kinds of list differ only in the weight eq of an
 equal step and lt of a strict step (table at the memo below).  There are
 also brute-force oracles that re-evaluate the defining sums by direct
 enumeration (no recursion, no caching) so the fast engine has something
-independent to be checked against.
+independent to be checked against; each strict/weak pair is one body.
 
 The damping weights are plain integers from ``math.comb``: C(n,k) for the
 small companion, and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) for the big one,
@@ -30,12 +30,11 @@ slower on large sweeps.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, List, Tuple
 
-from starsum.index_core import SignedIndex, as_index
+from starsum.index_core import SignedIndex, as_index, as_int
 
 __all__ = [
     "RATIONAL_BACKEND",
@@ -94,9 +93,10 @@ def rat_str(value) -> str:
 # so the companion pass shares the mhs_star lists.  Sweep drivers share work
 # across cells only through these lists.
 #
-# Memory bound: once more than _MEMO_LIMIT rational values are cached, the
-# lists are dropped wholesale at the next public entry point; computations
-# started before the drop are unaffected.
+# Memory bound: _ensure, which alone stores lists, drops them all before it
+# stores a new one once more than _MEMO_LIMIT rational values are cached.  A
+# list further up the recursion, being grown at the drop, still grows
+# correctly; it is just no longer cached, and its values are not counted.
 # ---------------------------------------------------------------------------
 
 _lists: Dict[Tuple[tuple, int, int], List] = {}
@@ -120,11 +120,6 @@ def memo_stats() -> dict:
     }
 
 
-def _maybe_evict() -> None:
-    if _stored_values > _MEMO_LIMIT:
-        clear_memo()
-
-
 def _term(part: int, k: int, numerator: int = 1):
     """numerator * sgn(part)^k / k^|part| as an exact rational."""
     if part > 0 or k % 2 == 0:
@@ -138,6 +133,8 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
     key = (parts, eq, lt)
     vals = _lists.get(key)
     if vals is None:
+        if _stored_values > _MEMO_LIMIT:
+            clear_memo()
         vals = [_ZERO]
         _lists[key] = vals
         _stored_values += 1
@@ -161,36 +158,30 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
             vals.append(vals[k - 1] + _term(head, k) * inner)
         else:
             vals.append(vals[k - 1])
-    _stored_values += len(vals) - grown
+    if _lists.get(key) is vals:  # not dropped while the tail grew
+        _stored_values += len(vals) - grown
     return vals
 
 
-def _h_value(n: int, parts: tuple, star: bool):
+def _h_value(n: int, s, star: bool):
+    parts = as_index(s).parts
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if not parts:
         return _ONE
-    if n < len(parts) and not star:
-        return _ZERO
-    if n == 0:
+    if n == 0 or (n < len(parts) and not star):
         return _ZERO
     return _ensure(parts, int(star), 1, n)[n]
 
 
 def mhs(n: int, s) -> "rational":
     """H_n(s): strict nested sum.  H_n(empty)=1; H_n(s)=0 when n < depth."""
-    s = as_index(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _maybe_evict()
-    return _h_value(n, s.parts, star=False)
+    return _h_value(n, s, star=False)
 
 
 def mhs_star(n: int, s) -> "rational":
     """H*_n(s): weak nested sum.  Same conventions as mhs."""
-    s = as_index(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _maybe_evict()
-    return _h_value(n, s.parts, star=True)
+    return _h_value(n, s, star=True)
 
 
 def _mollified(n: int, s: SignedIndex, kind: str):
@@ -201,7 +192,6 @@ def _mollified(n: int, s: SignedIndex, kind: str):
         raise ValueError("mollified sums need a nonempty index")
     head = s.head()
     tail = s.parts[1:]
-    _maybe_evict()
     tail_vals = _ensure(tail, 0, 1, n - 1) if tail else None
     total = _ZERO
     for k in range(1, n + 1):
@@ -258,14 +248,9 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
         raise ValueError("global_sign must be +1 or -1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        coeff_base = operator.index(coeff_base)
-    except TypeError:
-        raise ValueError("coeff_base must be an integer, got %r"
-                         % (coeff_base,)) from None
+    coeff_base = as_int("coeff_base", coeff_base)
     if coeff_base < 1:
         raise ValueError("coeff_base must be >= 1, got %d" % coeff_base)
-    _maybe_evict()
     tvals = _ensure(base.parts, 1, coeff_base, n)
     deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
     denom = lcm(*(delta.denominator for delta in deltas))
@@ -288,21 +273,23 @@ _ORACLE_N_MAX = 64
 _ORACLE_DEPTH_MAX = 5
 
 
-def _oracle_guard(n: int, s: SignedIndex) -> None:
+def _oracle(n: int, s, star: bool) -> "rational":
+    s = as_index(s)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > _ORACLE_N_MAX:
         raise ValueError("oracle guard: n=%d exceeds %d" % (n, _ORACLE_N_MAX))
     if s.depth() > _ORACLE_DEPTH_MAX:
         raise ValueError("oracle guard: depth %d exceeds %d"
                          % (s.depth(), _ORACLE_DEPTH_MAX))
-
-
-def _oracle_sum(n: int, s: SignedIndex, chains) -> "rational":
-    parts = s.parts
+    # chains come out ascending; an empty index has the one empty chain
+    chains = (itertools.combinations_with_replacement if star
+              else itertools.combinations)(range(1, n + 1), s.depth())
     total = _Q(0)
     for chain in chains:
         term = _Q(1)
-        # chains come out ascending; pair the largest k with the first part
-        for part, k in zip(parts, reversed(chain)):
+        # pair the largest k with the first part
+        for part, k in zip(s.parts, reversed(chain)):
             term *= _term(part, k)
         total += term
     return total
@@ -310,26 +297,9 @@ def _oracle_sum(n: int, s: SignedIndex, chains) -> "rational":
 
 def mhs_oracle(n: int, s) -> "rational":
     """Definition-level evaluation of the strict sum; no recursion, no cache."""
-    s = as_index(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _oracle_guard(n, s)
-    if s.is_empty():
-        return _Q(1)
-    if n < s.depth():
-        return _Q(0)
-    return _oracle_sum(n, s, itertools.combinations(range(1, n + 1), s.depth()))
+    return _oracle(n, s, star=False)
 
 
 def mhs_star_oracle(n: int, s) -> "rational":
     """Definition-level evaluation of the weak sum; no recursion, no cache."""
-    s = as_index(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _oracle_guard(n, s)
-    if s.is_empty():
-        return _Q(1)
-    if n == 0:
-        return _Q(0)
-    return _oracle_sum(
-        n, s, itertools.combinations_with_replacement(range(1, n + 1), s.depth()))
+    return _oracle(n, s, star=True)

@@ -16,7 +16,6 @@ build_rhs derives the right-hand side from the left-hand layout.
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,8 @@ from .exact_eval import (
     rat_str,
     rational,
 )
-from .index_core import EMPTY, SignedIndex, as_index, pi_expand_weighted
+from .index_core import EMPTY, SignedIndex, as_index, as_int, as_ints, \
+    pi_expand_weighted
 
 TWO_ONE = "TWO_ONE"
 TWO_ONE_TWO = "TWO_ONE_TWO"
@@ -143,11 +143,7 @@ def _int_tuple(name: str, value) -> Tuple[int, ...]:
         return ()
     if isinstance(value, int):
         value = (value,)
-    try:
-        return tuple(map(operator.index, value))
-    except TypeError:
-        raise ValueError("%s must hold integers, got %r"
-                         % (name, value)) from None
+    return as_ints(name, value)
 
 
 @dataclass(frozen=True)
@@ -170,12 +166,12 @@ class FamilySpec:
         for name in "abc":
             object.__setattr__(self, name,
                                _int_tuple(name, getattr(self, name)))
-        object.__setattr__(self, "t", _int_tuple("t", (self.t,))[0])
+        object.__setattr__(self, "t", as_int("t", self.t))
         row = family_row(self.family)
         if self.r is None:
             object.__setattr__(self, "r", row.infer_r(self.a, self.c))
         else:
-            object.__setattr__(self, "r", _int_tuple("r", (self.r,))[0])
+            object.__setattr__(self, "r", as_int("r", self.r))
         _validate(self, row)
 
     def params(self) -> dict:
@@ -457,6 +453,8 @@ class KernelParams:
     v: SignedIndex = EMPTY
 
     def __post_init__(self):
+        for name in ("m", "a", "c"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         object.__setattr__(self, "v", as_index(self.v))
         if self.m not in (1, 2):
             raise ValueError("kernel order m must be 1 or 2")

@@ -12,6 +12,7 @@ text round-trip used by the CLI and reports.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Tuple
 
 __all__ = [
@@ -24,8 +25,28 @@ __all__ = [
     "parse_index",
     "format_index",
     "as_index",
+    "as_int",
+    "as_ints",
     "EMPTY",
 ]
+
+
+def as_int(name: str, value) -> int:
+    """value as an int; 1.7 or "3" is refused, not cut, and True is 1."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (name, value)) from None
+
+
+def as_ints(name: str, values) -> Tuple[int, ...]:
+    """values as a tuple of ints, each coerced as by as_int."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError("%s must hold integers, got %r"
+                         % (name, values)) from None
 
 
 class SignedIndex:
@@ -38,7 +59,7 @@ class SignedIndex:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(map(int, parts))
+        parts = as_ints("index", parts)
         if 0 in parts:
             raise ValueError("index parts must be nonzero integers")
         object.__setattr__(self, "parts", parts)

@@ -12,7 +12,7 @@ tail term.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from .index_core import (
     FormalSum,
@@ -76,8 +76,15 @@ def _minus_two_expansion(count: int) -> FormalSum:
     return pi_expand_weighted(SignedIndex((-2,) * count), 2, 1)
 
 
-def _report(n: int, depth: int, lhs: FormalSum, rhs: FormalSum,
-            multiplicity: int) -> dict:
+def _report(n: int, depth: int, lhs: FormalSum,
+            telescope: Iterable[Tuple[int, int]], multiplicity: int) -> dict:
+    """lhs against the sum over the (count, weight) pairs of the stuffle
+    product of the ({-2})^count expansion with 2 * (-weight)."""
+    rhs = FormalSum()
+    for count, weight in telescope:
+        tail = FormalSum(((SignedIndex((-weight,)), 2),))
+        for idx, coeff in stuffle_product(_minus_two_expansion(count), tail):
+            rhs.add_term(idx, coeff)
     diff = lhs - rhs
     return {
         "n": n,
@@ -109,12 +116,8 @@ def verify_middlestep_1(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     _check_cap(depth, depth_cap)
     multiplicity = 2 * n + 1
     lhs = _minus_two_expansion(depth) * multiplicity
-    rhs = FormalSum()
-    for j in range(n + 1):
-        tail = FormalSum(((SignedIndex((-(4 * (n - j) + 2),)), 2),))
-        for idx, coeff in stuffle_product(_minus_two_expansion(2 * j), tail):
-            rhs.add_term(idx, coeff)
-    return _report(n, depth, lhs, rhs, multiplicity)
+    telescope = [(2 * j, 4 * (n - j) + 2) for j in range(n + 1)]
+    return _report(n, depth, lhs, telescope, multiplicity)
 
 
 def verify_middlestep_2(n: int, depth_cap: int = DEPTH_CAP) -> dict:
@@ -136,9 +139,5 @@ def verify_middlestep_2(n: int, depth_cap: int = DEPTH_CAP) -> dict:
         base[position] = -4
         for idx, coeff in pi_expand_weighted(SignedIndex(base), 2, 1):
             lhs.add_term(idx, coeff)
-    rhs = FormalSum()
-    for j in range(n):
-        tail = FormalSum(((SignedIndex((-4 * (n - j),)), 2),))
-        for idx, coeff in stuffle_product(_minus_two_expansion(2 * j + 1), tail):
-            rhs.add_term(idx, coeff)
-    return _report(n, depth, lhs, rhs, 1)
+    telescope = [(2 * j + 1, 4 * (n - j)) for j in range(n)]
+    return _report(n, depth, lhs, telescope, 1)

@@ -22,10 +22,11 @@ precision; each value therefore has exactly the bits of the plain
 operator-by-operator evaluation.  clear_value_cache() empties these caches
 along with the value cache.
 
-Two independent cross-check paths are kept: zeta(method="partial"), a
-float partial sum with an explicit tail bound that only reaches loose
-tolerances, and zeta_star(method="expand"), which sums the strict limits of
-the contraction expansion.
+zeta and zeta_star are one evaluator keyed by the descent kind.  Two
+independent cross-check paths are kept: zeta(method="partial"), a float
+partial sum with an explicit tail bound that only reaches loose tolerances,
+and zeta_star(method="expand"), which sums the strict limits of the
+contraction expansion.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, \
     mpf_neg, mpf_pos, mpf_pow_int, round_nearest
 
 from . import families as fam
-from .index_core import SignedIndex, as_index, format_index, oplus, \
-    pi_expand_weighted, star_expand
+from .index_core import SignedIndex, as_index, as_int, as_ints, \
+    format_index, oplus, pi_expand_weighted, star_expand
 
 DEFAULT_TOL = 1e-6
 RECOGNITION_DEN_CAP = 10 ** 6
@@ -238,12 +239,6 @@ def _chain_level(prefix: Tuple[int, ...], star: bool,
     return _tail_sum(plain, alt, cap)
 
 
-def _chain_expansions(parts: Tuple[int, ...], star: bool,
-                      cap: int) -> List[Tuple[_Series, _Series]]:
-    """Per-level asymptotic expansions of the tail functions U_i(m)."""
-    return [_chain_level(parts[:i + 1], star, cap) for i in range(len(parts))]
-
-
 # The chain's mpf arithmetic runs on raw _mpf_ tuples through the libmp
 # calls that mpf's operators make (mpf(k) ** (-a) is mpf_pow_int of
 # from_int(k), x + y is mpf_add, ...), at mp's precision and with mp's
@@ -334,7 +329,9 @@ def _chain_eval(parts: Tuple[int, ...], star: bool,
     )
     for seed_n, check_n, cap, dps in configs:
         with mp.workdps(dps):
-            levels = _chain_expansions(parts, star, cap)
+            # the expansions of the tail functions U_i(m), one per level
+            levels = [_chain_level(parts[:i + 1], star, cap)
+                      for i in range(len(parts))]
             first = _chain_value(parts, star, seed_n, levels)
             second = _chain_value(parts, star, check_n, levels)
             diff = abs(second - first)
@@ -412,13 +409,9 @@ def _partial_eval(parts: Tuple[int, ...],
 # Public evaluators
 # ---------------------------------------------------------------------------
 
-def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
-    """Limit of the strict-descent sums H_n(s) as n grows.
-
-    The index must be admissible (leading part != +1); the returned value
-    has a doubling-based error estimate of at most tol (an estimate, not a
-    rigorous bound on |value - truth|).
-    """
+def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
+    """zeta (star False) or zeta_star (star True).  "chain" serves both,
+    "partial" only zeta and "expand" only zeta_star."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     parts = as_index(s).parts
@@ -426,12 +419,26 @@ def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
         return NumericValue(mpf(1), tol, "empty index")
     _require_admissible(parts)
     if method == "chain":
-        value, _, note = _chain_eval(parts, False, tol)
-    elif method == "partial":
+        value, _, note = _chain_eval(parts, star, tol)
+    elif method == "partial" and not star:
         value, _, note = _partial_eval(parts, tol)
+    elif method == "expand" and star:
+        terms = list(star_expand(SignedIndex(parts)))
+        value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
+        note = "star expansion over %d strict limits" % len(terms)
     else:
         raise ValueError("unknown method %r" % (method,))
     return NumericValue(value, tol, note)
+
+
+def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
+    """Limit of the strict-descent sums H_n(s) as n grows.
+
+    The index must be admissible (leading part != +1); the returned value
+    has a doubling-based error estimate of at most tol (an estimate, not a
+    rigorous bound on |value - truth|).  method is "chain" or "partial".
+    """
+    return _limit(s, tol, method, star=False)
 
 
 def zeta_star(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
@@ -441,21 +448,7 @@ def zeta_star(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValu
     expansion instead of the native weak-descent chain; the two paths are
     required to agree within their summed tolerances.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    parts = as_index(s).parts
-    if not parts:
-        return NumericValue(mpf(1), tol, "empty index")
-    _require_admissible(parts)
-    if method == "chain":
-        value, _, note = _chain_eval(parts, True, tol)
-    elif method == "expand":
-        terms = list(star_expand(SignedIndex(parts)))
-        value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
-        note = "star expansion over %d strict limits" % len(terms)
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    return NumericValue(value, tol, note)
+    return _limit(s, tol, method, star=True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +577,9 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     if lhs_idx.parts and lhs_idx.parts[0] == 1:
         raise ValueError("left side diverges for %s: leading part is 1 "
                          "(needs a nonempty leading 2-run)" % (spec.params(),))
+    # no image leads with +1 here: a merged head has magnitude >= 2, and
+    # the base leads with +1 only when the left side leads with 1
     terms = list(pi_expand_weighted(form.base, form.coeff_base, form.sign))
-    for idx, _ in terms:
-        if idx.parts[0] == 1:
-            raise ValueError("inadmissible right-side index %s"
-                             % format_index(idx))
     coeff_mass = sum(abs(c) for _, c in terms)
     tol_each = min(tol, 10.0 * tol / (1 + coeff_mass))
     lhs = zeta_star(lhs_idx, tol_each).value
@@ -652,7 +643,7 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     budget adds each product's error bound, grown factor by factor as in
     _product_sum.
     """
-    parts = tuple(int(v) for v in args)
+    parts = as_ints("args", args)
     depth = len(parts)
     if depth < 1 or depth > 4:
         raise ValueError("permutation sum capped at 4 arguments")
@@ -797,7 +788,7 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     even all-2 blocks.
     """
     if part == "i":
-        m, n = int(params["m"]), int(params["n"])
+        m, n = as_int("m", params["m"]), as_int("n", params["n"])
         if m < 0 or n < 0:
             raise ValueError("needs m, n >= 0")
         each = tol / 8
@@ -808,7 +799,7 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         pairs = [(SignedIndex((2,) * (n + 1)), SignedIndex((2,) * (m + 1)))]
         rhs, budget = _product_sum(pairs, each, 2 * each)
     elif part == "ii":
-        n = int(params["n"])
+        n = as_int("n", params["n"])
         if n < 1:
             raise ValueError("needs n >= 1")
         each = tol / (8 * (n + 2))
@@ -818,7 +809,7 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
                   SignedIndex((2,) * (2 * (n - j) + 1))) for j in range(n + 1)]
         rhs, budget = _product_sum(pairs, each, (2 * n + 1) * each)
     elif part == "iii":
-        n = int(params["n"])
+        n = as_int("n", params["n"])
         if n < 1:
             raise ValueError("needs n >= 1")
         comps = _weak_compositions(1, 2 * n)
@@ -844,7 +835,7 @@ def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL) -> dict:
     carries recognition_ok (a small-denominator rational was found) and no
     within_tol.
     """
-    e = tuple(int(v) for v in e_values)
+    e = as_ints("e_values", e_values)
     if any(v < 0 for v in e):
         raise ValueError("run lengths must be nonnegative")
     if part == "i":

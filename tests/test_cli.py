@@ -8,11 +8,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import starsum
 from starsum.cli import _normalize_argv, main
 from starsum.zeta_numeric import clear_value_cache
 
@@ -293,9 +295,14 @@ class TestTopLevel:
         assert exit_info.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the same starsum, installed or from a checkout
+        root = os.path.dirname(os.path.dirname(starsum.__file__))
+        path = os.pathsep.join(filter(None, (root,
+                                             os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "starsum", "eval-mhs", "--index", "2,1",
              "--n", "2", "--star"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout == "11/8\n"

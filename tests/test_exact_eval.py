@@ -68,6 +68,13 @@ class TestOracleAgreement:
         with pytest.raises(ValueError):
             ee.mhs(-1, (2,))
 
+    @pytest.mark.parametrize("evaluate", [ee.mhs, ee.mhs_star, ee.mhs_oracle,
+                                          ee.mhs_star_oracle])
+    def test_non_integral_index_rejected(self, evaluate):
+        # int() would cut (1.5,) to (1,) and give H_3(1) = 11/6
+        with pytest.raises(ValueError, match="^index must hold integers"):
+            evaluate(3, (1.5,))
+
 
 class TestMollified:
     def test_pinned_values(self):
@@ -237,3 +244,18 @@ class TestMemo:
             assert evictions > 0
         finally:
             ee.clear_memo()
+
+
+def test_drop_while_a_list_grows(monkeypatch):
+    # At the limit exactly, the new outer list of (3, 2) is still stored;
+    # storing it passes the limit, so its new tail (2,) drops the memo.
+    # The outer list grows on, uncached and uncounted.
+    try:
+        ee.clear_memo()
+        ee.mhs(10, (2, 1))
+        monkeypatch.setattr(ee, "_MEMO_LIMIT", ee.memo_stats()["stored_values"])
+        assert ee.mhs(12, (3, 2)) == ee.mhs_oracle(12, (3, 2))
+        assert ee.memo_stats()["h_lists"] == 1  # only (2,) survives
+        assert ee.memo_stats()["stored_values"] == 13
+    finally:
+        ee.clear_memo()

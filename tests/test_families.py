@@ -50,7 +50,12 @@ from starsum.families import (
     rhs_value_expanded,
     verify_instance,
 )
-from starsum.index_core import FormalSum, SignedIndex, pi_expand_weighted
+from starsum.index_core import (
+    FormalSum,
+    SignedIndex,
+    pi_expand,
+    pi_expand_weighted,
+)
 
 
 def expansion(spec):
@@ -544,6 +549,24 @@ class TestFamilyTable:
         assert FAMILIES == (TWO_ONE, TWO_ONE_TWO, C21, ONE_C21, C212,
                             ONE_C212, TWO_ONE_C2, C2_TWO_ONE_C2, ONES_C)
 
+    def test_c1_limit_images_are_admissible(self):
+        # verify_mzsv_family expands the base of every big-companion spec
+        # with an admissible left side and takes each image's strict limit;
+        # no image may lead with +1 (zeta would refuse it)
+        big = checked = 0
+        for family, (grid, _) in C1_GRIDS.items():
+            for spec in enumerate_specs(family, **grid):
+                form = build_rhs(spec)
+                if form.companion != BIG:
+                    continue
+                big += 1
+                if build_lhs(spec).parts[0] == 1:
+                    continue
+                checked += 1
+                for idx in pi_expand(form.base):
+                    assert idx.parts[0] != 1, (spec, idx)
+        assert (big, checked) == (11365, 9986)
+
 
 class TestKernelIdentities:
     def test_examples(self):
@@ -603,6 +626,22 @@ class TestKernelIdentities:
             KernelParams(a=-1)
         with pytest.raises(ValueError, match="n must be >= 1"):
             check_lemma31("i", KernelParams(), 0)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(a=1.5), "a"),
+        (dict(m=1.0), "m"),
+        (dict(c="2"), "c"),
+        (dict(a=True), None),
+    ])
+    def test_kernel_params_refuse_non_integers(self, kwargs, field):
+        if field is None:
+            # a bool is an integer: True is kept, as the int 1
+            a = KernelParams(kind="A", **kwargs).a
+            assert a == 1 and type(a) is int
+            return
+        # a = 1.5 used to fail later, inside range(), with a TypeError
+        with pytest.raises(ValueError, match="^%s must be an integer" % field):
+            KernelParams(kind="A", **kwargs)
 
 
 class TestClosedFormChecks:

@@ -41,6 +41,16 @@ class TestSignedIndex:
         with pytest.raises(ValueError):
             SignedIndex((2, 0, 1))
 
+    @pytest.mark.parametrize("parts", [(1.7, 3), (1, "3"), (2.0,), 5])
+    def test_non_integral_parts_rejected(self, parts):
+        # int() would cut (1.7, "3") to (1, 3) without a word
+        with pytest.raises(ValueError, match="^index must hold integers"):
+            SignedIndex(parts)
+
+    def test_bool_part_is_the_int_one(self):
+        parts = SignedIndex((True, 2)).parts
+        assert parts == (1, 2) and type(parts[0]) is int
+
     def test_immutability(self):
         idx = SignedIndex((2,))
         with pytest.raises(AttributeError):
@@ -58,6 +68,8 @@ class TestSignedIndex:
         assert as_index([2, 1]) == SignedIndex((2, 1))
         idx = SignedIndex((3,))
         assert as_index(idx) is idx
+        with pytest.raises(ValueError, match="^index must hold integers"):
+            as_index(1.5)
 
     @given(st.lists(nonzero, max_size=6))
     def test_hash_and_eq_follow_parts(self, parts):

@@ -358,6 +358,9 @@ class TestSymmetricSums:
             hoffman_symmetric_check((2, 0))
         with pytest.raises(ValueError, match="capped at 4"):
             hoffman_symmetric_check((2, 2, 2, 2, 2))
+        # int() would cut 2.9 to 2 and report "args": [2, 2]
+        with pytest.raises(ValueError, match="^args must hold integers"):
+            hoffman_symmetric_check((2.9, 2))
 
 
 class TestProductIdentities:
@@ -384,6 +387,10 @@ class TestProductIdentities:
             verify_ittw_conj2("ii", {"n": 0})
         with pytest.raises(ValueError, match="needs m, n >= 0"):
             verify_ittw_conj2("i", {"m": -1, "n": 0})
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            verify_ittw_conj2("ii", {"n": 1.7})
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            verify_ittw_conj2("i", {"m": "1", "n": 0})
 
 
 class TestPiPowerFormulas:
@@ -456,3 +463,48 @@ class TestPermutedRunSums:
             verify_theorem81("iii", (0, 0))
         with pytest.raises(ValueError, match="nonnegative"):
             verify_theorem81("i", (-1, 0))
+        with pytest.raises(ValueError, match="^e_values must hold integers"):
+            verify_theorem81("i", (0.5, 0))
+
+
+def _shifted(evaluate):
+    """evaluate with 1e-3 added to every value it returns."""
+    def shifted(s, tol=DEFAULT_TOL, method="chain"):
+        got = evaluate(s, tol, method)
+        return NumericValue(got.value + mpf("1e-3"), got.tol, got.method_note)
+    return shifted
+
+
+class TestVerdictsCanFail:
+    """A verdict that never comes out False shows nothing: with every strict
+    (or weak) limit off by 1e-3, each check must report the miss.  The
+    verifiers and zeta_star's expand path look the evaluators up by module
+    name, so patching the module reaches them all."""
+
+    @pytest.mark.parametrize("check", [
+        lambda: verify_mzsv_family(FamilySpec(TWO_ONE, a=(1, 1))),
+        lambda: check_zlobin(2),
+        lambda: check_three_n(1),
+        lambda: hoffman_symmetric_check((2, 2)),
+    ], ids=["family", "zlobin", "three_n", "hoffman"])
+    def test_shifted_strict_limits(self, monkeypatch, check):
+        monkeypatch.setattr(zn, "zeta", _shifted(zn.zeta))
+        assert check()["within_tol"] is False
+
+    @pytest.mark.parametrize("check", [
+        lambda: verify_yamamoto(1, 0),
+        lambda: verify_muneta(1),
+        lambda: verify_ittw_conj2("i", {"m": 1, "n": 0}),
+        lambda: verify_ittw_conj2("ii", {"n": 1}),
+        lambda: verify_ittw_conj2("iii", {"n": 1}),
+    ], ids=["yamamoto", "muneta", "ittw_i", "ittw_ii", "ittw_iii"])
+    def test_shifted_weak_limits(self, monkeypatch, check):
+        monkeypatch.setattr(zn, "zeta_star", _shifted(zn.zeta_star))
+        assert check()["within_tol"] is False
+
+    def test_expand_path_reads_zeta_by_name(self, monkeypatch):
+        plain = zeta_star((2, 2), method="expand").value
+        monkeypatch.setattr(zn, "zeta", _shifted(zn.zeta))
+        moved = zeta_star((2, 2), method="expand").value
+        # (2,2) expands to the two unit terms (2,2) and (4)
+        assert abs(moved - plain - mpf("2e-3")) < 1e-20
