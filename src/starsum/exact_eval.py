@@ -164,6 +164,7 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
 
 
 def _h_value(n: int, s, star: bool):
+    n = as_int("n", n)
     parts = as_index(s).parts
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -185,6 +186,7 @@ def mhs_star(n: int, s) -> "rational":
 
 
 def _mollified(n: int, s: SignedIndex, kind: str):
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("mollified sums need n >= 1")
     s = as_index(s)
@@ -239,6 +241,7 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     dT(k)*D over D (small, w_k = C(n,k)) or over D*C(2n,n) (big,
     w_k = C(2n,n-k)).
     """
+    n = as_int("n", n)
     base = as_index(base)
     if base.is_empty():
         raise ValueError("pi_companion_sum needs a nonempty base")
@@ -274,6 +277,7 @@ _ORACLE_DEPTH_MAX = 5
 
 
 def _oracle(n: int, s, star: bool) -> "rational":
+    n = as_int("n", n)
     s = as_index(s)
     if n < 0:
         raise ValueError("n must be >= 0")

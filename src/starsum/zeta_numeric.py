@@ -15,12 +15,16 @@ The level expansions are exact rational series, memoized per prefix of the
 index: the expansion of level i depends only on the first i parts, the
 descent kind and the expansion cap, and every comma-or-merge image of one
 base has the same weight, hence the same cap, so the images share the
-levels of their common prefixes.  The backward recurrences run on raw
-mpmath _mpf_ tuples through the libmp calls that mpf's operators make, with
-the signed weights sgn^k * k^-|a| taken from rows cached per part, seed and
-precision; each value therefore has exactly the bits of the plain
-operator-by-operator evaluation.  clear_value_cache() empties these caches
-along with the value cache.
+levels of their common prefixes.  The backward recurrences run on
+fixed-point integers at mp.prec + 32 bits: each seed is its exact expansion
+rounded once, the signed weights sgn^k * k^-|a| are rounded rows cached per
+part, seed and precision, each step adds (w * u) >> bits, and the result is
+rounded once to an mpf.  The kernel's rounding error has a proven bound,
+about levels * N * (1 + ln N)^(levels-1) * 2^-(mp.prec+32) (see
+_chain_value), which is added to the doubling estimate; the sum is the
+achieved error that NumericValue.error carries.  clear_value_cache()
+empties these caches along with the value cache, which keeps at most
+_VALUE_CACHE_LIMIT values and evicts the oldest first.
 
 zeta and zeta_star are one evaluator keyed by the descent kind.  Two
 independent cross-check paths are kept: zeta(method="partial"), a float
@@ -40,8 +44,7 @@ from math import comb, factorial, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, \
-    mpf_neg, mpf_pos, mpf_pow_int, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from . import families as fam
 from .index_core import SignedIndex, as_index, as_int, as_ints, \
@@ -62,12 +65,16 @@ class NumericValue:
 
     value is a high-precision float (mpmath mpf); the evaluator's error
     estimate for it (a doubling check, not a proof) is at most tol, and
-    method_note records the path taken.
+    method_note records the path taken.  error is that achieved estimate:
+    the chain's doubling estimate plus its proven rounding bound, or the
+    partial sum's tail bound; inf where the path gives none (the expand
+    path, a value made by hand).
     """
 
     value: object
     tol: float
     method_note: str
+    error: float = math.inf
 
     def __float__(self) -> float:
         return float(self.value)
@@ -182,11 +189,8 @@ def _phi_series(j: int, cap: int) -> _Row:
 def _combine(terms: List[Tuple[Fraction, _Row]]) -> _Series:
     """Sum of scale * row over the (scale, row) terms, as a series.
 
-    The rows are added in turn, with running sums kept as integers over one
-    common denominator, so each coefficient is reduced once.  A key whose
-    running sum reaches zero is dropped and comes back at the end if a later
-    row revives it: the key order is that of adding the Fractions one by
-    one, and it is the order in which _series_eval rounds.
+    The sums are kept as integers over one common denominator, so each
+    coefficient is reduced once; zero coefficients are dropped.
     """
     scale_den = lcm(*(scale.denominator for scale, _ in terms))
     row_den = lcm(*(c.denominator for _, row in terms for _, c in row))
@@ -194,14 +198,10 @@ def _combine(terms: List[Tuple[Fraction, _Row]]) -> _Series:
     for scale, row in terms:
         factor = scale.numerator * (scale_den // scale.denominator)
         for e, c in row:
-            v = acc.get(e, 0) + (factor * c.numerator
-                                 * (row_den // c.denominator))
-            if v:
-                acc[e] = v
-            elif e in acc:
-                del acc[e]
+            acc[e] = acc.get(e, 0) + (factor * c.numerator
+                                      * (row_den // c.denominator))
     den = scale_den * row_den
-    return {e: Fraction(v, den) for e, v in acc.items()}
+    return {e: Fraction(v, den) for e, v in acc.items() if v}
 
 
 def _tail_sum(plain: _Series, alt: _Series, cap: int) -> Tuple[_Series, _Series]:
@@ -239,39 +239,34 @@ def _chain_level(prefix: Tuple[int, ...], star: bool,
     return _tail_sum(plain, alt, cap)
 
 
-# The chain's mpf arithmetic runs on raw _mpf_ tuples through the libmp
-# calls that mpf's operators make (mpf(k) ** (-a) is mpf_pow_int of
-# from_int(k), x + y is mpf_add, ...), at mp's precision and with mp's
-# rounding, which is always round-to-nearest, so every value has the bits
-# the operator form gives.  The powers are made once per precision.
-_RND = round_nearest
-
-
-@lru_cache(maxsize=1024)
-def _inv_power(m: int, e: int, prec: int):
-    """m^(-e) at prec bits, as an _mpf_ tuple."""
-    return mpf_pow_int(from_int(m), -e, prec, _RND)
+# The backward recurrences run on fixed-point integers: an integer x stands
+# for x * 2^-bits, with bits = mp.prec + _GUARD_BITS.
+_GUARD_BITS = 32
 
 
 @lru_cache(maxsize=64)
-def _weight_row(part: int, n: int, prec: int):
-    """The step weights sgn(part)^k * k^(-|part|), k = 1..n, at prec bits."""
+def _weight_row(part: int, n: int, bits: int) -> Tuple[int, ...]:
+    """The step weights sgn(part)^k * k^(-|part|), k = 1..n, each rounded
+    to the nearest multiple of 2^-bits."""
     a = abs(part)
     row = []
     for k in range(1, n + 1):
-        w = mpf_pow_int(from_int(k), -a, prec, _RND)
-        row.append(mpf_neg(w, prec, _RND) if part < 0 and (k & 1) else w)
+        power = k ** a
+        w = ((1 << (bits + 1)) + power) // (2 * power)
+        row.append(-w if part < 0 and k & 1 else w)
     return tuple(row)
 
 
-def _series_eval(series: _Series, m: int, prec: int):
-    total = fzero
-    for e, c in series.items():
-        coeff = mpf_div(mpf_pos(from_int(c.numerator), prec, _RND),
-                        from_int(c.denominator), prec, _RND)
-        term = mpf_mul(coeff, _inv_power(m, e, prec), prec, _RND)
-        total = mpf_add(total, term, prec, _RND)
-    return total
+def _seed(plain: _Series, alt: _Series, m: int, bits: int) -> int:
+    """P(m) + A(m) at an even m, summed exactly and rounded once to the
+    nearest multiple of 2^-bits."""
+    terms = list(plain.items()) + list(alt.items())
+    top = max(e for e, _ in terms)
+    den = lcm(*(c.denominator for _, c in terms))
+    num = sum(c.numerator * (den // c.denominator) * m ** (top - e)
+              for e, c in terms)
+    den *= m ** top
+    return ((num << (bits + 1)) + den) // (2 * den)
 
 
 def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
@@ -279,25 +274,44 @@ def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
     """Backward recurrences from the expansion seeds down to m = 0.
 
     seed_n must be even so the (-1)^m component enters with a fixed sign.
+    Returns the value, rounded to an mpf at mp.prec, and a proven bound on
+    its distance to the same recurrences run in exact arithmetic from the
+    exact seeds.
+
+    The bound, with N = seed_n and eps = 2^-bits: let E_i bound the error
+    of level i over m = 0..N (E_0 = 0, as U_0 = 1 exactly) and M_i the
+    largest |U_i(m)| the kernel computed.  The seed is rounded once
+    (eps/2).  Each of the N steps adds w * e_(i-1) from the level below, at
+    most eps/2 * M_(i-1) from the rounded weight and less than eps from the
+    floor shift, so E_i <= eps/2 + N * (1 + M_(i-1)/2) * eps + A * E_(i-1),
+    where A = sum_k k^-|a| <= 1 + ln N for |a| = 1 and <= 1 + 1/(|a|-1)
+    otherwise.  So the bound is about levels * N * A^(levels-1) * eps; the
+    final rounding to mp.prec adds |value| * 2^-prec.
     """
     prec = mp.prec
+    bits = prec + _GUARD_BITS
     # U_i(m) = U_i(m+1) + w(m+1) * U_{i-1}(m or m+1): weak or strict step
     shift = 0 if star else 1
-    prev = [fone] * (seed_n + 1)
+    prev = [1 << bits] * (seed_n + 1)
+    err = 0.0  # E_i in units of eps
     for (plain, alt), part in zip(levels, parts):
-        row = _weight_row(part, seed_n, prec)
-        acc = mpf_add(_series_eval(plain, seed_n, prec),
-                      _series_eval(alt, seed_n, prec), prec, _RND)
-        cur = [acc] * (seed_n + 1)
-        for m in range(seed_n - 1, -1, -1):
-            acc = mpf_add(acc, mpf_mul(row[m], prev[m + shift], prec, _RND),
-                          prec, _RND)
-            cur[m] = acc
-        prev = cur
-    return mp.make_mpf(prev[0])
+        a = abs(part)
+        size = math.ldexp(max(map(abs, prev)), -bits)
+        gain = 1 + math.log(seed_n) if a == 1 else 1 + 1 / (a - 1)
+        err = 0.5 + seed_n * (1 + size / 2) + gain * err
+        row = _weight_row(part, seed_n, bits)
+        steps = [(w * u) >> bits for w, u in zip(row, prev[shift:])]
+        seed = _seed(plain, alt, seed_n, bits)
+        prev = list(itertools.accumulate(reversed(steps), initial=seed))
+        prev.reverse()
+    value = mp.make_mpf(from_man_exp(prev[0], -bits, prec, round_nearest))
+    return value, math.ldexp(err, -bits) + math.ldexp(abs(float(value)), -prec)
 
 
+# (parts, star) -> (value, error bound), oldest first; the oldest entry is
+# evicted once _VALUE_CACHE_LIMIT entries are stored.
 _VALUE_CACHE: Dict[Tuple[Tuple[int, ...], bool], Tuple[object, float]] = {}
+_VALUE_CACHE_LIMIT = 1 << 16
 
 
 def clear_value_cache() -> None:
@@ -305,7 +319,7 @@ def clear_value_cache() -> None:
     _VALUE_CACHE.clear()
     _PSI_ROWS.clear()
     _PHI_ROWS.clear()
-    for cached in (_chain_level, _inv_power, _weight_row):
+    for cached in (_chain_level, _weight_row):
         cached.cache_clear()
 
 
@@ -332,13 +346,15 @@ def _chain_eval(parts: Tuple[int, ...], star: bool,
             # the expansions of the tail functions U_i(m), one per level
             levels = [_chain_level(parts[:i + 1], star, cap)
                       for i in range(len(parts))]
-            first = _chain_value(parts, star, seed_n, levels)
-            second = _chain_value(parts, star, check_n, levels)
+            first, _ = _chain_value(parts, star, seed_n, levels)
+            second, rounding = _chain_value(parts, star, check_n, levels)
             diff = abs(second - first)
             floor = (abs(second) + 1) * mpf(10) ** (8 - dps)
-            bound = float(2 * diff + floor)
+            bound = float(2 * diff + floor) + rounding
         if bound <= tol:
             note = "tail-chain seeds %d/%d dps %d" % (seed_n, check_n, dps)
+            if len(_VALUE_CACHE) >= _VALUE_CACHE_LIMIT:
+                del _VALUE_CACHE[next(iter(_VALUE_CACHE))]
             _VALUE_CACHE[key] = (second, bound)
             return second, bound, note
     raise EvaluationError("tail-chain could not certify tol=%g for %s"
@@ -416,19 +432,20 @@ def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
         raise ValueError("tol must be positive")
     parts = as_index(s).parts
     if not parts:
-        return NumericValue(mpf(1), tol, "empty index")
+        return NumericValue(mpf(1), tol, "empty index", 0.0)
     _require_admissible(parts)
     if method == "chain":
-        value, _, note = _chain_eval(parts, star, tol)
+        value, error, note = _chain_eval(parts, star, tol)
     elif method == "partial" and not star:
-        value, _, note = _partial_eval(parts, tol)
+        value, error, note = _partial_eval(parts, tol)
     elif method == "expand" and star:
         terms = list(star_expand(SignedIndex(parts)))
         value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
+        error = math.inf
         note = "star expansion over %d strict limits" % len(terms)
     else:
         raise ValueError("unknown method %r" % (method,))
-    return NumericValue(value, tol, note)
+    return NumericValue(value, tol, note, error)
 
 
 def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
@@ -436,7 +453,8 @@ def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
 
     The index must be admissible (leading part != +1); the returned value
     has a doubling-based error estimate of at most tol (an estimate, not a
-    rigorous bound on |value - truth|).  method is "chain" or "partial".
+    rigorous bound on |value - truth|), carried as its error field.  method
+    is "chain" or "partial".
     """
     return _limit(s, tol, method, star=False)
 

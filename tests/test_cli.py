@@ -259,7 +259,7 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("argv,digest", [
         (("suite", "--suite", "paper-examples", "--format", "json"),
-         "8a0619715ed10f9a0e3b0591dc07448e04914519f0fb54ca0740b558c7bb875a"),
+         "c5968ca3d9496fc5f92fae7969fd2be636e05d06b74fecb48ea61a14b4885ff4"),
         (("suite", "--suite", "ittw", "--format", "json"),
          "1b6543d7e9d572ed2be3205750c3067ef822f7eef8257ab1cd9d5f601e15530f"),
         (("suite", "--suite", "middlestep", "--format", "json"),
@@ -270,7 +270,7 @@ class TestReportBytes:
          "970a10de8ebfd54359e5ffbf87b8cdad288eb45f283ce2218c15375dd7206168"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
           "json"),
-         "d0d075c6bab062a420edd71cf9b7582837a13c7961e465fcde394fb40ae0d3a4"),
+         "89db179f49107b21e794a1ce75d9611e5508fbcbf71ea7cac58dcb010276aea0"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
           "csv"),
          "b222909a973c837d677684f7a6bd01f4b3915927661e66dc34de614ecd42df11"),

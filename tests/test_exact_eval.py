@@ -68,12 +68,21 @@ class TestOracleAgreement:
         with pytest.raises(ValueError):
             ee.mhs(-1, (2,))
 
-    @pytest.mark.parametrize("evaluate", [ee.mhs, ee.mhs_star, ee.mhs_oracle,
-                                          ee.mhs_star_oracle])
+    @pytest.mark.parametrize("evaluate", [
+        ee.mhs, ee.mhs_star, ee.mhs_oracle, ee.mhs_star_oracle,
+        ee.mollified_big, ee.mollified_small,
+        pytest.param(lambda n, s: ee.pi_companion_sum(s, 1, 1, "big", n),
+                     id="pi_companion_sum"),
+    ])
     def test_non_integral_index_rejected(self, evaluate):
         # int() would cut (1.5,) to (1,) and give H_3(1) = 11/6
         with pytest.raises(ValueError, match="^index must hold integers"):
             evaluate(3, (1.5,))
+        # mhs(1.5, (2, 1)) gave 0 through the n < depth shortcut; 3.0 and
+        # 0.5 failed inside range or a list lookup
+        for n in (1.5, 3.0, 0.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                evaluate(n, (2, 1))
 
 
 class TestMollified:

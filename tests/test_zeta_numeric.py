@@ -123,47 +123,221 @@ class TestAnchors:
             zeta((2,), method="mollified")
 
 
-class TestValueDigest:
-    """sha256 over the exact mpf bits of a seeded sample of limits.
+def _value_sample():
+    """A seeded sample of 96 limits, each taken with a cold value cache.
 
-    Every value is taken with a cold value cache, through zeta and
-    zeta_star, at tol 1e-6, 1e-30 and 1e-45; the last is below the first
-    configuration's floor, so it runs the 256/512-seed, 70-digit one.  A
-    change to the chain that moves any bit of any value fails here.
+    16 admissible indices of depth 1-5 with parts +-1..+-5, each through
+    zeta and zeta_star at tol 1e-6, 1e-30 and 1e-45; the last is below the
+    first configuration's floor, so it runs the 256/512-seed, 70-digit one.
+    """
+    rng = random.Random(20261020)
+    pool = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+    count = 0
+    while count < 96:
+        parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
+        if parts[0] == 1:
+            continue
+        for tol in (1e-6, 1e-30, 1e-45):
+            for evaluate in (zeta, zeta_star):
+                clear_value_cache()
+                yield evaluate(parts, tol)
+                count += 1
+
+
+class TestValueDigest:
+    """The exact mpf bits of the seeded sample of _value_sample.
+
+    test_sample_digest pins a sha256 over the bits the fixed-point kernel
+    gives: a change to the chain that moves any bit of any value fails
+    there.  test_sample_close_to_parent holds every value within 1e-48
+    (50-digit configuration) or 1e-68 (70-digit) relative of the bits of
+    the mpf recurrence that the kernel replaced, listed in MPF_RECURRENCE
+    as sign, hex mantissa and exponent.
     """
 
-    DIGEST = "aae8ba1b5726394bb8f1ba6f0f7e32036879d2bf138490377a770c6f4d4df5bd"
+    DIGEST = "799bcc3739bf46df9ca2fd46195936c3527ded4db1ceb8d6d55e37b088cfdf3d"
+
+    MPF_RECURRENCE = """
+1 1021c03cccc87107beb82389fe9fe100c8a16397bff -186
+1 f42814ecce7d6cd3620bd4b48bd0fd34e76b76cdeb -168
+1 1021c03cccc87107beb82389fe9fe100c8a16397bff -186
+1 f42814ecce7d6cd3620bd4b48bd0fd34e76b76cdeb -168
+1 204380799990e20f7d704713fd3fc2019142c72f7fd6b89d4d7bbfc8ad -247
+1 f42814ecce7d6cd3620bd4b48bd0fd34e76b76cdeb118becba57ab39f8b -236
+1 19695b6f90217ff1669a95cdaebb94cdf9ee4a3741b -187
+0 d4bfd519fa0b5ece9d91dd791e6622024f6be5350d -168
+1 19695b6f90217ff1669a95cdaebb94cdf9ee4a3741b -187
+0 d4bfd519fa0b5ece9d91dd791e6622024f6be5350d -168
+1 32d2b6df2042ffe2cd352b9b5d77299bf3dc946e83701d8ad13a8fe25c5 -252
+0 6a5fea8cfd05af674ec8eebc8f33110127b5f29a86c6aa559f6e881b7d3 -235
+1 13a3715960f923b2392bb18c733f200df85cb373ccb -188
+0 6841815dbafb2fc819b4540003d90fbab8095cb075 -167
+1 13a3715960f923b2392bb18c733f200df85cb373ccb -188
+0 6841815dbafb2fc819b4540003d90fbab8095cb075 -167
+1 9d1b8acb07c91d91c95d8c6399f9006fc2e59b9e6626c1d5f0e73716e85 -255
+0 6841815dbafb2fc819b4540003d90fbab8095cb07519004caacbc81676f -235
+1 1cd97007680931d452a2a0a86d9d8bea8a4113d1523 -169
+1 1cd97007680931d452a2a0a86d9d8bea8a4113d1523 -169
+1 1cd97007680931d452a2a0a86d9d8bea8a4113d1523 -169
+1 1cd97007680931d452a2a0a86d9d8bea8a4113d1523 -169
+1 7365c01da024c7514a8a82a1b6762faa29044f228bb738232e7baae0271 -235
+1 7365c01da024c7514a8a82a1b6762faa29044f228bb738232e7baae0271 -235
+1 162e42fefa39ef35793c7673007e5ed5e81e712eba1 -169
+1 162e42fefa39ef35793c7673007e5ed5e81e712eba1 -169
+1 162e42fefa39ef35793c7673007e5ed5e81e712eba1 -169
+1 162e42fefa39ef35793c7673007e5ed5e81e712eba1 -169
+1 b17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8bb -236
+1 b17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8bb -236
+1 172d7e8fabeddb333c58ae86ad2c4b4bb4fd982af19 -174
+0 17e3dd001183d198109cbb65ec52f5cdb0f22fcefed -168
+1 172d7e8fabeddb333c58ae86ad2c4b4bb4fd982af19 -174
+0 17e3dd001183d198109cbb65ec52f5cdb0f22fcefed -168
+1 5cb5fa3eafb76cccf162ba1ab4b12d2ed3f660abc64257ca2723f5dca7d -240
+0 bf1ee8008c1e8cc084e5db2f6297ae6d87917e77f6ab5220c146615d695 -235
+0 35f1b9115d887421579bb30c7242ee6dfe24f1ca4d -170
+1 1e40d5ab3d90f9d474d74dbe5fe1484ec5cffed66b3 -169
+0 35f1b9115d887421579bb30c7242ee6dfe24f1ca4d -170
+1 1e40d5ab3d90f9d474d74dbe5fe1484ec5cffed66b3 -169
+0 35f1b9115d887421579bb30c7242ee6dfe24f1ca4ceed47fde7124c35db -238
+1 1e40d5ab3d90f9d474d74dbe5fe1484ec5cffed66b36050c98aa92f2c6f -233
+1 1a42ae9d31214c97ae3868eafdb2d2aad7c3c934d61 -195
+1 1f1181ea3543bc93a9daf8a23860d2024e048a8db0b -169
+1 1a42ae9d31214c97ae3868eafdb2d2aad7c3c934d61 -195
+1 1f1181ea3543bc93a9daf8a23860d2024e048a8db0b -169
+1 690aba74c485325eb8e1a3abf6cb4aab5f0f24d3583b52e061484796de5 -261
+1 f88c0f51aa1de49d4ed7c511c30690127024546d854cf3cdd8755c97251 -236
+1 d8cdd52195e1a525c5413218f1e49ff51c38f43bf5 -192
+0 1d0c8770b4e3967a5f25e89099924eea12f14b33219 -169
+1 d8cdd52195e1a525c5413218f1e49ff51c38f43bf5 -192
+0 1d0c8770b4e3967a5f25e89099924eea12f14b33219 -169
+1 6c66ea90caf0d292e2a0990c78f24ffa8e1c7a1dfab24b54d6898bbc671 -259
+0 1d0c8770b4e3967a5f25e89099924eea12f14b33217f96dbe4ae05f1941 -233
+0 682079b5222f304ac928fe78dc859287be93dde85 -167
+1 77a48229824aa05361983993397dc0ba1289db1e41 -167
+0 682079b5222f304ac928fe78dc859287be93dde85 -167
+1 77a48229824aa05361983993397dc0ba1289db1e41 -167
+0 d040f36a445e60959251fcf1b90b250f7d27bbd08efabd19afa1346f471 -240
+1 ef490453049540a6c330732672fb81742513b63c82bef048edc4dffe0c7 -236
+0 1c57a1a247d84ce10e7cf623cef1d7493b8811bc09d -174
+1 1f0da666b63e7b0e772043a5a4fbd107ebe4e5d6dd5 -169
+0 1c57a1a247d84ce10e7cf623cef1d7493b8811bc09d -174
+1 1f0da666b63e7b0e772043a5a4fbd107ebe4e5d6dd5 -169
+0 715e86891f61338439f3d88f3bc75d24ee2046f0271cf394303693afe43 -240
+1 f86d3335b1f3d873b9021d2d27de883f5f272eb6ea7a0e4b79ed778c10b -236
+0 fdca884822a5206636e5b0e69bbc42cf21217d9fe7 -183
+0 116d4d3887a40d806a5fadbc4ef7b09e3d4b3af1ea3 -168
+0 fdca884822a5206636e5b0e69bbc42cf21217d9fe7 -183
+0 116d4d3887a40d806a5fadbc4ef7b09e3d4b3af1ea3 -168
+0 7ee54424115290331b72d8734dde21679090becff32cc15c49e1e9ca4ed -250
+0 8b6a69c43d206c0352fd6de277bd84f1ea59d78f51ac1c9a282419dfdb5 -235
+0 17be5d11fc87164f24066976173e8c9721564c5542f -172
+1 1c23cf497c191eee6b99c583cd2418a3573d0a74ed1 -169
+0 17be5d11fc87164f24066976173e8c9721564c5542f -172
+1 1c23cf497c191eee6b99c583cd2418a3573d0a74ed1 -169
+0 5ef97447f21c593c9019a5d85cfa325c8559315485977b251fd7a8ad84d -238
+1 e11e7a4be0c8f7735cce2c1e6920c51ab9e853a77c6fbf2a49b86b56b9d -236
+1 6eb178d909d559f43b5cfb2fa4460d894e9668310b -177
+1 1ab7eca48505b2e7ba82cae305d22da56fe93bf6661 -169
+1 6eb178d909d559f43b5cfb2fa4460d894e9668310b -177
+1 1ab7eca48505b2e7ba82cae305d22da56fe93bf6661 -169
+1 dd62f1b213aab3e876b9f65f488c1b129d2cd06215a3bd29fd304856ccd -246
+1 6adfb2921416cb9eea0b2b8c1748b695bfa4efd998691ea1ecd48d3a587 -235
+0 1c817235852e0d2748be195437eeac5835831c4dfaf -174
+0 14637751d35b17d09fd9fe8c43d421d9fe6e8870fd9 -168
+0 1c817235852e0d2748be195437eeac5835831c4dfaf -174
+0 14637751d35b17d09fd9fe8c43d421d9fe6e8870fd9 -168
+0 e40b91ac2970693a45f0caa1bf7562c1ac18e26fd70d313879743b343e3 -241
+0 a31bba8e9ad8be84fecff4621ea10ecff3744387ec559ca83711f3d5841 -235
+0 e3819d48330b7b4db0ce79065786e61f308f77a587 -180
+0 382c6a67ea3fb80bb361505d91d297cef23b61fda9 -166
+0 e3819d48330b7b4db0ce79065786e61f308f77a587 -180
+0 382c6a67ea3fb80bb361505d91d297cef23b61fda9 -166
+0 e3819d48330b7b4db0ce79065786e61f308f77a586a4e59c33e0674d299 -248
+0 e0b1a99fa8fee02ecd854176474a5f3bc8ed87f6a3f36d8c0d793e4a8f7 -236"""
 
     def test_sample_digest(self):
-        rng = random.Random(20261020)
-        pool = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
         digest = hashlib.sha256()
         notes = set()
-        count = 0
-        while count < 96:
-            parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
-            if parts[0] == 1:
-                continue
-            for tol in (1e-6, 1e-30, 1e-45):
-                for evaluate in (zeta, zeta_star):
-                    clear_value_cache()
-                    value = evaluate(parts, tol)
-                    digest.update(repr(value.value._mpf_).encode() + b"\n")
-                    notes.add(value.method_note)
-                    count += 1
+        for value in _value_sample():
+            digest.update(repr(value.value._mpf_).encode() + b"\n")
+            notes.add(value.method_note)
         assert notes == {"tail-chain seeds 128/256 dps 50",
                          "tail-chain seeds 256/512 dps 70"}
         assert digest.hexdigest() == self.DIGEST
 
+    def test_sample_close_to_parent(self):
+        rel = {"tail-chain seeds 128/256 dps 50": 1e-48,
+               "tail-chain seeds 256/512 dps 70": 1e-68}
+        rows = self.MPF_RECURRENCE.strip().split("\n")
+        assert len(rows) == 96
+        for value, row in zip(_value_sample(), rows):
+            sign, man, exp = row.split()
+            man = int(man, 16)
+            old = mp.make_mpf((int(sign), man, int(exp), man.bit_length()))
+            with mp.workdps(100):
+                distance = abs(value.value - old) / abs(old)
+            assert distance <= rel[value.method_note], row
+
     def test_clear_empties_the_chain_caches(self):
         # a cold evaluation must recompute everything, as a new process does
         zeta_star((3, -2, 2), 1e-6)
-        cached = (zn._chain_level, zn._inv_power, zn._weight_row)
+        cached = (zn._chain_level, zn._weight_row)
         assert all(f.cache_info().currsize for f in cached)
-        assert zn._PSI_ROWS and zn._PHI_ROWS
+        assert zn._PSI_ROWS and zn._PHI_ROWS and zn._VALUE_CACHE
         clear_value_cache()
         assert not any(f.cache_info().currsize for f in cached)
-        assert not zn._PSI_ROWS and not zn._PHI_ROWS
+        assert not zn._PSI_ROWS and not zn._PHI_ROWS and not zn._VALUE_CACHE
+
+
+class TestClosedForms:
+    """Limits with known closed forms, taken at tol 1e-45 (the 70-digit
+    configuration): each lies within 1e-60 of its closed form, and the error
+    estimate it carries is at least its actual error."""
+
+    @pytest.mark.parametrize("s,star,closed_form", [
+        ((2,), False, lambda: mp.pi ** 2 / 6),
+        ((2, 1), False, lambda: mp.zeta(3)),
+        ((-1,), False, lambda: -mp.log(2)),
+        ((3, 1), True, lambda: mp.pi ** 4 / 72),
+        ((2, 2, 2), True, lambda: 2 * (1 - mpf(2) ** -5) * mp.zeta(6)),
+    ], ids=["z2", "z21", "z-1", "zs31", "zs222"])
+    def test_within_1e60_and_the_estimate(self, s, star, closed_form):
+        clear_value_cache()
+        evaluate = zeta_star if star else zeta
+        got = evaluate(s, 1e-45)
+        with mp.workdps(90):
+            actual = abs(got.value - closed_form())
+        assert actual <= 1e-60
+        assert actual <= got.error <= 1e-45
+        # a cache hit carries the bound it was stored with
+        assert evaluate(s, 1e-30).error == got.error
+
+    def test_other_paths_estimates(self):
+        partial = zeta((3,), 1e-6, method="partial")
+        assert partial.error == partial_sum_tail_bound((3,), 4096) + 1e-11
+        assert abs(partial.value - mp.zeta(3)) <= partial.error <= 1e-6
+        assert zeta(()).error == 0.0
+        # no estimate known: the expand path and a value made by hand
+        assert zeta_star((3, 1), method="expand").error == math.inf
+        assert NumericValue(mpf(1), 1e-6, "made by hand").error == math.inf
+
+
+class TestValueCache:
+    def test_eviction_keeps_values(self, monkeypatch):
+        indices = [(2,), (3,), (-2,), (2, 1), (-3, 2), (4,)]
+        cold = []
+        for s in indices:
+            clear_value_cache()
+            cold.append(zeta(s, 1e-20).value._mpf_)
+        monkeypatch.setattr(zn, "_VALUE_CACHE_LIMIT", 3)
+        clear_value_cache()
+        first = [zeta(s, 1e-20).value._mpf_ for s in indices]
+        assert len(zn._VALUE_CACHE) == 3
+        # the oldest entries went first
+        assert list(zn._VALUE_CACHE) == [(s, False) for s in indices[3:]]
+        again = [zeta(s, 1e-20).value._mpf_ for s in indices]
+        assert first == cold and again == cold
+        assert len(zn._VALUE_CACHE) == 3
 
 
 class TestConvergenceContract:
