@@ -249,7 +249,8 @@ def _suite_lemma31(args) -> List[dict]:
     items = []
     for variant, (kind, _, _) in fam.LEMMA31.items():
         for _ in range(per_variant):
-            if variant in ("i", "iii"):
+            shift = variant in ("i", "iii")
+            if shift:
                 kp = fam.KernelParams(m=rng.choice((1, 2)), kind=kind,
                                       a=rng.randint(0, 3),
                                       c=rng.randint(1, 3),
@@ -257,11 +258,13 @@ def _suite_lemma31(args) -> List[dict]:
             else:
                 kp = fam.KernelParams(m=2, kind=kind, a=rng.randint(1, 3),
                                       v=rng.choice(inner))
+            params = {"variant": variant, "m": kp.m, "kind": kp.kind,
+                      "a": kp.a, "v": list(kp.v.parts)}
+            if shift:  # the difference form has no c
+                params["c"] = kp.c
             n = rng.randint(1, 12)
             items.append(_timed_item(args.timings, lambda equal: {
-                "params": {"variant": variant, "m": kp.m, "kind": kp.kind,
-                           "a": kp.a, "c": kp.c,
-                           "v": list(kp.v.parts)},
+                "params": params,
                 "n": n,
                 "lhs": None,
                 "rhs": None,

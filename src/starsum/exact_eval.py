@@ -16,11 +16,16 @@ L_{k-1}(tail)); the three kinds of list differ only in the weight eq of an
 equal step and lt of a strict step (table at the memo below).  There are
 also brute-force oracles that re-evaluate the defining sums by direct
 enumeration (no recursion, no caching) so the fast engine has something
-independent to be checked against; each strict/weak pair is one body.
+independent to be checked against; each strict/weak pair is one body.  They
+share no code with the recurrence: each chain's term is an integer product
+over lcm(1..n)^weight, and one rational is formed per sum.
 
 The damping weights are plain integers from ``math.comb``: C(n,k) for the
 small companion, and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) for the big one,
 whose shared denominator C(2n,n) the companion pass applies once per sum.
+The companion pass and the exact checks in ``families`` add their terms with
+``_lcm_sum``: one integer sum over the lcm of the term denominators, reduced
+once by the caller.
 
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from starsum.index_core import SignedIndex, as_index, as_int
 
@@ -118,6 +123,14 @@ def memo_stats() -> dict:
         "t_lists": len(_lists) - h_lists,
         "limit": _MEMO_LIMIT,
     }
+
+
+def _lcm_sum(terms: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
+    """(N, D) with N/D the sum of the fractions num/den of the (num, den)
+    pairs in terms and D the lcm of the den: one integer sum, not reduced."""
+    terms = list(terms)
+    denom = lcm(*(den for _, den in terms))
+    return sum(num * (denom // den) for num, den in terms), denom
 
 
 def _term(part: int, k: int, numerator: int = 1):
@@ -256,13 +269,12 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
         raise ValueError("coeff_base must be >= 1, got %d" % coeff_base)
     tvals = _ensure(base.parts, 1, coeff_base, n)
     deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
-    denom = lcm(*(delta.denominator for delta in deltas))
     if companion == "big":
         weights = [comb(2 * n, n - k) for k in range(1, n + 1)]
     else:
         weights = [comb(n, k) for k in range(1, n + 1)]
-    total = sum(w * delta.numerator * (denom // delta.denominator)
-                for w, delta in zip(weights, deltas))
+    total, denom = _lcm_sum((w * delta.numerator, delta.denominator)
+                            for w, delta in zip(weights, deltas))
     if companion == "big":
         denom *= comb(2 * n, n)
     return _Q(global_sign * total, denom)
@@ -277,6 +289,10 @@ _ORACLE_DEPTH_MAX = 5
 
 
 def _oracle(n: int, s, star: bool) -> "rational":
+    """Sum over every chain of n >= k_1 > ... > k_m >= 1 (>= when star) of
+    prod sgn(s_i)^k_i / k_i^|s_i|.  With L = lcm(1..n) each term is the
+    integer prod sgn(s_i)^k_i (L/k_i)^|s_i| over L^weight(s), so the chains
+    are summed as integers and one rational is formed at the end."""
     n = as_int("n", n)
     s = as_index(s)
     if n < 0:
@@ -289,14 +305,19 @@ def _oracle(n: int, s, star: bool) -> "rational":
     # chains come out ascending; an empty index has the one empty chain
     chains = (itertools.combinations_with_replacement if star
               else itertools.combinations)(range(1, n + 1), s.depth())
-    total = _Q(0)
+    scale = lcm(*range(1, n + 1))  # L
+    # rows[i][k] = sgn(s_i)^k (L/k)^|s_i|; index 0 is never read
+    rows = [[0] + [(-1 if part < 0 and k % 2 else 1)
+                   * (scale // k) ** abs(part) for k in range(1, n + 1)]
+            for part in s.parts]
+    total = 0
     for chain in chains:
-        term = _Q(1)
+        term = 1
         # pair the largest k with the first part
-        for part, k in zip(s.parts, reversed(chain)):
-            term *= _term(part, k)
+        for row, k in zip(rows, reversed(chain)):
+            term *= row[k]
         total += term
-    return total
+    return _Q(total, scale ** s.weight())
 
 
 def mhs_oracle(n: int, s) -> "rational":

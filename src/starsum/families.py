@@ -5,7 +5,10 @@ signed comma-or-merge expansion of a short base index, evaluated through one
 of the two damped companion sums.  This module constructs both sides from a
 parameter tuple, verifies instances and whole parameter sweeps as exact
 rationals, and also hosts the binomial-kernel identities and small closed
-forms used as independent cross-checks.
+forms used as independent cross-checks.  Each kernel sum and each closed-form
+sum is summed as written, as integers over the lcm of its term denominators
+(exact_eval._lcm_sum), and reduced once; none of them is rewritten through
+the engine's own binomial identities.
 
 The families are declared once, in FAMILY_TABLE, one row each (see Family);
 a new family is one new row.  Slot lengths, r inference, validation, the
@@ -24,6 +27,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
+    _lcm_sum,
     mhs,
     mhs_star,
     mollified_big,
@@ -482,14 +486,22 @@ def _kernel_row(kind: str, m: int, n: int) -> List[int]:
 
 def _kernel_sum(v_parts: Tuple[int, ...], expo: int, row: List[int], n: int):
     # sum_{k=1..n} H_{k-1}(v) K_{n,k} / k^expo; expo = -1 gives the k-weighted
-    # form that appears on the right of the two difference identities
-    total = rational(0)
+    # form that appears on the right of the two difference identities.  The
+    # terms H.num K[k] k^-expo / H.den are added as integers over the lcm of
+    # their denominators, and the sum is reduced once.
+    v = SignedIndex(v_parts)
+    terms = []
     for k in range(1, n + 1):
-        h = mhs(k - 1, v_parts) if v_parts else rational(1)
+        h = mhs(k - 1, v) if v_parts else 1
         if h == 0:
             continue
-        total += h * row[k] / rational(k) ** expo
-    return total
+        num, den = h.numerator * row[k], h.denominator
+        if expo < 0:
+            num *= k ** -expo
+        else:
+            den *= k ** expo
+        terms.append((num, den))
+    return rational(*_lcm_sum(terms))
 
 
 def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
@@ -556,10 +568,8 @@ def check_ones_bar_one(a: int, n: int) -> bool:
     if a < 0 or n < 1:
         raise ValueError("need a >= 0 and n >= 1")
     lhs = mhs_star(n, (1,) * a + (-1,))
-    rhs = rational(0)
-    for k in range(1, n + 1):
-        term = rational((2 ** k - 1) * comb(n, k), k ** (a + 1))
-        rhs += -term if k % 2 else term
+    rhs = rational(*_lcm_sum(((-1) ** k * (2 ** k - 1) * comb(n, k),
+                              k ** (a + 1)) for k in range(1, n + 1)))
     return lhs == rhs
 
 
@@ -567,9 +577,8 @@ def check_tail_weight_sum(l: int, n: int) -> bool:
     """2 sum_{k=l+1}^n k C(n,k)/C(n+k,k) against both closed forms."""
     if not 0 <= l < n:
         raise ValueError("need 0 <= l < n")
-    total = rational(0)
-    for k in range(l + 1, n + 1):
-        total += rational(2 * k * comb(n, k), comb(n + k, k))
+    total = rational(*_lcm_sum((2 * k * comb(n, k), comb(n + k, k))
+                               for k in range(l + 1, n + 1)))
     first = rational(n * comb(n - 1, l), comb(n + l, l))
     second = rational((n - l) * comb(n, l), comb(n + l, l))
     return total == first and total == second
@@ -581,9 +590,8 @@ def check_geometric_sum(a: int, k: int, n: int) -> bool:
         raise ValueError("need a >= 0")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    total = rational(0)
-    for l in range(a + 1):
-        total += rational(n ** (2 * l), k ** (2 * l))
+    total = rational(*_lcm_sum((n ** (2 * l), k ** (2 * l))
+                               for l in range(a + 1)))
     closed = rational(n ** (2 * a + 2) - k ** (2 * a + 2),
                       k ** (2 * a) * (n - k) * (n + k))
     return total == closed

@@ -3,10 +3,11 @@
 Criterion 1 sweeps roughly 580k exact cells and dominates the runtime of the
 whole suite.  The whole suite took 136 s on one core with gmpy2, measured
 before the companion pass became one integer sum; with the pure-Python
-fractions backend and mpmath's pure-Python backend it took 335-377 s on
-a 2-core VM with Python 3.11.  Setting STARSUM_NIGHTLY=1 additionally re-runs
-the two pair-run families at the widened grid (run lengths up to 5, n up to
-100).
+fractions backend and mpmath's pure-Python backend it took 164 s on a 2-core
+VM with Python 3.11, 150 s of it in criterion 1 (198 s, run side by side,
+before the kernel sums and the oracles became integer sums).  Setting
+STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the
+widened grid (run lengths up to 5, n up to 100).
 """
 
 import itertools

@@ -236,6 +236,10 @@ class TestSuites:
         assert report["summary"]["failed"] == 0
         assert report["summary"]["items"] == 12
         assert report["config"]["seed"] == 3
+        # only the shift form (i, iii) has a c to echo
+        for item in report["items"]:
+            params = item["params"]
+            assert ("c" in params) == (params["variant"] in ("i", "iii"))
 
     def test_paper_examples(self, capsys):
         code, out, _ = run_cli(capsys, "suite", "--suite", "paper-examples",
@@ -265,7 +269,7 @@ class TestReportBytes:
         (("suite", "--suite", "middlestep", "--format", "json"),
          "85efbac083104d93a12270e3bf716625acf74b1945cbcebe0cd4e19a234ec832"),
         (("suite", "--suite", "lemma31", "--format", "json"),
-         "ee96a83a83043dc122802e107827709558eb8cf8569b0781c71a95ca2534d26c"),
+         "ea9bc19e0125fad289a8518d8d963265b2a5ca01fcfdfa7b6f30cc858b0f5fb7"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1"),
          "970a10de8ebfd54359e5ffbf87b8cdad288eb45f283ce2218c15375dd7206168"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",

@@ -58,6 +58,47 @@ class TestOracleAgreement:
     def test_star_matches_oracle(self, n, parts):
         assert ee.mhs_star(n, parts) == ee.mhs_star_oracle(n, parts)
 
+    def test_oracle_edge_values(self):
+        # hand-computed from the definitions
+        assert ee.mhs_oracle(0, (2,)) == 0
+        assert ee.mhs_star_oracle(0, (-1,)) == 0
+        assert ee.mhs_oracle(0, ()) == ee.mhs_star_oracle(0, ()) == 1
+        assert ee.mhs_oracle(4, ()) == ee.mhs_star_oracle(4, ()) == 1
+        # n < depth: no strict chain, one weak chain 1 >= 1 >= 1
+        assert ee.mhs_oracle(2, (1, 1, 1)) == 0
+        assert ee.mhs_star_oracle(1, (2, 1, 3)) == 1
+        # a negative part contributes -1/k^|a| at odd k
+        assert ee.mhs_oracle(1, (-1,)) == -1
+        assert ee.mhs_oracle(3, (-2,)) == ee.rational(-31, 36)  # -1+1/4-1/9
+        # (2,1), (3,1), (3,2): 1/2 - 1/3 - 1/12 and -1/4 - 1/9 + 1/18
+        assert ee.mhs_oracle(3, (-1, 2)) == ee.rational(1, 12)
+        assert ee.mhs_oracle(3, (2, -1)) == ee.rational(-11, 36)
+        # (1,1), (2,1), (2,2): 1 - 1/2 + 1/4
+        assert ee.mhs_star_oracle(2, (-1, -1)) == ee.rational(3, 4)
+
+    def test_oracle_shares_no_code_with_the_engine(self, monkeypatch):
+        rng = random.Random(11)
+        cases = [(rng.randint(0, 9),
+                  tuple(rng.choice((-3, -2, -1, 1, 2, 3))
+                        for _ in range(rng.randint(1, 3))))
+                 for _ in range(30)]
+        expected = [(ee.mhs_oracle(n, s), ee.mhs_star_oracle(n, s))
+                    for n, s in cases]
+        engine = [ee.mhs(n, s) for n, s in cases]
+        # a wrong per-term value must move the recurrence and only it
+        monkeypatch.setattr(ee, "_term", lambda part, k, numerator=1:
+                            ee.rational(numerator, k ** abs(part) + 1))
+        ee.clear_memo()
+        try:
+            assert [(ee.mhs_oracle(n, s), ee.mhs_star_oracle(n, s))
+                    for n, s in cases] == expected
+            moved = [ee.mhs(n, s) != value
+                     for (n, s), value in zip(cases, engine)]
+            # every case with a nonzero sum moves
+            assert moved == [n >= len(s) for n, s in cases]
+        finally:
+            ee.clear_memo()
+
     def test_oracle_guards(self):
         with pytest.raises(ValueError):
             ee.mhs_oracle(100, (2,))

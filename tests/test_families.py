@@ -655,10 +655,28 @@ class TestClosedFormChecks:
             for n in (1, 2, 7, 25):
                 assert check_ones_bar_one(a, n)
 
+    def test_ones_bar_one_perturbed_fails(self, monkeypatch):
+        # negative control: the closed form must be compared with H*_n
+        monkeypatch.setattr("starsum.families.mhs_star",
+                            lambda n, s: mhs_star(n, s) + rational(1, n + 2))
+        for a in range(3):
+            for n in (1, 2, 7):
+                assert check_ones_bar_one(a, n) is False
+
     def test_tail_weight_sum_grid(self):
         for n in (1, 2, 9, 30):
             for l in range(n):
                 assert check_tail_weight_sum(l, n)
+
+    def test_tail_weight_sum_perturbed_fails(self, monkeypatch):
+        # negative control: with every binomial off by one, the sum must
+        # miss its closed forms, not only the forms each other (they still
+        # agree at l = 0)
+        monkeypatch.setattr("starsum.families.comb",
+                            lambda n, k: comb(n, k) + 1)
+        for n in (1, 2, 9):
+            for l in range(n):
+                assert check_tail_weight_sum(l, n) is False
 
     def test_geometric_sum_grid(self):
         for a in range(5):
