@@ -7,7 +7,8 @@ n -> infinity limit form numerically, and ``suite`` bundles the canned check
 sets.  Reports use one schema everywhere: a ``command`` echo, the effective
 ``config``, an ``items`` list and a ``summary``; formats are text (default),
 json and csv.  Exit code 0 means every item passed, 1 means some item
-failed, 2 means the invocation itself was invalid.
+failed, 2 means the invocation itself was invalid (a --tol that is not
+finite and positive, or that the limit evaluator cannot certify, included).
 
 Reports are byte-identical across runs for the same arguments: randomized
 grids are seeded (--seed, default 0) and per-item timings are zeroed unless
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -46,8 +48,9 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self):
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite, got %r"
+                             % (self.tol,))
 
     def as_dict(self) -> dict:
         out = {"format": self.fmt, "seed": self.seed, "timings": self.timings}
@@ -407,7 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_normalize_argv(list(argv)))
     try:
         return args.handler(args, sys.stdout)
-    except ValueError as exc:
+    except (ValueError, zn.EvaluationError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -417,6 +417,7 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     cells are omitted (the summary still counts them), which is how the full
     acceptance grid stays within memory.
     """
+    n_max = as_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     specs = list(_grid_specs(family, param_ranges))
@@ -524,6 +525,7 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     """
     if variant not in LEMMA31:
         raise ValueError("variant must be one of 'i', 'ii', 'iii', 'iv'")
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     m, a, c, v = kp.m, kp.a, kp.c, kp.v.parts
@@ -565,6 +567,7 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
 
 def check_ones_bar_one(a: int, n: int) -> bool:
     """H*_n({1}^a, -1) against its alternating binomial closed form."""
+    a, n = as_int("a", a), as_int("n", n)
     if a < 0 or n < 1:
         raise ValueError("need a >= 0 and n >= 1")
     lhs = mhs_star(n, (1,) * a + (-1,))
@@ -575,6 +578,7 @@ def check_ones_bar_one(a: int, n: int) -> bool:
 
 def check_tail_weight_sum(l: int, n: int) -> bool:
     """2 sum_{k=l+1}^n k C(n,k)/C(n+k,k) against both closed forms."""
+    l, n = as_int("l", l), as_int("n", n)
     if not 0 <= l < n:
         raise ValueError("need 0 <= l < n")
     total = rational(*_lcm_sum((2 * k * comb(n, k), comb(n + k, k))
@@ -586,6 +590,7 @@ def check_tail_weight_sum(l: int, n: int) -> bool:
 
 def check_geometric_sum(a: int, k: int, n: int) -> bool:
     """sum_{l=0}^a (n/k)^{2l} against its telescoped rational form."""
+    a, k, n = as_int("a", a), as_int("k", k), as_int("n", n)
     if a < 0:
         raise ValueError("need a >= 0")
     if not 1 <= k < n:

@@ -15,15 +15,21 @@ The level expansions are exact rational series, memoized per prefix of the
 index: the expansion of level i depends only on the first i parts, the
 descent kind and the expansion cap, and every comma-or-merge image of one
 base has the same weight, hence the same cap, so the images share the
-levels of their common prefixes.  The backward recurrences run on
-fixed-point integers at mp.prec + 32 bits: each seed is its exact expansion
-rounded once, the signed weights sgn^k * k^-|a| are rounded rows cached per
-part, seed and precision, each step adds (w * u) >> bits, and the result is
-rounded once to an mpf.  The kernel's rounding error has a proven bound,
-about levels * N * (1 + ln N)^(levels-1) * 2^-(mp.prec+32) (see
-_chain_value), which is added to the doubling estimate; the sum is the
-achieved error that NumericValue.error carries.  clear_value_cache()
-empties these caches along with the value cache, which keeps at most
+levels of their common prefixes.  A level takes the one below to its tail
+sums term by term in closed form: the Euler-Maclaurin coefficients of
+sum_{k>m} k^-e and the Boole coefficients of sum_{k>m} (-1)^k k^-e are
+Bernoulli numbers times binomials, read from one cached integer weight row
+per cap.
+
+The backward recurrences run on fixed-point integers at mp.prec + 32 bits:
+each seed is its exact expansion rounded once, the signed weights
+sgn^k * k^-|a| are rounded rows cached per part, seed and precision, each
+step adds (w * u) >> bits, and the result is rounded once to an mpf.  The
+kernel's rounding error has a proven bound, about
+levels * N * (1 + ln N)^(levels-1) * 2^-(mp.prec+32) (see _chain_value),
+which is added to the doubling estimate; the sum is the achieved error that
+NumericValue.error carries.  clear_value_cache() empties the weight, level
+and row caches along with the value cache, which keeps at most
 _VALUE_CACHE_LIMIT values and evicts the oldest first.
 
 zeta and zeta_star are one evaluator keyed by the descent kind.  Two
@@ -108,10 +114,8 @@ def beta_coeff(n: int) -> Fraction:
 # Symbolic 1/m expansions (plain component P, alternating component A)
 # ---------------------------------------------------------------------------
 
-# A series is a dict {exponent: Fraction} standing for sum c_e * m**(-e); a
-# row lists the nonzero (exponent, coefficient) pairs of one in ascending order.
+# A series is a dict {exponent: Fraction} standing for sum c_e * m**(-e).
 _Series = Dict[int, Fraction]
-_Row = List[Tuple[int, Fraction]]
 
 
 def _series_shift(series: _Series, delta: int, cap: int) -> _Series:
@@ -139,79 +143,57 @@ def _series_reexpand(series: _Series, cap: int) -> _Series:
     return {e: Fraction(v, den) for e, v in out.items()}
 
 
-def _dot(coeffs: Sequence[Fraction], weights: Sequence[int]) -> Fraction:
-    """Exact sum of c * w over the pairs, reduced once over a common
-    denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return Fraction(sum(c.numerator * (den // c.denominator) * w
-                        for c, w in zip(coeffs, weights)), den)
+@lru_cache(maxsize=64)
+def _tail_weights(cap: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(den, plain, alt): the tail weights through cap as integers over den.
 
-
-# Coefficient rows of the two single-sum tails, one per exponent j.  The
-# order-by-order solutions never look ahead, so a row grown for one cap is a
-# prefix of the row for any larger cap.
-_PSI_ROWS: Dict[int, List[Fraction]] = {}
-_PHI_ROWS: Dict[int, List[Fraction]] = {}
-
-
-def _psi_series(j: int, cap: int) -> _Row:
-    """Expansion of sum_{k>m} k^(-j) in 1/m, j >= 2, exponents j-1 .. cap.
-
-    Coefficients solve the exact functional equation
-    psi(m-1) - psi(m) = m^(-j) order by order; this reproduces the
-    Euler-Maclaurin series without tracking its sign conventions by hand.
+    plain[j] = den * B_j for j = 0..cap, and alt[t] = den * (2^(t+1) - 1)
+    * B_(t+1) / (t+1) for t = 0..cap-1, with B_1 = -1/2.
     """
-    if j < 2:
-        raise ValueError("plain tail needs exponent >= 2, got %d" % j)
-    b = _PSI_ROWS.setdefault(j, [])  # b[i] is the coefficient of m^-(j-1+i)
-    for u in range(len(b), cap - j + 2):
-        acc = _dot(b, [comb(j + u - 1, u - r) for r in range(-1, u - 1)])
-        b.append((Fraction(1 if u == 0 else 0) - acc) / (j + u - 1))
-    return [(j - 1 + i, c) for i, c in enumerate(b[:cap - j + 2]) if c]
-
-
-def _phi_series(j: int, cap: int) -> _Row:
-    """Expansion of phi_j(m) = sum_{i>=1} (-1)^(i-1) (m+i)^(-j), j >= 1.
-
-    Solves phi(m-1) + phi(m) = m^(-j) order by order; the tail identity
-    sum_{k>m} (-1)^k k^(-j) = (-1)^m * (-phi_j(m)) hooks it into the
-    alternating component.
-    """
-    if j < 1:
-        raise ValueError("alternating tail needs exponent >= 1, got %d" % j)
-    c = _PHI_ROWS.setdefault(j, [Fraction(1, 2)])  # c[u]: m^-(j+u)
-    for u in range(len(c), cap - j + 1):
-        acc = _dot(c, [comb(j + u - 1, u - r) for r in range(0, u)])
-        c.append(-acc / 2)
-    return [(j + u, v) for u, v in enumerate(c[:cap - j + 1]) if v]
-
-
-def _combine(terms: List[Tuple[Fraction, _Row]]) -> _Series:
-    """Sum of scale * row over the (scale, row) terms, as a series.
-
-    The sums are kept as integers over one common denominator, so each
-    coefficient is reduced once; zero coefficients are dropped.
-    """
-    scale_den = lcm(*(scale.denominator for scale, _ in terms))
-    row_den = lcm(*(c.denominator for _, row in terms for _, c in row))
-    acc: Dict[int, int] = {}
-    for scale, row in terms:
-        factor = scale.numerator * (scale_den // scale.denominator)
-        for e, c in row:
-            acc[e] = acc.get(e, 0) + (factor * c.numerator
-                                      * (row_den // c.denominator))
-    den = scale_den * row_den
-    return {e: Fraction(v, den) for e, v in acc.items() if v}
+    bern = [Fraction(*mp.bernfrac(j)) for j in range(cap + 1)]
+    boole = [(2 ** (t + 1) - 1) * bern[t + 1] / (t + 1) for t in range(cap)]
+    den = lcm(*(w.denominator for w in bern + boole))
+    return (den,
+            tuple(w.numerator * (den // w.denominator) for w in bern),
+            tuple(w.numerator * (den // w.denominator) for w in boole))
 
 
 def _tail_sum(plain: _Series, alt: _Series, cap: int) -> Tuple[_Series, _Series]:
-    """Apply sum_{k>m} to a per-term series P(k) + (-1)^k A(k)."""
+    """Apply sum_{k>m} to a per-term series P(k) + (-1)^k A(k).
+
+    Each term goes to its tail in closed form, through exponent cap:
+    sum_{k>m} k^-e = sum_E C(E, e-1) B_(E+1-e) / E * m^-E for E >= e-1
+    (Euler-Maclaurin), and sum_{k>m} (-1)^k k^-e = (-1)^m sum_t
+    (2^(t+1) - 1) B_(t+1) / (t+1) * C(e+t-1, t) * m^-(e+t) for t >= 0
+    (Boole).  Each output coefficient is an integer sum over one common
+    denominator, reduced once; zero coefficients are dropped.
+    """
     for e, c in plain.items():
         if c and e < 2:
             raise ValueError("divergent plain tail at exponent %d" % e)
-    return (
-        _combine([(c, _psi_series(e, cap)) for e, c in plain.items() if c]),
-        _combine([(-c, _phi_series(e, cap)) for e, c in alt.items() if c]))
+    den, bern, boole = _tail_weights(cap)
+    p_den = lcm(*(c.denominator for c in plain.values() if c))
+    acc: Dict[int, int] = {}
+    for e, c in plain.items():
+        if not c:
+            continue
+        v = c.numerator * (p_den // c.denominator)
+        for j, b in enumerate(bern[:cap + 2 - e]):
+            if b:
+                big = e - 1 + j
+                acc[big] = acc.get(big, 0) + v * comb(big, e - 1) * b
+    plain_tail = {e: Fraction(v, p_den * den * e) for e, v in acc.items() if v}
+    a_den = lcm(*(c.denominator for c in alt.values() if c))
+    acc = {}
+    for e, c in alt.items():
+        if not c:
+            continue
+        v = c.numerator * (a_den // c.denominator)
+        for t, w in enumerate(boole[:cap - e + 1]):
+            if w:
+                acc[e + t] = acc.get(e + t, 0) + v * comb(e + t - 1, t) * w
+    alt_tail = {e: Fraction(v, a_den * den) for e, v in acc.items() if v}
+    return plain_tail, alt_tail
 
 
 @lru_cache(maxsize=1024)
@@ -220,8 +202,11 @@ def _chain_level(prefix: Tuple[int, ...], star: bool,
     """Expansion of the tail function of the last level of prefix.
 
     Grown from the level below, which is shared by every index that starts
-    with prefix[:-1] and has the same cap (all images of one base do).  The
-    returned dicts are shared: callers must not mutate them.
+    with prefix[:-1] and has the same cap (all images of one base do):
+    re-expanded at m-1 for a weak step, multiplied by the part's weight
+    k^-|a| (with (-1)^k swapping the components for a negative part), and
+    taken to its tail by _tail_sum.  The returned dicts are shared: callers
+    must not mutate them.
     """
     if len(prefix) > 1:
         plain, alt = _chain_level(prefix[:-1], star, cap)
@@ -315,11 +300,10 @@ _VALUE_CACHE_LIMIT = 1 << 16
 
 
 def clear_value_cache() -> None:
-    """Empty the value cache and the chain's expansion and power caches."""
+    """Empty the value cache and the chain's caches: the tail weights per
+    cap, the level expansions and the fixed-point weight rows."""
     _VALUE_CACHE.clear()
-    _PSI_ROWS.clear()
-    _PHI_ROWS.clear()
-    for cached in (_chain_level, _weight_row):
+    for cached in (_tail_weights, _chain_level, _weight_row):
         cached.cache_clear()
 
 
@@ -372,6 +356,7 @@ def mhs_float(n: int, s) -> float:
     roundoff (~1e-13 here) is far below every tail bound it is compared to.
     """
     parts = as_index(s).parts
+    n = as_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     level = [1.0] * (n + 1)
@@ -428,8 +413,8 @@ def _partial_eval(parts: Tuple[int, ...],
 def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
     """zeta (star False) or zeta_star (star True).  "chain" serves both,
     "partial" only zeta and "expand" only zeta_star."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     parts = as_index(s).parts
     if not parts:
         return NumericValue(mpf(1), tol, "empty index", 0.0)
@@ -613,6 +598,7 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
 
 def check_zlobin(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta*({2}^n) against -2 * zeta of the single bar argument 2n."""
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     each = tol / 3
@@ -623,6 +609,7 @@ def check_zlobin(n: int, tol: float = DEFAULT_TOL) -> dict:
 
 def check_three_n(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta({3}^n) against 8^n * zeta((-2,1)^n)."""
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     scale = 8 ** n
@@ -647,19 +634,26 @@ def _set_partitions(items: List[int]) -> Iterable[List[List[int]]]:
         yield [[head]] + partial
 
 
+def _even_zeta_coefficient(v: int) -> Fraction:
+    """zeta(v) / pi^|v| for one even nonzero argument v, exactly:
+    zeta(2j) / pi^(2j) = (-1)^(j+1) B_2j 2^(2j-1) / (2j)!, and the
+    alternating zeta(-2j) = -(1 - 2^(1-2j)) zeta(2j)."""
+    j = abs(v) // 2
+    plain = (Fraction(*mp.bernfrac(2 * j)) * (-1) ** (j + 1) * 2 ** (2 * j - 1)
+             / factorial(2 * j))
+    return plain if v > 0 else -(1 - Fraction(1, 2 ** (2 * j - 1))) * plain
+
+
 def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     """Full symmetrization of a depth-<=4 strict limit vs its partition form.
 
     Left side sums the strict limit over every permutation of the given even
-    nonzero arguments; the right side is the signed sum over set partitions
-    with (block size - 1)! weights and merged single arguments.  The ratio of
-    the left side to pi^weight is also pushed through rational recognition.
-
-    The left side gets tol / 2.  The right side's weights sum to depth!, and
-    each product of at most depth single-argument limits (each below 2 in
-    size) is taken at a tolerance that keeps its error near tol / 4; the
-    budget adds each product's error bound, grown factor by factor as in
-    _product_sum.
+    nonzero arguments, each at tol / (2 * permutations).  The right side is
+    the signed sum over set partitions, with (block size - 1)! weights, of
+    products of the single limits of the merged blocks.  Each of those is an
+    exact rational multiple of pi^|v|, so the right side is an exact
+    coefficient times pi^weight, and the left side is checked against it as
+    _against_pi_power does, with budget tol / 2.
     """
     parts = as_ints("args", args)
     depth = len(parts)
@@ -670,34 +664,17 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     perms = list(itertools.permutations(parts))
     lhs = _limit_sum(zeta, [(SignedIndex(perm), 1) for perm in perms],
                      tol / (2 * len(perms)))
-    weight = sum(abs(v) for v in parts)
-    each = tol / (2 * len(perms) * depth * 2 ** depth)
-    budget = tol / 2
-    with mp.workdps(_DPS):
-        rhs = mpf(0)
-        for partition in _set_partitions(list(range(depth))):
-            coeff = (-1) ** (depth - len(partition))
-            block_product, product_err = mpf(1), 0.0
-            for block in partition:
-                coeff *= factorial(len(block) - 1)
-                merged = parts[block[0]]
-                for pos in block[1:]:
-                    merged = oplus(merged, parts[pos])
-                value = zeta(SignedIndex((merged,)), each).value
-                product_err = (abs(float(block_product)) * each
-                               + abs(float(value)) * product_err
-                               + product_err * each)
-                block_product *= value
-            rhs += coeff * block_product
-            budget += abs(coeff) * product_err
-        ratio = lhs / mp.pi ** weight
-    return {
-        "args": list(parts),
-        **_compare(lhs, rhs, budget),
-        "pi_power": weight,
-        "ratio": _value_str(ratio),
-        **_recognition(ratio, tol),
-    }
+    coefficient = Fraction(0)
+    for partition in _set_partitions(list(range(depth))):
+        term = Fraction((-1) ** (depth - len(partition)))
+        for block in partition:
+            merged = parts[block[0]]
+            for pos in block[1:]:
+                merged = oplus(merged, parts[pos])
+            term *= factorial(len(block) - 1) * _even_zeta_coefficient(merged)
+        coefficient += term
+    return {"args": list(parts), **_against_pi_power(
+        lhs, coefficient, sum(abs(v) for v in parts), tol / 2, tol)}
 
 
 def _weak_compositions(total: int, slots: int) -> List[Tuple[int, ...]]:
@@ -728,6 +705,7 @@ def yamamoto_rhs(r: int, m: int) -> Fraction:
     (-1)^(j+k) sign, binomial interleavings and the 1/((2i+1)(4i+2j+1)!)
     kernel.
     """
+    r, m = as_int("r", r), as_int("m", m)
     if r < 1 or m < 0:
         raise ValueError("needs r >= 1, m >= 0")
     total = Fraction(0)
@@ -747,6 +725,7 @@ def yamamoto_rhs(r: int, m: int) -> Fraction:
 
 def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL) -> dict:
     """Composition sum of weak-descent limits vs the exact pi-power formula."""
+    r, m = as_int("r", r), as_int("m", m)
     coefficient = yamamoto_rhs(r, m)
     comps = _weak_compositions(m, 2 * r + 1)
     each = tol / (len(comps) + 1)
@@ -759,6 +738,7 @@ def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL) -> dict:
 
 def muneta_value(n: int) -> Fraction:
     """Exact coefficient of pi^(4n) for the weak-descent limit of (3,1)^n."""
+    n = as_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = Fraction(0)
@@ -775,6 +755,7 @@ def muneta_value(n: int) -> Fraction:
 
 def verify_muneta(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta*((3,1)^n) against the double-Bernoulli pi^(4n) closed form."""
+    n = as_int("n", n)
     coefficient = muneta_value(n)
     lhs = zeta_star(SignedIndex((3, 1) * n), tol / 2).value
     return {"n": n,

@@ -210,6 +210,21 @@ class TestVerifyMzsv:
         assert code == 2
         assert "no limit form" in err
 
+    @pytest.mark.parametrize("tol,message", [
+        ("nan", "tolerance must be positive and finite"),
+        ("inf", "tolerance must be positive and finite"),
+        ("0", "tolerance must be positive and finite"),
+        # finite and positive, but past what the chain can certify
+        ("1e-300", "could not certify tol=1e-300"),
+    ])
+    def test_bad_tol_is_a_usage_error(self, capsys, tol, message):
+        # nan ended in a traceback, inf printed PASS against an infinite
+        # budget, and 1e-300 ended in a traceback
+        code, out, err = run_cli(capsys, "verify-mzsv", "--family",
+                                 "two-one", "--a", "1", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
 
 class TestSuites:
     def test_middlestep(self, capsys):

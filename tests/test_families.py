@@ -49,6 +49,7 @@ from starsum.families import (
     rhs_value,
     rhs_value_expanded,
     verify_instance,
+    verify_sweep,
 )
 from starsum.index_core import (
     FormalSum,
@@ -694,6 +695,22 @@ class TestClosedFormChecks:
     ])
     def test_domain_errors(self, call):
         with pytest.raises(ValueError):
+            call()
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: check_ones_bar_one(1.5, 3), "a"),
+        (lambda: check_ones_bar_one(1, 3.0), "n"),
+        (lambda: check_tail_weight_sum(1.0, 3), "l"),
+        (lambda: check_tail_weight_sum(1, "3"), "n"),
+        (lambda: check_geometric_sum(0.5, 1, 2), "a"),
+        (lambda: check_geometric_sum(1, 1.0, 2), "k"),
+        (lambda: check_geometric_sum(1, 1, 2.5), "n"),
+        (lambda: check_lemma31("i", KernelParams(), 4.0), "n"),
+        (lambda: verify_sweep(TWO_ONE, {"a": (1,)}, 2.5), "n_max"),
+    ])
+    def test_non_integers_name_the_argument(self, call, name):
+        # each failed with an internal TypeError
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
             call()
 
 

@@ -117,6 +117,9 @@ class TestAnchors:
     def test_bad_tol_and_method(self):
         with pytest.raises(ValueError, match="tol must be positive"):
             zeta((2,), 0.0)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                zeta((2,), tol)
         with pytest.raises(ValueError, match="unknown method"):
             zeta((2,), method="newton")
         with pytest.raises(ValueError, match="unknown method"):
@@ -281,12 +284,67 @@ class TestValueDigest:
     def test_clear_empties_the_chain_caches(self):
         # a cold evaluation must recompute everything, as a new process does
         zeta_star((3, -2, 2), 1e-6)
-        cached = (zn._chain_level, zn._weight_row)
-        assert all(f.cache_info().currsize for f in cached)
-        assert zn._PSI_ROWS and zn._PHI_ROWS and zn._VALUE_CACHE
+        # every functools cache of the module, found as perfbench's cold()
+        # finds them, so that a new one cannot be missed by clear
+        cached = [f for f in vars(zn).values()
+                  if callable(getattr(f, "cache_clear", None))]
+        assert cached and all(f.cache_info().currsize for f in cached)
+        assert zn._VALUE_CACHE
         clear_value_cache()
         assert not any(f.cache_info().currsize for f in cached)
-        assert not zn._PSI_ROWS and not zn._PHI_ROWS and not zn._VALUE_CACHE
+        assert not zn._VALUE_CACHE
+
+
+def _random_series(rng, low, cap):
+    """A series of up to 6 random rational terms with exponents low..cap."""
+    exponents = rng.sample(range(low, cap + 1), min(6, cap + 1 - low))
+    return {e: Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                        rng.randint(1, 10 ** 4)) for e in exponents}
+
+
+def _tail_equations_hold(cases=300, seed=20261018):
+    """The defining equations of _tail_sum's outputs on seeded random input.
+
+    S = sum_{k>m} P(k) gives S(m-1) - S(m) = P(m), and the alternating
+    tail sum_{k>m} (-1)^k A(k) = (-1)^m Ahat(m) gives -Ahat(m-1) - Ahat(m)
+    = A(m); both are exact through exponent cap.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        cap = rng.randint(2, 90)
+        plain = _random_series(rng, 2, cap)
+        alt = _random_series(rng, 1, cap)
+        tail, alt_tail = zn._tail_sum(plain, alt, cap)
+        back = zn._series_reexpand(tail, cap)
+        diff = {e: back.get(e, 0) - tail.get(e, 0) for e in {*back, *tail}}
+        if {e: c for e, c in diff.items() if c} != plain:
+            return False
+        back = zn._series_reexpand(alt_tail, cap)
+        diff = {e: -back.get(e, 0) - alt_tail.get(e, 0)
+                for e in {*back, *alt_tail}}
+        if {e: c for e, c in diff.items() if c} != alt:
+            return False
+    return True
+
+
+class TestTailSums:
+    def test_functional_equations(self):
+        assert _tail_equations_hold()
+
+    def test_flipped_b1_fails(self, monkeypatch):
+        # negative control: the sign of B_1 = -1/2 in both weight rows
+        weights = zn._tail_weights
+
+        def flipped(cap):
+            den, plain, alt = weights(cap)
+            return (den, plain[:1] + (-plain[1],) + plain[2:],
+                    (-alt[0],) + alt[1:])
+        monkeypatch.setattr(zn, "_tail_weights", flipped)
+        assert not _tail_equations_hold(cases=5)
+
+    def test_divergent_plain_tail(self):
+        with pytest.raises(ValueError, match="divergent plain tail"):
+            zn._tail_sum({1: Fraction(1)}, {}, 10)
 
 
 class TestClosedForms:
@@ -525,6 +583,27 @@ class TestSymmetricSums:
         assert report["budget"] <= 1e-30
         assert report["recognition_ok"]
 
+    @pytest.mark.parametrize("args,coefficient", [
+        ((2, 2), "1/60"),
+        ((-2, -2), "-1/240"),
+        ((2, 2, 2), "1/840"),
+        ((2, -2, -4), "-1/103680"),
+        ((2, 4, 6, 8), "1/52934845713750"),
+        ((-4, 6, -2, 2), "-139/581188608000"),
+    ])
+    def test_exact_prediction(self, args, coefficient):
+        report = hoffman_symmetric_check(args)
+        assert report["rhs_coefficient"] == coefficient
+        assert report["within_tol"], report
+        assert report["budget"] == DEFAULT_TOL / 2
+
+    def test_prediction_past_the_recognition_cap(self):
+        # the ratio was "recognized" as 0 with recognition_ok true; its
+        # coefficient's denominator is past the 10^6 cap
+        report = hoffman_symmetric_check((2, 4, 6, 8), 1e-6)
+        assert report["within_tol"], report
+        assert report["recognition_ok"] is not True
+
     def test_argument_guards(self):
         with pytest.raises(ValueError, match="even and nonzero"):
             hoffman_symmetric_check((3, 2))
@@ -604,6 +683,23 @@ class TestPiPowerFormulas:
             yamamoto_rhs(0, 1)
         with pytest.raises(ValueError, match="nonnegative"):
             muneta_value(-1)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: mhs_float(3.0, (2,)), "n"),
+    (lambda: check_zlobin(1.5), "n"),
+    (lambda: check_three_n("1"), "n"),
+    (lambda: muneta_value(1.0), "n"),
+    (lambda: verify_muneta(1.5), "n"),
+    (lambda: yamamoto_rhs(1.0, 0), "r"),
+    (lambda: yamamoto_rhs(1, 0.5), "m"),
+    (lambda: verify_yamamoto(1.5, 0), "r"),
+    (lambda: verify_yamamoto(1, "0"), "m"),
+])
+def test_non_integers_name_the_argument(call, name):
+    # each failed with an internal TypeError
+    with pytest.raises(ValueError, match="^%s must be an integer" % name):
+        call()
 
 
 class TestPermutedRunSums:
