@@ -296,6 +296,8 @@ def _suite_paper_examples(args) -> List[dict]:
 
 
 def _cmd_suite(args, stream) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be >= 1")
     config = RunConfig("suite", tol=args.tol, fmt=args.format,
                        seed=args.seed, timings=args.timings)
     runner = {

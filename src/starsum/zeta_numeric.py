@@ -11,15 +11,17 @@ a doubling-based error estimate, which must fall below the requested
 tolerance.  That estimate is a heuristic, not a rigorous enclosure: it
 assumes the seed error shrinks when N doubles.
 
-The level expansions are exact rational series, memoized per prefix of the
-index: the expansion of level i depends only on the first i parts, the
-descent kind and the expansion cap, and every comma-or-merge image of one
-base has the same weight, hence the same cap, so the images share the
-levels of their common prefixes.  A level takes the one below to its tail
-sums term by term in closed form: the Euler-Maclaurin coefficients of
-sum_{k>m} k^-e and the Boole coefficients of sum_{k>m} (-1)^k k^-e are
-Bernoulli numbers times binomials, read from one cached integer weight row
-per cap.
+The level expansions are exact: each is one integer triple (den, plain,
+alt), coefficient rows for the exponents 0..cap over one denominator in
+lowest terms, memoized per prefix of the index.  The expansion of level i
+depends only on the first i parts, the descent kind and the expansion cap,
+and every comma-or-merge image of one base has the same weight, hence the
+same cap, so the images share the levels of their common prefixes.  A level
+takes the one below to its tail sums term by term in closed form: the
+Euler-Maclaurin coefficients of sum_{k>m} k^-e and the Boole coefficients
+of sum_{k>m} (-1)^k k^-e are Bernoulli numbers times binomials, read from
+one cached integer weight row per cap.  Each seed is one integer sum over
+den * m^cap.
 
 The backward recurrences run on fixed-point integers at mp.prec + 32 bits:
 each seed is its exact expansion rounded once, the signed weights
@@ -114,33 +116,23 @@ def beta_coeff(n: int) -> Fraction:
 # Symbolic 1/m expansions (plain component P, alternating component A)
 # ---------------------------------------------------------------------------
 
-# A series is a dict {exponent: Fraction} standing for sum c_e * m**(-e).
-_Series = Dict[int, Fraction]
+# A level is an integer triple (den, plain, alt) standing for
+# sum_e (plain[e] + (-1)^m alt[e]) / den * m^-e over exponents e = 0..cap.
+_Level = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
-def _series_shift(series: _Series, delta: int, cap: int) -> _Series:
-    return {e + delta: c for e, c in series.items() if e + delta <= cap and c}
-
-
-def _series_reexpand(series: _Series, cap: int) -> _Series:
-    """Rewrite a series in 1/(m-1) as a series in 1/m.
+def _series_reexpand(row: Sequence[int], cap: int) -> List[int]:
+    """Rewrite a row in 1/(m-1) as a row in 1/m, over the same denominator.
 
     Uses (m-1)^(-e) = sum_t C(e+t-1, t) m^(-e-t); the constant term passes
-    through unchanged.  Sums are integers over the input's common
-    denominator, each reduced once at the end.
+    through unchanged.
     """
-    den = lcm(*(c.denominator for c in series.values() if c))
-    out: Dict[int, int] = {}
-    for e, c in series.items():
-        if not c:
-            continue
-        v = c.numerator * (den // c.denominator)
-        if e == 0:
-            out[0] = out.get(0, 0) + v
-            continue
-        for t in range(0, cap - e + 1):
-            out[e + t] = out.get(e + t, 0) + v * comb(e + t - 1, t)
-    return {e: Fraction(v, den) for e, v in out.items()}
+    out = [row[0]] + [0] * cap
+    for e in range(1, cap + 1):
+        if row[e]:
+            for t in range(cap - e + 1):
+                out[e + t] += row[e] * comb(e + t - 1, t)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -158,70 +150,70 @@ def _tail_weights(cap: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
             tuple(w.numerator * (den // w.denominator) for w in boole))
 
 
-def _tail_sum(plain: _Series, alt: _Series, cap: int) -> Tuple[_Series, _Series]:
-    """Apply sum_{k>m} to a per-term series P(k) + (-1)^k A(k).
+def _tail_sum(den: int, plain: Sequence[int], alt: Sequence[int],
+              cap: int) -> _Level:
+    """Apply sum_{k>m} to a per-term row P(k) + (-1)^k A(k) over den.
 
     Each term goes to its tail in closed form, through exponent cap:
-    sum_{k>m} k^-e = sum_E C(E, e-1) B_(E+1-e) / E * m^-E for E >= e-1
-    (Euler-Maclaurin), and sum_{k>m} (-1)^k k^-e = (-1)^m sum_t
-    (2^(t+1) - 1) B_(t+1) / (t+1) * C(e+t-1, t) * m^-(e+t) for t >= 0
-    (Boole).  Each output coefficient is an integer sum over one common
-    denominator, reduced once; zero coefficients are dropped.
+    sum_{k>m} k^-e = sum_E C(E-1, e-2) B_(E+1-e) / (e-1) * m^-E for
+    E >= e-1 (Euler-Maclaurin; C(E, e-1) / E = C(E-1, e-2) / (e-1) moves
+    the division to the input exponent), and sum_{k>m} (-1)^k k^-e = (-1)^m
+    sum_t (2^(t+1) - 1) B_(t+1) / (t+1) * C(e+t-1, t) * m^-(e+t) for t >= 0
+    (Boole).  The output is over den times the weight denominator times
+    L = lcm(1..cap), reduced once to lowest terms.
     """
-    for e, c in plain.items():
-        if c and e < 2:
+    for e in (0, 1):
+        if plain[e]:
             raise ValueError("divergent plain tail at exponent %d" % e)
-    den, bern, boole = _tail_weights(cap)
-    p_den = lcm(*(c.denominator for c in plain.values() if c))
-    acc: Dict[int, int] = {}
-    for e, c in plain.items():
-        if not c:
-            continue
-        v = c.numerator * (p_den // c.denominator)
-        for j, b in enumerate(bern[:cap + 2 - e]):
-            if b:
-                big = e - 1 + j
-                acc[big] = acc.get(big, 0) + v * comb(big, e - 1) * b
-    plain_tail = {e: Fraction(v, p_den * den * e) for e, v in acc.items() if v}
-    a_den = lcm(*(c.denominator for c in alt.values() if c))
-    acc = {}
-    for e, c in alt.items():
-        if not c:
-            continue
-        v = c.numerator * (a_den // c.denominator)
-        for t, w in enumerate(boole[:cap - e + 1]):
-            if w:
-                acc[e + t] = acc.get(e + t, 0) + v * comb(e + t - 1, t) * w
-    alt_tail = {e: Fraction(v, a_den * den) for e, v in acc.items() if v}
-    return plain_tail, alt_tail
+    if alt[0]:
+        raise ValueError("divergent alternating tail at exponent 0")
+    w_den, bern, boole = _tail_weights(cap)
+    big_l = lcm(*range(1, cap + 1))
+    plain_tail = [0] * (cap + 1)
+    for e in range(2, cap + 1):
+        v = plain[e] * (big_l // (e - 1))
+        if v:
+            for j, b in enumerate(bern[:cap + 2 - e]):
+                if b:
+                    plain_tail[e - 1 + j] += v * comb(e - 2 + j, j) * b
+    alt_tail = [0] * (cap + 1)
+    for e in range(1, cap + 1):
+        v = alt[e] * big_l
+        if v:
+            for t, w in enumerate(boole[:cap + 1 - e]):
+                if w:
+                    alt_tail[e + t] += v * comb(e - 1 + t, t) * w
+    den *= w_den * big_l
+    g = math.gcd(den, *plain_tail, *alt_tail)
+    return (den // g, tuple(c // g for c in plain_tail),
+            tuple(c // g for c in alt_tail))
 
 
 @lru_cache(maxsize=1024)
-def _chain_level(prefix: Tuple[int, ...], star: bool,
-                 cap: int) -> Tuple[_Series, _Series]:
-    """Expansion of the tail function of the last level of prefix.
+def _chain_level(prefix: Tuple[int, ...], star: bool, cap: int) -> _Level:
+    """Expansion of the tail function of the last level of prefix, as an
+    integer triple (den, plain, alt) in lowest terms.
 
     Grown from the level below, which is shared by every index that starts
     with prefix[:-1] and has the same cap (all images of one base do):
     re-expanded at m-1 for a weak step, multiplied by the part's weight
     k^-|a| (with (-1)^k swapping the components for a negative part), and
-    taken to its tail by _tail_sum.  The returned dicts are shared: callers
-    must not mutate them.
+    taken to its tail by _tail_sum.
     """
     if len(prefix) > 1:
-        plain, alt = _chain_level(prefix[:-1], star, cap)
+        den, plain, alt = _chain_level(prefix[:-1], star, cap)
     else:
-        plain, alt = {0: Fraction(1)}, {}
+        den, plain, alt = 1, (1,) + (0,) * cap, (0,) * (cap + 1)
     if star:
         plain = _series_reexpand(plain, cap)
-        alt = {e: -c for e, c in _series_reexpand(alt, cap).items()}
+        alt = [-c for c in _series_reexpand(alt, cap)]
     part = prefix[-1]
     a = abs(part)
-    if part > 0:
-        plain, alt = _series_shift(plain, a, cap), _series_shift(alt, a, cap)
-    else:
-        plain, alt = _series_shift(alt, a, cap), _series_shift(plain, a, cap)
-    return _tail_sum(plain, alt, cap)
+    if part < 0:
+        plain, alt = alt, plain
+    pad = (0,) * a
+    return _tail_sum(den, pad + tuple(plain[:cap + 1 - a]),
+                     pad + tuple(alt[:cap + 1 - a]), cap)
 
 
 # The backward recurrences run on fixed-point integers: an integer x stands
@@ -242,20 +234,19 @@ def _weight_row(part: int, n: int, bits: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def _seed(plain: _Series, alt: _Series, m: int, bits: int) -> int:
-    """P(m) + A(m) at an even m, summed exactly and rounded once to the
-    nearest multiple of 2^-bits."""
-    terms = list(plain.items()) + list(alt.items())
-    top = max(e for e, _ in terms)
-    den = lcm(*(c.denominator for _, c in terms))
-    num = sum(c.numerator * (den // c.denominator) * m ** (top - e)
-              for e, c in terms)
-    den *= m ** top
+def _seed(level: _Level, m: int, bits: int) -> int:
+    """P(m) + A(m) at an even m, summed exactly over den * m^cap and
+    rounded once to the nearest multiple of 2^-bits."""
+    den, plain, alt = level
+    num = 0
+    for p, q in zip(plain, alt):
+        num = num * m + p + q
+    den *= m ** (len(plain) - 1)
     return ((num << (bits + 1)) + den) // (2 * den)
 
 
 def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
-                 levels: Sequence[Tuple[_Series, _Series]]):
+                 levels: Sequence[_Level]):
     """Backward recurrences from the expansion seeds down to m = 0.
 
     seed_n must be even so the (-1)^m component enters with a fixed sign.
@@ -279,14 +270,14 @@ def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
     shift = 0 if star else 1
     prev = [1 << bits] * (seed_n + 1)
     err = 0.0  # E_i in units of eps
-    for (plain, alt), part in zip(levels, parts):
+    for level, part in zip(levels, parts):
         a = abs(part)
         size = math.ldexp(max(map(abs, prev)), -bits)
         gain = 1 + math.log(seed_n) if a == 1 else 1 + 1 / (a - 1)
         err = 0.5 + seed_n * (1 + size / 2) + gain * err
         row = _weight_row(part, seed_n, bits)
         steps = [(w * u) >> bits for w, u in zip(row, prev[shift:])]
-        seed = _seed(plain, alt, seed_n, bits)
+        seed = _seed(level, seed_n, bits)
         prev = list(itertools.accumulate(reversed(steps), initial=seed))
         prev.reverse()
     value = mp.make_mpf(from_man_exp(prev[0], -bits, prec, round_nearest))
@@ -502,13 +493,19 @@ def _value_str(v) -> str:
 # The comparison record shared by the limit checks
 # ---------------------------------------------------------------------------
 
+def _digits(tol: float) -> int:
+    """Working digits for summing and comparing limits at tolerance tol:
+    _DPS, or ten more than tol's decimal places when that is more."""
+    return max(_DPS, 10 - math.floor(math.log10(tol)))
+
+
 def _limit_sum(evaluate, terms, tol: float):
     """Sum of coeff * evaluate(idx, tol).value over (idx, coeff) terms.
 
-    Summed at _DPS in the order given.  A unit coefficient adds the value
-    as evaluated, without first rounding it to _DPS by a product.
+    Summed at _digits(tol) in the order given.  A unit coefficient adds the
+    value as evaluated, without first rounding it by a product.
     """
-    with mp.workdps(_DPS):
+    with mp.workdps(_digits(tol)):
         total = mpf(0)
         for idx, coeff in terms:
             value = evaluate(idx, tol).value
@@ -518,7 +515,7 @@ def _limit_sum(evaluate, terms, tol: float):
 
 def _compare(lhs, rhs, budget: float) -> dict:
     """Both sides, their distance and whether it is within the budget."""
-    with mp.workdps(_DPS):
+    with mp.workdps(_digits(budget)):
         diff = float(abs(lhs - rhs))
     return {
         "lhs": _value_str(lhs),
@@ -548,7 +545,7 @@ def _against_pi_power(lhs, coefficient: Fraction, power: int,
                       budget: float, tol: float) -> dict:
     """lhs against coefficient * pi^power, and lhs / pi^power recognized
     against the coefficient."""
-    with mp.workdps(_DPS):
+    with mp.workdps(_digits(budget)):
         pi_power = mp.pi ** power
         rhs = mpf(coefficient.numerator) / coefficient.denominator * pi_power
         ratio = lhs / pi_power
@@ -763,10 +760,10 @@ def verify_muneta(n: int, tol: float = DEFAULT_TOL) -> dict:
 
 
 def _product_sum(pairs, each: float, budget: float):
-    """Sum of zeta*(a) * zeta*(b) over index pairs (a, b) at _DPS, every
-    limit taken to tolerance each, and budget grown by each product's
+    """Sum of zeta*(a) * zeta*(b) over index pairs (a, b) at _digits(each),
+    every limit taken to tolerance each, and budget grown by each product's
     error bound."""
-    with mp.workdps(_DPS):
+    with mp.workdps(_digits(each)):
         total = mpf(0)
         for a, b in pairs:
             va = zeta_star(a, each).value
@@ -793,7 +790,7 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         each = tol / 8
         left_a = zeta_star(SignedIndex((2,) * n + (3,) + (2,) * m + (1,)), each)
         left_b = zeta_star(SignedIndex((2,) * m + (3,) + (2,) * n + (1,)), each)
-        with mp.workdps(_DPS):
+        with mp.workdps(_digits(each)):
             lhs = left_a.value + left_b.value
         pairs = [(SignedIndex((2,) * (n + 1)), SignedIndex((2,) * (m + 1)))]
         rhs, budget = _product_sum(pairs, each, 2 * each)
@@ -859,7 +856,7 @@ def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL) -> dict:
                                  tau[2 * r] + 1 if trailing else None), 1)
              for tau in perms]
     lhs = _limit_sum(zeta_star, terms, tol / (2 * len(perms)))
-    with mp.workdps(_DPS):
+    with mp.workdps(_digits(tol)):
         ratio = lhs / mp.pi ** power
     return {
         "part": part,

@@ -256,6 +256,15 @@ class TestSuites:
             params = item["params"]
             assert ("c" in params) == (params["variant"] in ("i", "iii"))
 
+    @pytest.mark.parametrize("suite", ["lemma31", "middlestep", "ittw"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_n_is_a_usage_error(self, capsys, suite, n):
+        # a run that checks nothing must not report success
+        code, out, err = run_cli(capsys, "suite", "--suite", suite, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n must be >= 1\n"
+
     def test_paper_examples(self, capsys):
         code, out, _ = run_cli(capsys, "suite", "--suite", "paper-examples",
                                "--format", "json")

@@ -5,7 +5,10 @@ that the evaluator is tested against an independent numeric source, not
 against itself.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from starsum import zeta_numeric as zn
+from starsum.cli import main
 from starsum.exact_eval import mhs, rational
 from starsum.families import (
     C21,
@@ -296,10 +300,12 @@ class TestValueDigest:
 
 
 def _random_series(rng, low, cap):
-    """A series of up to 6 random rational terms with exponents low..cap."""
+    """Up to 6 random rational terms with exponents low..cap, as a list
+    indexed by the exponent 0..cap."""
     exponents = rng.sample(range(low, cap + 1), min(6, cap + 1 - low))
-    return {e: Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                        rng.randint(1, 10 ** 4)) for e in exponents}
+    terms = {e: Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                         rng.randint(1, 10 ** 4)) for e in exponents}
+    return [terms.get(e, Fraction(0)) for e in range(cap + 1)]
 
 
 def _tail_equations_hold(cases=300, seed=20261018):
@@ -307,22 +313,24 @@ def _tail_equations_hold(cases=300, seed=20261018):
 
     S = sum_{k>m} P(k) gives S(m-1) - S(m) = P(m), and the alternating
     tail sum_{k>m} (-1)^k A(k) = (-1)^m Ahat(m) gives -Ahat(m-1) - Ahat(m)
-    = A(m); both are exact through exponent cap.
+    = A(m); both are exact through exponent cap.  The input rows go in as
+    integers over their common denominator.
     """
     rng = random.Random(seed)
     for _ in range(cases):
         cap = rng.randint(2, 90)
         plain = _random_series(rng, 2, cap)
         alt = _random_series(rng, 1, cap)
-        tail, alt_tail = zn._tail_sum(plain, alt, cap)
+        den = math.lcm(*(c.denominator for c in plain + alt))
+        out_den, tail, alt_tail = zn._tail_sum(
+            den, [int(c * den) for c in plain], [int(c * den) for c in alt],
+            cap)
         back = zn._series_reexpand(tail, cap)
-        diff = {e: back.get(e, 0) - tail.get(e, 0) for e in {*back, *tail}}
-        if {e: c for e, c in diff.items() if c} != plain:
+        if [Fraction(b - c, out_den) for b, c in zip(back, tail)] != plain:
             return False
         back = zn._series_reexpand(alt_tail, cap)
-        diff = {e: -back.get(e, 0) - alt_tail.get(e, 0)
-                for e in {*back, *alt_tail}}
-        if {e: c for e, c in diff.items() if c} != alt:
+        if [Fraction(-b - c, out_den)
+                for b, c in zip(back, alt_tail)] != alt:
             return False
     return True
 
@@ -343,8 +351,32 @@ class TestTailSums:
         assert not _tail_equations_hold(cases=5)
 
     def test_divergent_plain_tail(self):
+        zeros = (0,) * 11
         with pytest.raises(ValueError, match="divergent plain tail"):
-            zn._tail_sum({1: Fraction(1)}, {}, 10)
+            zn._tail_sum(1, (0, 1) + zeros[2:], zeros, 10)
+        with pytest.raises(ValueError, match="divergent alternating tail"):
+            zn._tail_sum(1, zeros, (1,) + zeros[1:], 10)
+
+    def test_levels_in_lowest_terms(self):
+        # every level of the seeded sample's indices, at both caps
+        rng = random.Random(20261020)
+        pool = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+        checked = 0
+        while checked < 200:
+            parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+            if parts[0] == 1:
+                continue
+            weight = sum(map(abs, parts))
+            for star in (False, True):
+                for cap in (weight + 20, weight + 32):
+                    for i in range(len(parts)):
+                        den, plain, alt = zn._chain_level(parts[:i + 1],
+                                                          star, cap)
+                        assert den > 0
+                        assert type(plain) is type(alt) is tuple
+                        assert len(plain) == len(alt) == cap + 1
+                        assert math.gcd(den, *plain, *alt) == 1
+                        checked += 1
 
 
 class TestClosedForms:
@@ -778,3 +810,34 @@ class TestVerdictsCanFail:
         moved = zeta_star((2, 2), method="expand").value
         # (2,2) expands to the two unit terms (2,2) and (4)
         assert abs(moved - plain - mpf("2e-3")) < 1e-20
+
+
+def _ittw_suite(tol):
+    """The within_tol verdicts of `starsum suite --suite ittw` at tol."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["suite", "--suite", "ittw", "--tol", repr(tol),
+              "--format", "json"])
+    return [item["within_tol"] for item in json.loads(out.getvalue())["items"]]
+
+
+class TestTightTolerance:
+    """Below 1e-50 the 70-digit chain still certifies each limit, so the
+    sums, comparisons and ratios must carry as many digits as the tolerance
+    asks for; at 50 digits their rounding alone exceeds the budget (or the
+    recognition window)."""
+
+    @pytest.mark.parametrize("check", [
+        lambda tol: [verify_mzsv_family(FamilySpec(TWO_ONE, a=(1, 1)), tol)
+                     ["within_tol"]],
+        lambda tol: [check_zlobin(2, tol)["within_tol"]],
+        lambda tol: [verify_muneta(1, tol)["within_tol"]],
+        lambda tol: [verify_yamamoto(1, 0, tol)["within_tol"]],
+        _ittw_suite,
+        lambda tol: [verify_theorem81("i", (1, 0), tol)["recognition_ok"]],
+    ], ids=["family", "zlobin", "muneta", "yamamoto", "ittw_suite",
+            "theorem81"])
+    def test_true_identities_pass_at_1e55(self, check):
+        clear_value_cache()
+        verdicts = check(1e-55)
+        assert verdicts and all(v is True for v in verdicts)
