@@ -296,6 +296,8 @@ def _suite_paper_examples(args) -> List[dict]:
 
 
 def _cmd_suite(args, stream) -> int:
+    if args.n is not None and args.suite == "paper-examples":
+        raise ValueError("--n does not apply to the paper-examples suite")
     if args.n is not None and args.n < 1:
         raise ValueError("--n must be >= 1")
     config = RunConfig("suite", tol=args.tol, fmt=args.format,
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--n", type=int, default=None,
                    help="size knob: max n (middlestep, ittw) or cases per "
-                        "variant (lemma31)")
+                        "variant (lemma31); refused by paper-examples")
     p.add_argument("--seed", type=int, default=0)
     _add_report_flags(p, with_tol=True)
     p.set_defaults(handler=_cmd_suite)

@@ -27,8 +27,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
+    _ensure,
     _lcm_sum,
-    mhs,
     mhs_star,
     mollified_big,
     mollified_small,
@@ -488,12 +488,12 @@ def _kernel_row(kind: str, m: int, n: int) -> List[int]:
 def _kernel_sum(v_parts: Tuple[int, ...], expo: int, row: List[int], n: int):
     # sum_{k=1..n} H_{k-1}(v) K_{n,k} / k^expo; expo = -1 gives the k-weighted
     # form that appears on the right of the two difference identities.  The
-    # terms H.num K[k] k^-expo / H.den are added as integers over the lcm of
-    # their denominators, and the sum is reduced once.
-    v = SignedIndex(v_parts)
+    # list H_0..H_{n-1}(v) is read once from the engine's memo; the terms
+    # H.num K[k] k^-expo / H.den are added as integers over the lcm of their
+    # denominators, and the sum is reduced once.
+    h_vals = _ensure(v_parts, 0, 1, n - 1) if v_parts else [1] * n
     terms = []
-    for k in range(1, n + 1):
-        h = mhs(k - 1, v) if v_parts else 1
+    for k, h in zip(range(1, n + 1), h_vals):
         if h == 0:
             continue
         num, den = h.numerator * row[k], h.denominator

@@ -1,6 +1,7 @@
 """Signed compositions and their index combinatorics.
 
-A *signed index* is a finite composition of nonzero integers.  A negative
+A *signed index* is a finite composition of nonzero integers, held as a
+SignedIndex: a tuple whose parts are checked when it is made.  A negative
 part encodes an alternating ("bar") argument, so the index (2, -1) stands
 for the nested sum whose inner summand carries a factor (-1)^k / k.
 
@@ -49,63 +50,45 @@ def as_ints(name: str, values) -> Tuple[int, ...]:
                          % (name, values)) from None
 
 
-class SignedIndex:
-    """Immutable composition of nonzero integers.
+class SignedIndex(tuple):
+    """Immutable composition of nonzero integers: a tuple checked on entry.
 
-    Supports iteration, indexing, slicing (returns a new SignedIndex),
-    hashing and ordering by the underlying tuple.
+    An index equals, and hashes like, the tuple of its parts, so both are
+    one dict or memo key.  A slice is a plain tuple; tail() still returns a
+    SignedIndex.  ``parts`` is the index itself.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         parts = as_ints("index", parts)
         if 0 in parts:
             raise ValueError("index parts must be nonzero integers")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedIndex is immutable")
+    @property
+    def parts(self) -> "SignedIndex":
+        return self
 
     def depth(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def weight(self) -> int:
-        return sum(abs(p) for p in self.parts)
+        return sum(map(abs, self))
 
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self
 
     def head(self) -> int:
-        if not self.parts:
+        if not self:
             raise IndexError("empty index has no head")
-        return self.parts[0]
+        return self[0]
 
     def tail(self) -> "SignedIndex":
-        return SignedIndex(self.parts[1:])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SignedIndex(self.parts[i])
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedIndex) and self.parts == other.parts
-
-    def __lt__(self, other: "SignedIndex") -> bool:
-        return self.parts < other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return SignedIndex(self[1:])
 
     def __repr__(self) -> str:
-        return "SignedIndex(%r)" % (self.parts,)
+        return "SignedIndex(%r)" % (tuple(self),)
 
     def __str__(self) -> str:
         return format_index(self)

@@ -265,6 +265,14 @@ class TestSuites:
         assert out == ""
         assert err == "error: --n must be >= 1\n"
 
+    def test_n_on_paper_examples_is_a_usage_error(self, capsys):
+        # paper-examples has no size knob, so an --n would be ignored
+        code, out, err = run_cli(capsys, "suite", "--suite", "paper-examples",
+                                 "--n", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n does not apply to the paper-examples suite\n"
+
     def test_paper_examples(self, capsys):
         code, out, _ = run_cli(capsys, "suite", "--suite", "paper-examples",
                                "--format", "json")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsum.exact_eval import (
+    _ensure,
     mhs,
     mhs_star,
     mollified_big,
@@ -581,9 +582,13 @@ class TestKernelIdentities:
 
     def test_perturbed_sums_fail(self, monkeypatch):
         # negative control: a check that compared a side with itself would
-        # still pass once every H_n(v) is off by 1/(n + 2)
-        monkeypatch.setattr("starsum.families.mhs",
-                            lambda n, s: mhs(n, s) + rational(1, n + 2))
+        # still pass once every H_k(v) is off by 1/(k + 2); the patched list
+        # reader returns a new list and leaves the memo's lists as they are
+        def perturbed(parts, eq, lt, n):
+            return [h + rational(1, k + 2)
+                    for k, h in enumerate(_ensure(parts, eq, lt, n))]
+
+        monkeypatch.setattr("starsum.families._ensure", perturbed)
         for variant, kp, n in (
                 ("i", KernelParams(m=1, kind="A", a=0, c=2, v=(1,)), 6),
                 ("ii", KernelParams(m=2, kind="B", a=1), 5),

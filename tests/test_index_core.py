@@ -1,5 +1,7 @@
 """Data-model tests: signed indices, formal sums, expansions."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,36 @@ class TestSignedIndex:
         assert hash(a) == hash(b)
 
 
+class TestCheckedTuple:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        idx = SignedIndex((2, -3, 1))
+        back = pickle.loads(pickle.dumps(idx, protocol))
+        assert type(back) is SignedIndex
+        assert back == idx
+
+    @given(st.lists(nonzero, max_size=6))
+    def test_equals_and_hashes_like_its_tuple(self, parts):
+        idx = SignedIndex(parts)
+        assert idx == tuple(idx) and tuple(idx) == idx
+        assert hash(idx) == hash(tuple(idx))
+        assert {tuple(idx): 1}[idx] == 1
+
+    def test_tail_is_typed_and_a_slice_is_a_plain_tuple(self):
+        idx = SignedIndex((2, -3, 1))
+        assert type(idx.tail()) is SignedIndex
+        assert type(SignedIndex((5,)).tail()) is SignedIndex
+        assert type(idx[1:]) is tuple
+        assert idx.parts is idx
+
+    @pytest.mark.parametrize("name", ["parts", "depth", "extra"])
+    def test_no_attribute_can_be_set(self, name):
+        idx = SignedIndex((2,))
+        with pytest.raises(AttributeError):
+            setattr(idx, name, (3,))
+        assert idx == (2,)
+
+
 class TestParseFormat:
     def test_round_trip(self):
         for text in ("2,1", "-2", "3,-4,1", "10,-12"):
@@ -145,6 +177,12 @@ class TestFormalSum:
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(FormalSum())
+
+    def test_tuple_list_and_index_keys_merge(self):
+        fs = FormalSum((((2, -1), 1), ([2, -1], 2), (SignedIndex((2, -1)), 4)))
+        fs.add_term((2, -1), -2)
+        assert fs.terms == {SignedIndex((2, -1)): 5}
+        assert [type(idx) for idx, _ in fs] == [SignedIndex]
 
 
 class TestPiExpand:
