@@ -5,13 +5,14 @@ the exact evaluators and the comma-or-merge expansion, ``verify`` runs an
 exact finite-n sweep for one family instance, ``verify-mzsv`` checks the
 n -> infinity limit form numerically, and ``suite`` bundles the canned check
 sets.  Reports use one schema everywhere: a ``command`` echo, the effective
-``config``, an ``items`` list and a ``summary``; formats are text (default),
-json and csv.  Exit code 0 means every item passed, 1 means some item
-failed, 2 means the invocation itself was invalid (a --tol that is not
-finite and positive, or that the limit evaluator cannot certify, included).
+``config`` (a tolerance, seed or suite size only where it applied), an
+``items`` list and a ``summary``; formats are text (default), json and csv.
+Exit code 0 means every item passed, 1 means some item failed, 2 means the
+invocation itself was invalid (a --tol that is not finite and positive, or
+that the limit evaluator cannot certify, included).
 
-Reports are byte-identical across runs for the same arguments: randomized
-grids are seeded (--seed, default 0) and per-item timings are zeroed unless
+Reports are byte-identical across runs for the same arguments: the lemma31
+sample is seeded (--seed, default 0) and per-item timings are zeroed unless
 --timings is given.
 """
 
@@ -34,28 +35,36 @@ from starsum.index_core import parse_index, pi_expand_weighted
 
 FAMILY_NAMES = {row.cli_name: row.family for row in fam.FAMILY_TABLE}
 
-SUITES = ("ittw", "lemma31", "middlestep", "paper-examples")
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite, got %r"
+                         % (tol,))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one invocation, echoed into every report."""
+    """Effective settings of one invocation, echoed into every report.
+
+    tol, seed and n are None where they do not apply, and are then not
+    echoed."""
 
     command: str
     tol: Optional[float] = None
     fmt: str = "text"
-    seed: int = 0
+    seed: Optional[int] = None
     timings: bool = False
+    n: Optional[int] = None
 
     def __post_init__(self):
-        if self.tol is not None and not 0 < self.tol < math.inf:
-            raise ValueError("tolerance must be positive and finite, got %r"
-                             % (self.tol,))
+        if self.tol is not None:
+            _check_tol(self.tol)
 
     def as_dict(self) -> dict:
-        out = {"format": self.fmt, "seed": self.seed, "timings": self.timings}
-        if self.tol is not None:
-            out["tol"] = self.tol
+        out = {"format": self.fmt, "timings": self.timings}
+        for key in ("n", "seed", "tol"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
 
@@ -216,13 +225,12 @@ def _cmd_verify_mzsv(args, stream) -> int:
 
 # -- suites -----------------------------------------------------------------
 
-def _suite_middlestep(args) -> List[dict]:
-    n_max = args.n if args.n is not None else 2
+def _suite_middlestep(config: RunConfig) -> List[dict]:
     items = []
-    for n in range(1, n_max + 1):
+    for n in range(1, config.n + 1):
         for name, check in (("middlestep-1", verify_middlestep_1),
                             ("middlestep-2", verify_middlestep_2)):
-            items.append(_timed_item(args.timings, lambda result: {
+            items.append(_timed_item(config.timings, lambda result: {
                 "params": {"check": name, "depth": result["depth"],
                            "lhs_multiplicity": result["lhs_multiplicity"]},
                 "n": n,
@@ -233,25 +241,23 @@ def _suite_middlestep(args) -> List[dict]:
     return items
 
 
-def _suite_ittw(args) -> List[dict]:
-    n_max = args.n if args.n is not None else 1
+def _suite_ittw(config: RunConfig) -> List[dict]:
     cases = [("i", {"m": m, "n": n}) for m in range(2) for n in range(2)]
-    cases += [("ii", {"n": n}) for n in range(1, n_max + 1)]
-    cases += [("iii", {"n": n}) for n in range(1, n_max + 1)]
-    return [_timed_item(args.timings,
+    cases += [("ii", {"n": n}) for n in range(1, config.n + 1)]
+    cases += [("iii", {"n": n}) for n in range(1, config.n + 1)]
+    return [_timed_item(config.timings,
                         _compared({"part": part, **params}, params.get("n"),
                                   "diff", "budget"),
-                        zn.verify_ittw_conj2, part, params, args.tol)
+                        zn.verify_ittw_conj2, part, params, config.tol)
             for part, params in cases]
 
 
-def _suite_lemma31(args) -> List[dict]:
-    rng = Random(args.seed)
-    per_variant = args.n if args.n is not None else 3
+def _suite_lemma31(config: RunConfig) -> List[dict]:
+    rng = Random(config.seed)
     inner = ((), (1,), (-2,), (2, 1))
     items = []
     for variant, (kind, _, _) in fam.LEMMA31.items():
-        for _ in range(per_variant):
+        for _ in range(config.n):
             shift = variant in ("i", "iii")
             if shift:
                 kp = fam.KernelParams(m=rng.choice((1, 2)), kind=kind,
@@ -266,7 +272,7 @@ def _suite_lemma31(args) -> List[dict]:
             if shift:  # the difference form has no c
                 params["c"] = kp.c
             n = rng.randint(1, 12)
-            items.append(_timed_item(args.timings, lambda equal: {
+            items.append(_timed_item(config.timings, lambda equal: {
                 "params": params,
                 "n": n,
                 "lhs": None,
@@ -284,31 +290,42 @@ def _paper_example_specs() -> List[fam.FamilySpec]:
             if fam.build_lhs(spec).parts[0] != 1]
 
 
-def _suite_paper_examples(args) -> List[dict]:
-    items = [_mzsv_item(spec, args.tol, args.timings)
+def _suite_paper_examples(config: RunConfig) -> List[dict]:
+    items = [_mzsv_item(spec, config.tol, config.timings)
              for spec in _paper_example_specs()]
     checks = [("zlobin", zn.check_zlobin, n) for n in (1, 2, 3)]
     checks += [("three-n", zn.check_three_n, n) for n in (1, 2)]
-    items += [_timed_item(args.timings, _compared({"check": name}, n),
-                          check, n, args.tol)
+    items += [_timed_item(config.timings, _compared({"check": name}, n),
+                          check, n, config.tol)
               for name, check, n in checks]
     return items
 
 
+# suite -> (runner, default --n or None where --n does not apply, whether
+# --tol applies, whether --seed applies); a runner reads only its RunConfig,
+# so what it uses is what the report echoes
+SUITES = {
+    "ittw": (_suite_ittw, 1, True, False),
+    "lemma31": (_suite_lemma31, 3, False, True),
+    "middlestep": (_suite_middlestep, 2, False, False),
+    "paper-examples": (_suite_paper_examples, None, True, False),
+}
+
+
 def _cmd_suite(args, stream) -> int:
-    if args.n is not None and args.suite == "paper-examples":
-        raise ValueError("--n does not apply to the paper-examples suite")
+    runner, default_n, uses_tol, uses_seed = SUITES[args.suite]
+    if args.n is not None and default_n is None:
+        raise ValueError("--n does not apply to the %s suite" % args.suite)
     if args.n is not None and args.n < 1:
         raise ValueError("--n must be >= 1")
-    config = RunConfig("suite", tol=args.tol, fmt=args.format,
-                       seed=args.seed, timings=args.timings)
-    runner = {
-        "middlestep": _suite_middlestep,
-        "ittw": _suite_ittw,
-        "lemma31": _suite_lemma31,
-        "paper-examples": _suite_paper_examples,
-    }[args.suite]
-    report = _report(config, runner(args))
+    # a --tol that no tolerance reads is still refused when it is invalid
+    _check_tol(args.tol)
+    config = RunConfig("suite", tol=args.tol if uses_tol else None,
+                       fmt=args.format,
+                       seed=args.seed if uses_seed else None,
+                       timings=args.timings,
+                       n=default_n if args.n is None else args.n)
+    report = _report(config, runner(config))
     report["suite"] = args.suite
     _emit(report, args.format, stream)
     return _exit_code(report)
@@ -378,11 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_mzsv)
 
     p = sub.add_parser("suite", help="run a canned check set")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None,
                    help="size knob: max n (middlestep, ittw) or cases per "
                         "variant (lemma31); refused by paper-examples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the lemma31 sample; no other suite draws")
     _add_report_flags(p, with_tol=True)
     p.set_defaults(handler=_cmd_suite)
     return parser

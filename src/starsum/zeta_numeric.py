@@ -11,30 +11,37 @@ a doubling-based error estimate, which must fall below the requested
 tolerance.  That estimate is a heuristic, not a rigorous enclosure: it
 assumes the seed error shrinks when N doubles.
 
+The chain is keyed by the step weights (eq, lt) of the exact engine's
+lists: an equal step weighs eq and a strict step lt, so (0, 1) is the
+strict limit, (1, 1) the weak one, and (1, c) the sum over the comma-or-merge
+images q of the index of c^depth(q) times the strict limit of q.  The right
+side of a family limit identity is that last sum, one chain of the base
+instead of one strict chain per image.
+
 The level expansions are exact: each is one integer triple (den, plain,
 alt), coefficient rows for the exponents 0..cap over one denominator in
 lowest terms, memoized per prefix of the index.  The expansion of level i
-depends only on the first i parts, the descent kind and the expansion cap,
-and every comma-or-merge image of one base has the same weight, hence the
-same cap, so the images share the levels of their common prefixes.  A level
-takes the one below to its tail sums term by term in closed form: the
-Euler-Maclaurin coefficients of sum_{k>m} k^-e and the Boole coefficients
-of sum_{k>m} (-1)^k k^-e are Bernoulli numbers times binomials, read from
-one cached integer weight row per cap.  Each seed is one integer sum over
-den * m^cap.
+depends only on the first i parts, the step weights and the expansion cap,
+and indices of equal weight share the cap, hence the levels of their common
+prefixes.  A level takes the one below to its tail sums term by term in
+closed form: the Euler-Maclaurin coefficients of sum_{k>m} k^-e and the
+Boole coefficients of sum_{k>m} (-1)^k k^-e are Bernoulli numbers times
+binomials, read from one cached integer weight row per cap.  Each seed is
+one integer sum over den * m^cap.
 
 The backward recurrences run on fixed-point integers at mp.prec + 32 bits:
 each seed is its exact expansion rounded once, the signed weights
 sgn^k * k^-|a| are rounded rows cached per part, seed and precision, each
-step adds (w * u) >> bits, and the result is rounded once to an mpf.  The
-kernel's rounding error has a proven bound, about
-levels * N * (1 + ln N)^(levels-1) * 2^-(mp.prec+32) (see _chain_value),
-which is added to the doubling estimate; the sum is the achieved error that
+step adds (w * u) >> bits for the bracket u = eq * U(k-1) + (lt - eq) *
+U(k) of the level below, and the result is rounded once to an mpf.  The
+kernel's rounding error has a proven bound, about levels * N *
+(lt * (1 + ln N))^(levels-1) * 2^-(mp.prec+32) (see _chain_value), which is
+added to the doubling estimate; the sum is the achieved error that
 NumericValue.error carries.  clear_value_cache() empties the weight, level
 and row caches along with the value cache, which keeps at most
 _VALUE_CACHE_LIMIT values and evicts the oldest first.
 
-zeta and zeta_star are one evaluator keyed by the descent kind.  Two
+zeta and zeta_star are one evaluator, the chains (0, 1) and (1, 1).  Two
 independent cross-check paths are kept: zeta(method="partial"), a float
 partial sum with an explicit tail bound that only reaches loose tolerances,
 and zeta_star(method="expand"), which sums the strict limits of the
@@ -190,23 +197,26 @@ def _tail_sum(den: int, plain: Sequence[int], alt: Sequence[int],
 
 
 @lru_cache(maxsize=1024)
-def _chain_level(prefix: Tuple[int, ...], star: bool, cap: int) -> _Level:
+def _chain_level(prefix: Tuple[int, ...], eq: int, lt: int,
+                 cap: int) -> _Level:
     """Expansion of the tail function of the last level of prefix, as an
     integer triple (den, plain, alt) in lowest terms.
 
     Grown from the level below, which is shared by every index that starts
-    with prefix[:-1] and has the same cap (all images of one base do):
-    re-expanded at m-1 for a weak step, multiplied by the part's weight
-    k^-|a| (with (-1)^k swapping the components for a negative part), and
-    taken to its tail by _tail_sum.
+    with prefix[:-1] and has the same step weights and cap (all images of
+    one base do): the bracket eq * E(m-1) + (lt - eq) * E(m) of the level
+    below, E(m-1) re-expanded at m (the (-1)^m component changes sign),
+    multiplied by the part's weight k^-|a| (with (-1)^k swapping the
+    components for a negative part), and taken to its tail by _tail_sum.
     """
     if len(prefix) > 1:
-        den, plain, alt = _chain_level(prefix[:-1], star, cap)
+        den, plain, alt = _chain_level(prefix[:-1], eq, lt, cap)
     else:
         den, plain, alt = 1, (1,) + (0,) * cap, (0,) * (cap + 1)
-    if star:
-        plain = _series_reexpand(plain, cap)
-        alt = [-c for c in _series_reexpand(alt, cap)]
+    back_plain = _series_reexpand(plain, cap) if eq else plain
+    back_alt = _series_reexpand(alt, cap) if eq else alt
+    plain = [eq * r + (lt - eq) * c for r, c in zip(back_plain, plain)]
+    alt = [(lt - eq) * c - eq * r for r, c in zip(back_alt, alt)]
     part = prefix[-1]
     a = abs(part)
     if part < 0:
@@ -245,7 +255,7 @@ def _seed(level: _Level, m: int, bits: int) -> int:
     return ((num << (bits + 1)) + den) // (2 * den)
 
 
-def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
+def _chain_value(parts: Tuple[int, ...], eq: int, lt: int, seed_n: int,
                  levels: Sequence[_Level]):
     """Backward recurrences from the expansion seeds down to m = 0.
 
@@ -256,27 +266,36 @@ def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
 
     The bound, with N = seed_n and eps = 2^-bits: let E_i bound the error
     of level i over m = 0..N (E_0 = 0, as U_0 = 1 exactly) and M_i the
-    largest |U_i(m)| the kernel computed.  The seed is rounded once
-    (eps/2).  Each of the N steps adds w * e_(i-1) from the level below, at
-    most eps/2 * M_(i-1) from the rounded weight and less than eps from the
-    floor shift, so E_i <= eps/2 + N * (1 + M_(i-1)/2) * eps + A * E_(i-1),
-    where A = sum_k k^-|a| <= 1 + ln N for |a| = 1 and <= 1 + 1/(|a|-1)
-    otherwise.  So the bound is about levels * N * A^(levels-1) * eps; the
-    final rounding to mp.prec adds |value| * 2^-prec.
+    largest |U_i(m)| the kernel computed.  The bracket eq * U(k-1) +
+    (lt - eq) * U(k) is formed exactly, so, as eq and lt - eq are
+    nonnegative, its error is at most lt * E_(i-1) and its size at most
+    lt * M_(i-1).  The seed is rounded once (eps/2).  Each of the N steps
+    adds w times the bracket's error, at most eps/2 * lt * M_(i-1) from the
+    rounded weight and less than eps from the floor shift, so E_i <= eps/2
+    + N * (1 + lt * M_(i-1)/2) * eps + lt * A * E_(i-1), where A = sum_k
+    k^-|a| <= 1 + ln N for |a| = 1 and <= 1 + 1/(|a|-1) otherwise.  So the
+    bound is about levels * N * (lt * A)^(levels-1) * eps; the final
+    rounding to mp.prec adds |value| * 2^-prec.
     """
     prec = mp.prec
     bits = prec + _GUARD_BITS
-    # U_i(m) = U_i(m+1) + w(m+1) * U_{i-1}(m or m+1): weak or strict step
-    shift = 0 if star else 1
     prev = [1 << bits] * (seed_n + 1)
     err = 0.0  # E_i in units of eps
     for level, part in zip(levels, parts):
         a = abs(part)
         size = math.ldexp(max(map(abs, prev)), -bits)
         gain = 1 + math.log(seed_n) if a == 1 else 1 + 1 / (a - 1)
-        err = 0.5 + seed_n * (1 + size / 2) + gain * err
+        err = 0.5 + seed_n * (1 + lt * size / 2) + lt * gain * err
         row = _weight_row(part, seed_n, bits)
-        steps = [(w * u) >> bits for w, u in zip(row, prev[shift:])]
+        # U_i(m) = U_i(m+1) + w(m+1) * (eq * U_{i-1}(m) + (lt - eq) *
+        # U_{i-1}(m+1)); a strict (0, 1) or weak (1, 1) step reads one term
+        if (eq, lt) == (0, 1):
+            bracket = prev[1:]
+        elif (eq, lt) == (1, 1):
+            bracket = prev
+        else:
+            bracket = [eq * u + (lt - eq) * v for u, v in zip(prev, prev[1:])]
+        steps = [(w * u) >> bits for w, u in zip(row, bracket)]
         seed = _seed(level, seed_n, bits)
         prev = list(itertools.accumulate(reversed(steps), initial=seed))
         prev.reverse()
@@ -284,9 +303,9 @@ def _chain_value(parts: Tuple[int, ...], star: bool, seed_n: int,
     return value, math.ldexp(err, -bits) + math.ldexp(abs(float(value)), -prec)
 
 
-# (parts, star) -> (value, error bound), oldest first; the oldest entry is
-# evicted once _VALUE_CACHE_LIMIT entries are stored.
-_VALUE_CACHE: Dict[Tuple[Tuple[int, ...], bool], Tuple[object, float]] = {}
+# (parts, eq, lt) -> (value, error bound), oldest first; the oldest entry
+# is evicted once _VALUE_CACHE_LIMIT entries are stored.
+_VALUE_CACHE: Dict[Tuple[Tuple[int, ...], int, int], Tuple[object, float]] = {}
 _VALUE_CACHE_LIMIT = 1 << 16
 
 
@@ -304,9 +323,13 @@ def _require_admissible(parts: Tuple[int, ...]) -> None:
                          % format_index(SignedIndex(parts)))
 
 
-def _chain_eval(parts: Tuple[int, ...], star: bool,
+def _chain_eval(parts: Tuple[int, ...], eq: int, lt: int,
                 tol: float) -> Tuple[object, float, str]:
-    key = (parts, star)
+    """The tail chain of parts with step weights (eq, lt): an equal step
+    weighs eq and a strict step lt, so (0, 1) is zeta, (1, 1) zeta_star and
+    (1, c) the sum over the comma-or-merge images q of parts of
+    c^depth(q) * zeta(q)."""
+    key = (parts, eq, lt)
     hit = _VALUE_CACHE.get(key)
     if hit is not None and hit[1] <= tol:
         return hit[0], hit[1], "tail-chain (cached)"
@@ -319,10 +342,10 @@ def _chain_eval(parts: Tuple[int, ...], star: bool,
     for seed_n, check_n, cap, dps in configs:
         with mp.workdps(dps):
             # the expansions of the tail functions U_i(m), one per level
-            levels = [_chain_level(parts[:i + 1], star, cap)
+            levels = [_chain_level(parts[:i + 1], eq, lt, cap)
                       for i in range(len(parts))]
-            first, _ = _chain_value(parts, star, seed_n, levels)
-            second, rounding = _chain_value(parts, star, check_n, levels)
+            first, _ = _chain_value(parts, eq, lt, seed_n, levels)
+            second, rounding = _chain_value(parts, eq, lt, check_n, levels)
             diff = abs(second - first)
             floor = (abs(second) + 1) * mpf(10) ** (8 - dps)
             bound = float(2 * diff + floor) + rounding
@@ -411,7 +434,7 @@ def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
         return NumericValue(mpf(1), tol, "empty index", 0.0)
     _require_admissible(parts)
     if method == "chain":
-        value, error, note = _chain_eval(parts, star, tol)
+        value, error, note = _chain_eval(parts, int(star), 1, tol)
     elif method == "partial" and not star:
         value, error, note = _partial_eval(parts, tol)
     elif method == "expand" and star:
@@ -565,9 +588,12 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     """Numeric check of one family identity in the limit.
 
     Left side: weak-descent limit of the family's argument composition.
-    Right side: the signed expansion of the base index, each image taken to
-    its strict limit.  The per-call tolerance is split so the combined error
-    budget stays at or below 10*tol.
+    Right side: the signed comma-or-merge expansion of the base index, sign
+    times the sum over its images q of coeff_base^depth(q) * zeta(q), taken
+    as one tail chain of the base in which an equal step weighs 1 and a
+    strict step coeff_base.  The tolerances are split as if each image were
+    a limit of its own, so the combined error budget stays at or below
+    10*tol.
     """
     form = fam.build_rhs(spec)
     if form.companion != fam.BIG:
@@ -577,13 +603,15 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     if lhs_idx.parts and lhs_idx.parts[0] == 1:
         raise ValueError("left side diverges for %s: leading part is 1 "
                          "(needs a nonempty leading 2-run)" % (spec.params(),))
-    # no image leads with +1 here: a merged head has magnitude >= 2, and
     # the base leads with +1 only when the left side leads with 1
     terms = list(pi_expand_weighted(form.base, form.coeff_base, form.sign))
     coeff_mass = sum(abs(c) for _, c in terms)
     tol_each = min(tol, 10.0 * tol / (1 + coeff_mass))
     lhs = zeta_star(lhs_idx, tol_each).value
-    rhs = _limit_sum(zeta, terms, tol_each)
+    chain, _, _ = _chain_eval(form.base.parts, 1, form.coeff_base,
+                              coeff_mass * tol_each)
+    with mp.workdps(_digits(tol_each)):
+        rhs = form.sign * chain
     return {
         "family": spec.family,
         "params": spec.params(),

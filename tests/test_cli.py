@@ -118,9 +118,8 @@ class TestVerify:
         assert report["command"] == "verify"
         assert report["config"]["format"] == "json"
         assert report["config"]["timings"] is False
-        # verify runs serially at no tolerance: neither is echoed
-        assert report["config"] == {"format": "json", "seed": 0,
-                                    "timings": False}
+        # verify draws nothing and reads no tolerance: neither is echoed
+        assert report["config"] == {"format": "json", "timings": False}
         assert report["summary"] == {"items": 4, "passed": 4, "failed": 0}
         for pos, item in enumerate(report["items"], start=1):
             assert item["n"] == pos
@@ -199,6 +198,9 @@ class TestVerifyMzsv:
                                "--a", "1,1", "--format", "json")
         assert code == 0
         report = json.loads(out)
+        # the tolerance applied; nothing is drawn, so no seed is echoed
+        assert report["config"] == {"format": "json", "timings": False,
+                                    "tol": 1e-6}
         item = report["items"][0]
         assert item["within_tol"] is True
         assert item["n"] is None
@@ -283,6 +285,42 @@ class TestSuites:
                  for item in report["items"]]
         assert kinds == ["family"] * 41 + ["zlobin"] * 3 + ["three-n"] * 2
 
+    @pytest.mark.parametrize("suite,flags,config", [
+        ("middlestep", (), {"n": 2}),
+        ("middlestep", ("--n", "1"), {"n": 1}),
+        ("ittw", (), {"n": 1, "tol": 1e-3}),
+        ("lemma31", (), {"n": 3, "seed": 9}),
+        ("lemma31", ("--n", "1"), {"n": 1, "seed": 9}),
+        ("paper-examples", (), {"tol": 1e-3}),
+    ], ids=["middlestep", "middlestep-n", "ittw", "lemma31", "lemma31-n",
+            "paper-examples"])
+    def test_config_echoes_only_what_applied(self, capsys, suite, flags,
+                                             config):
+        # every run passes --seed 9 --tol 1e-3; a suite echoes a setting
+        # only when it reads it, and the n it ran with
+        code, out, _ = run_cli(capsys, "suite", "--suite", suite, *flags,
+                               "--seed", "9", "--tol", "1e-3", "--format",
+                               "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"] == {"format": "json", "timings": False,
+                                    **config}
+
+    def test_unused_seed_and_tol_change_nothing(self, capsys):
+        _, plain, _ = run_cli(capsys, "suite", "--suite", "middlestep",
+                              "--format", "json")
+        _, other, _ = run_cli(capsys, "suite", "--suite", "middlestep",
+                              "--seed", "9", "--tol", "1e-3", "--format",
+                              "json")
+        assert plain == other
+
+    def test_invalid_tol_is_refused_everywhere(self, capsys):
+        # middlestep reads no tolerance, but a nan is still a usage error
+        code, out, err = run_cli(capsys, "suite", "--suite", "middlestep",
+                                 "--tol", "nan")
+        assert (code, out) == (2, "")
+        assert "tolerance must be positive and finite" in err
+
     def test_unknown_suite_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["suite", "--suite", "everything"])
@@ -295,18 +333,18 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("argv,digest", [
         (("suite", "--suite", "paper-examples", "--format", "json"),
-         "c5968ca3d9496fc5f92fae7969fd2be636e05d06b74fecb48ea61a14b4885ff4"),
+         "d856533da8f070422e725d47107638a1c9a4a574b69b8765706740320e8648c8"),
         (("suite", "--suite", "ittw", "--format", "json"),
-         "1b6543d7e9d572ed2be3205750c3067ef822f7eef8257ab1cd9d5f601e15530f"),
+         "b1628a441ca9e8e70b9ee511e45ec672ffae89525455fb656a55687ed1386b82"),
         (("suite", "--suite", "middlestep", "--format", "json"),
-         "85efbac083104d93a12270e3bf716625acf74b1945cbcebe0cd4e19a234ec832"),
+         "ec9052ff9a3caff38d6aebae7a52e4e35b9ba1a5ee23995b2bd2790fe8782692"),
         (("suite", "--suite", "lemma31", "--format", "json"),
-         "ea9bc19e0125fad289a8518d8d963265b2a5ca01fcfdfa7b6f30cc858b0f5fb7"),
+         "1c49f17eeb717eab57e9e832b237fca4213b008206a82e97db2c2b620fad59aa"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1"),
          "970a10de8ebfd54359e5ffbf87b8cdad288eb45f283ce2218c15375dd7206168"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
           "json"),
-         "89db179f49107b21e794a1ce75d9611e5508fbcbf71ea7cac58dcb010276aea0"),
+         "83029c03d70065c781ca83032e5016836d9db2e34e7f7dd5dff9f93b0ba08917"),
         (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
           "csv"),
          "b222909a973c837d677684f7a6bd01f4b3915927661e66dc34de614ecd42df11"),

@@ -18,18 +18,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from starsum import families
 from starsum import zeta_numeric as zn
 from starsum.cli import main
 from starsum.exact_eval import mhs, rational
 from starsum.families import (
+    BIG,
     C21,
     ONE_C21,
     ONES_C,
     TWO_ONE,
     TWO_ONE_TWO,
     FamilySpec,
+    build_lhs,
+    build_rhs,
+    enumerate_specs,
 )
-from starsum.index_core import SignedIndex
+from starsum.index_core import SignedIndex, pi_expand_weighted
 from starsum.zeta_numeric import (
     DEFAULT_TOL,
     RECOGNITION_DEN_CAP,
@@ -54,6 +59,7 @@ from starsum.zeta_numeric import (
     zeta,
     zeta_star,
 )
+from test_acceptance import SWEEP_GRIDS
 
 
 def close(value, target, tol):
@@ -367,11 +373,11 @@ class TestTailSums:
             if parts[0] == 1:
                 continue
             weight = sum(map(abs, parts))
-            for star in (False, True):
+            for eq, lt in ((0, 1), (1, 1), (1, 2)):
                 for cap in (weight + 20, weight + 32):
                     for i in range(len(parts)):
                         den, plain, alt = zn._chain_level(parts[:i + 1],
-                                                          star, cap)
+                                                          eq, lt, cap)
                         assert den > 0
                         assert type(plain) is type(alt) is tuple
                         assert len(plain) == len(alt) == cap + 1
@@ -424,7 +430,7 @@ class TestValueCache:
         first = [zeta(s, 1e-20).value._mpf_ for s in indices]
         assert len(zn._VALUE_CACHE) == 3
         # the oldest entries went first
-        assert list(zn._VALUE_CACHE) == [(s, False) for s in indices[3:]]
+        assert list(zn._VALUE_CACHE) == [(s, 0, 1) for s in indices[3:]]
         again = [zeta(s, 1e-20).value._mpf_ for s in indices]
         assert first == cold and again == cold
         assert len(zn._VALUE_CACHE) == 3
@@ -590,6 +596,69 @@ class TestFamilyLimits:
             assert report["within_tol"], report
         with pytest.raises(ValueError):
             check_three_n(0)
+
+
+def _c1_limit_sample(count, seed=20261019):
+    """count seeded c1 specs whose identity has a limit form: a big
+    companion and a left side that does not lead with 1."""
+    pool = [spec for family, (grid, _) in SWEEP_GRIDS.items()
+            for spec in enumerate_specs(
+                family, **{key + "_values": v for key, v in grid.items()})
+            if build_rhs(spec).companion == BIG
+            and build_lhs(spec).parts[0] != 1]
+    assert len(pool) == 9986
+    return random.Random(seed).sample(pool, count)
+
+
+class TestAggregatedRightSide:
+    """verify_mzsv_family takes its right side as one tail chain of the base
+    in which an equal step weighs 1 and a strict step coeff_base.  The sum of
+    the per-image strict limits is its oracle."""
+
+    def test_against_per_image_limits(self):
+        clear_value_cache()
+        for spec in _c1_limit_sample(20):
+            form = build_rhs(spec)
+            terms = list(pi_expand_weighted(form.base, form.coeff_base,
+                                            form.sign))
+            chain, _, _ = zn._chain_eval(form.base.parts, 1, form.coeff_base,
+                                         1e-30)
+            per_image = zn._limit_sum(zeta, terms, 1e-30)
+            with mp.workdps(80):
+                assert abs(form.sign * chain - per_image) <= 1e-40, spec
+            report = verify_mzsv_family(spec, 1e-30)
+            assert report["within_tol"] is True, report
+            assert report["rhs_terms"] == len(terms)
+
+    @pytest.mark.parametrize("coeff_base", [1, 3, 5])
+    def test_any_coeff_base_against_per_image_limits(self, coeff_base):
+        # the c1 right sides all have coeff_base 2, where an equal and a
+        # strict step of the bracket weigh the same; other weights tell
+        # U(k-1) from U(k)
+        rng = random.Random(20261021 + coeff_base)
+        pool = (-4, -3, -2, -1, 1, 2, 3, 4)
+        checked = 0
+        while checked < 8:
+            parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            if parts[0] == 1:
+                continue
+            terms = list(pi_expand_weighted(SignedIndex(parts), coeff_base))
+            chain, _, _ = zn._chain_eval(parts, 1, coeff_base, 1e-30)
+            per_image = zn._limit_sum(zeta, terms, 1e-30)
+            with mp.workdps(80):
+                assert abs(chain - per_image) <= 1e-40, parts
+            checked += 1
+
+    @pytest.mark.parametrize("perturb", [
+        lambda form: form._replace(coeff_base=form.coeff_base + 1),
+        lambda form: form._replace(sign=-form.sign),
+    ], ids=["coeff_base", "sign"])
+    def test_wrong_right_side_fails(self, monkeypatch, perturb):
+        build = families.build_rhs
+        monkeypatch.setattr(families, "build_rhs",
+                            lambda spec: perturb(build(spec)))
+        for spec in _c1_limit_sample(6):
+            assert verify_mzsv_family(spec)["within_tol"] is False, spec
 
 
 class TestSymmetricSums:
@@ -781,28 +850,42 @@ class TestVerdictsCanFail:
     """A verdict that never comes out False shows nothing: with every strict
     (or weak) limit off by 1e-3, each check must report the miss.  The
     verifiers and zeta_star's expand path look the evaluators up by module
-    name, so patching the module reaches them all."""
+    name, so patching the module reaches them all.  The right side of a
+    family limit is one chain of its own, shifted by patching _chain_eval."""
 
     @pytest.mark.parametrize("check", [
-        lambda: verify_mzsv_family(FamilySpec(TWO_ONE, a=(1, 1))),
         lambda: check_zlobin(2),
         lambda: check_three_n(1),
         lambda: hoffman_symmetric_check((2, 2)),
-    ], ids=["family", "zlobin", "three_n", "hoffman"])
+    ], ids=["zlobin", "three_n", "hoffman"])
     def test_shifted_strict_limits(self, monkeypatch, check):
         monkeypatch.setattr(zn, "zeta", _shifted(zn.zeta))
         assert check()["within_tol"] is False
 
     @pytest.mark.parametrize("check", [
+        lambda: verify_mzsv_family(FamilySpec(TWO_ONE, a=(1, 1))),
         lambda: verify_yamamoto(1, 0),
         lambda: verify_muneta(1),
         lambda: verify_ittw_conj2("i", {"m": 1, "n": 0}),
         lambda: verify_ittw_conj2("ii", {"n": 1}),
         lambda: verify_ittw_conj2("iii", {"n": 1}),
-    ], ids=["yamamoto", "muneta", "ittw_i", "ittw_ii", "ittw_iii"])
+    ], ids=["family", "yamamoto", "muneta", "ittw_i", "ittw_ii",
+            "ittw_iii"])
     def test_shifted_weak_limits(self, monkeypatch, check):
         monkeypatch.setattr(zn, "zeta_star", _shifted(zn.zeta_star))
         assert check()["within_tol"] is False
+
+    def test_shifted_right_side(self, monkeypatch):
+        chain_eval = zn._chain_eval
+
+        def shifted(parts, eq, lt, tol):
+            value, error, note = chain_eval(parts, eq, lt, tol)
+            # only the (1, coeff_base) chain of the right side, coeff_base 2
+            return (value + mpf("1e-3") if lt == 2 else value), error, note
+        monkeypatch.setattr(zn, "_chain_eval", shifted)
+        spec = FamilySpec(TWO_ONE, a=(1, 1))
+        assert build_rhs(spec).coeff_base == 2
+        assert verify_mzsv_family(spec)["within_tol"] is False
 
     def test_expand_path_reads_zeta_by_name(self, monkeypatch):
         plain = zeta_star((2, 2), method="expand").value
