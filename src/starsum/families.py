@@ -12,8 +12,10 @@ the engine's own binomial identities.
 
 The families are declared once, in FAMILY_TABLE, one row each (see Family);
 a new family is one new row.  Slot lengths, r inference, validation, the
-left-hand builder, enumeration and the CLI defaults are read off the row, and
-build_rhs derives the right-hand side from the left-hand layout.
+left-hand builder, enumeration and the CLI defaults are read off the row.
+The right-hand side is not: build_rhs reads it off the expanded left-hand
+composition by one rule on the composition (_rhs_form), and the row only
+says whether that rule reads runs of 2 or runs of 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
@@ -60,6 +61,8 @@ class Family(NamedTuple):
     trailing-ones family) whose lengths are the next a_j, the next b_j and
     t; "c" is the next block c_j >= c_min; "1" is a literal 1.  An upper-case
     "A" or "T" is a run that must be nonempty; it opens or closes the layout.
+    Only build_lhs reads the layout; the right side is a rule on the
+    composition it builds, read in runs of `part`.
     examples is the grid (as in verify_sweep) of the paper-example suite, or
     None when the family has no limit form there.
     """
@@ -116,19 +119,10 @@ def family_row(family: str) -> Family:
 
 @lru_cache(maxsize=256)
 def _shape(family: str, r: int) -> tuple:
-    """Layout at block count r, its (len a, len b, len c) and a function
-    giving a spec's value (run length, c_j or 1) for each layout letter."""
+    """Layout at block count r and its (len a, len b, len c)."""
     row = _ROWS[family]
     layout = row.prefix + row.block * (r - row.r_min) + row.suffix
-    low = layout.lower()
-    lengths = tuple(map(low.count, "abc"))
-    start = dict(zip("abct1", itertools.accumulate((0,) + lengths + (1,))))
-    # the k-th a, b or c letter takes the k-th entry of its list
-    index = [start[x] + (low[:i].count(x) if x in "abc" else 0)
-             for i, x in enumerate(low)]
-    # the extra index keeps the getter's result a tuple for one letter
-    pick = itemgetter(*index, 0)
-    return layout, lengths, lambda s: pick(s.a + s.b + s.c + (s.t, 1))
+    return layout, tuple(map(layout.lower().count, "abc"))
 
 
 class RhsForm(NamedTuple):
@@ -233,76 +227,71 @@ def _validate(spec: FamilySpec, row: Family) -> None:
 def build_lhs(spec: FamilySpec) -> SignedIndex:
     """Fully expanded left-hand argument composition (runs written out)."""
     part = _ROWS[spec.family].part
-    layout, _, values = _shape(spec.family, spec.r)
+    a, b, c = iter(spec.a), iter(spec.b), iter(spec.c)
     parts: List[int] = []
-    for letter, v in zip(layout, values(spec)):
-        if letter in "1c":
-            parts.append(v)
+    for letter in _shape(spec.family, spec.r)[0]:
+        if letter == "1":
+            parts.append(1)
+        elif letter == "c":
+            parts.append(next(c))
+        elif letter in "tT":
+            parts += [part] * spec.t
         else:
-            parts += [part] * v
+            parts += [part] * next(b if letter == "b" else a)
     return SignedIndex(parts)
 
 
-def _ones_runs(parts: Tuple[int, ...]) -> Tuple[List[Tuple[int, int]], int]:
-    """Split into maximal 1-runs around the parts >= 2.
+def _walk(parts: Tuple[int, ...], unit: int) -> List[int]:
+    """Closed run values of a composition of positive parts.
 
-    Returns ([(run_before, c), ...], trailing_run).  Entries given as c_j = 1
-    in a FamilySpec are thereby re-absorbed into the neighbouring runs, which
-    is the canonical shape the expansion below is stated for.
+    Along the parts, one equal to unit adds unit to the open run; a 1 (only
+    when unit is 2) closes it at run + 1 and opens the next at 0; a larger
+    part p closes it at run + unit, writes p - unit - 1 ones and opens the
+    next run at 1.  A nonzero run left open is closed.  No rule is claimed
+    for compositions with negative parts.
     """
-    blocks: List[Tuple[int, int]] = []
+    closed: List[int] = []
     run = 0
     for p in parts:
-        if p == 1:
-            run += 1
-        else:
-            blocks.append((run, p))
+        if p == unit:
+            run += unit
+        elif p == 1:
+            closed.append(run + 1)
             run = 0
-    return blocks, run
+        else:
+            closed.append(run + unit)
+            closed += [1] * (p - unit - 1)
+            run = 1
+    if run:
+        closed.append(run)
+    return closed
 
 
-def build_rhs(spec: FamilySpec) -> RhsForm:
-    """Base index, per-image coefficient base, global sign and companion.
+def _rhs_form(parts: Tuple[int, ...], unit: int) -> RhsForm:
+    """Right side of H*_n(parts) read in runs of unit 2 or 1.
 
-    Pair runs give the big companion: along the left side a 2 adds 2 to the
-    open run, a 1 closes it at value + 1, a block c closes it at value + 2,
-    writes c - 3 ones and opens the next run at 1; a nonzero run left open
-    is closed.  Even closed values enter negated, each with a factor -1 in
-    the sign.  Runs of ones give the small companion.
+    The base is the walk of the parts.  With unit 2 the even closed values
+    enter negated, each with a factor -1 in the sign, and an image weighs
+    2^depth in the big companion; with unit 1 the first value enters
+    negated, the sign is -1 and an image weighs 1 in the small companion.
+    Neither form refers to a family: both are tested on every composition
+    of positive parts up to weight 8.
     """
-    row = _ROWS[spec.family]
-    if row.part == 2:
-        layout, _, values = _shape(spec.family, spec.r)
-        closed: List[int] = []
-        run = 0
-        for letter, v in zip(layout, values(spec)):
-            if letter == "1":
-                closed.append(run + 1)
-                run = 0
-            elif letter == "c":
-                closed += [run + 2] + [1] * (v - 3)
-                run = 1
-            else:
-                run += 2 * v
-        if run:
-            closed.append(run)
+    closed = _walk(parts, unit)
+    if unit == 2:
         # the negative entries are the even ones; their count, len - #odd,
         # has the parity of len + sum
         sign = (-1) ** (len(closed) + sum(closed))
         base = SignedIndex([v if v % 2 else -v for v in closed])
         return RhsForm(base, 2, sign, BIG)
-    # Runs of ones: canonicalize through the expanded composition so that
-    # inner runs created by c_j = 1 entries are merged before the base is
-    # formed.
-    parts = build_lhs(spec).parts
-    blocks, trail = _ones_runs(parts)
-    if not blocks:
-        return RhsForm(SignedIndex((-len(parts),)), 1, -1, SMALL)
-    base = [-(blocks[0][0] + 1)] + [1] * (blocks[0][1] - 2)
-    for run, cj in blocks[1:]:
-        base += [run + 2] + [1] * (cj - 2)
-    base.append(trail + 1)
-    return RhsForm(SignedIndex(base), 1, -1, SMALL)
+    closed[0] = -closed[0]
+    return RhsForm(SignedIndex(closed), 1, -1, SMALL)
+
+
+def build_rhs(spec: FamilySpec) -> RhsForm:
+    """Base index, per-image coefficient base, global sign and companion:
+    the left side read in runs of the family's part (see _rhs_form)."""
+    return _rhs_form(build_lhs(spec).parts, _ROWS[spec.family].part)
 
 
 def rhs_value(spec: FamilySpec, n: int):
@@ -362,7 +351,7 @@ def enumerate_specs(family: str, *, r_values: Iterable[int],
     for r in r_values:
         if r < row.r_min:
             continue
-        layout, (na, nb, nc), _ = _shape(family, r)
+        layout, (na, nb, nc) = _shape(family, r)
         slots = sorted(layout.replace("1", ""), key=str.lower)  # a, b, c, t
         for v in itertools.product(*map(pools.get, slots)):
             if "1" not in layout and not any(v):

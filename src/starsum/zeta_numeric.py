@@ -63,7 +63,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from . import families as fam
 from .index_core import SignedIndex, as_index, as_int, as_ints, \
-    format_index, oplus, pi_expand_weighted, star_expand
+    format_index, oplus, star_expand
 
 DEFAULT_TOL = 1e-6
 RECOGNITION_DEN_CAP = 10 ** 6
@@ -600,12 +600,16 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
         raise ValueError("%s has no limit form: its companion weight does not "
                          "converge" % spec.family)
     lhs_idx = fam.build_lhs(spec)
+    # the base leads with +1 only when the left side leads with 1
     if lhs_idx.parts and lhs_idx.parts[0] == 1:
         raise ValueError("left side diverges for %s: leading part is 1 "
                          "(needs a nonempty leading 2-run)" % (spec.params(),))
-    # the base leads with +1 only when the left side leads with 1
-    terms = list(pi_expand_weighted(form.base, form.coeff_base, form.sign))
-    coeff_mass = sum(abs(c) for _, c in terms)
+    # Each of the d - 1 slots of a depth-d base is a comma (weight c) or a
+    # merge (weight 1), and distinct choices give distinct images, since the
+    # cuts follow from the partial sums of |parts|: 2^(d-1) images of total
+    # |coefficient| c (c + 1)^(d-1), with no image listed.
+    c, slots = form.coeff_base, form.base.depth() - 1
+    coeff_mass = c * (c + 1) ** slots
     tol_each = min(tol, 10.0 * tol / (1 + coeff_mass))
     lhs = zeta_star(lhs_idx, tol_each).value
     chain, _, _ = _chain_eval(form.base.parts, 1, form.coeff_base,
@@ -616,7 +620,7 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
         "family": spec.family,
         "params": spec.params(),
         "lhs_index": format_index(lhs_idx),
-        "rhs_terms": len(terms),
+        "rhs_terms": 2 ** slots,
         **_compare(lhs, rhs, (1 + coeff_mass) * tol_each),
     }
 

@@ -22,9 +22,11 @@ from starsum.exact_eval import (
     mhs_star,
     mollified_big,
     mollified_small,
+    pi_companion_sum,
     rational,
 )
 from starsum.families import (
+    _rhs_form,
     BIG,
     C2_TWO_ONE_C2,
     C21,
@@ -235,6 +237,56 @@ class TestBuilders:
             target = build_lhs(spec).weight()
             for idx, _ in expansion(spec):
                 assert idx.weight() == target, spec
+
+
+def _compositions(max_weight):
+    """Every composition of positive parts with weight 1..max_weight, each
+    from the set of cuts between the w units of its weight."""
+    for w in range(1, max_weight + 1):
+        for cuts in itertools.product((False, True), repeat=w - 1):
+            parts, run = [], 1
+            for cut in cuts:
+                if cut:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            yield tuple(parts) + (run,)
+
+
+class TestCompositionRule:
+    """The right side is a rule on the composition, not on a family: both
+    forms hold for every composition of positive parts, not only for the
+    layouts of FAMILY_TABLE."""
+
+    N_MAX = 12
+
+    def _failed_cells(self, perturb=lambda form: form):
+        cells = failed = 0
+        for parts in _compositions(8):
+            for unit in (2, 1):
+                form = perturb(_rhs_form(parts, unit))
+                for n in range(1, self.N_MAX + 1):
+                    cells += 1
+                    failed += mhs_star(n, parts) != pi_companion_sum(
+                        form.base, form.coeff_base, form.sign,
+                        form.companion, n)
+        # 255 compositions, two units, n = 1..12
+        assert cells == 6120
+        return failed
+
+    def test_both_units_hold_for_every_composition(self):
+        assert self._failed_cells() == 0
+
+    @pytest.mark.parametrize("perturb", [
+        lambda form: form._replace(coeff_base=3),
+        lambda form: form._replace(sign=-form.sign),
+        lambda form: form._replace(
+            companion=SMALL if form.companion == BIG else BIG),
+    ], ids=["coeff_base", "sign", "companion"])
+    def test_wrong_form_fails_every_cell(self, perturb):
+        # negative controls: a comparison that could not fail would pass
+        # these too
+        assert self._failed_cells(perturb) == 6120
 
 
 class TestVerifyInstance:
@@ -552,9 +604,11 @@ class TestFamilyTable:
                             ONE_C212, TWO_ONE_C2, C2_TWO_ONE_C2, ONES_C)
 
     def test_c1_limit_images_are_admissible(self):
-        # verify_mzsv_family expands the base of every big-companion spec
-        # with an admissible left side and takes each image's strict limit;
-        # no image may lead with +1 (zeta would refuse it)
+        # the limit form's right side is a sum of the strict limits of the
+        # images of the base; verify_mzsv_family takes it as one chain, but
+        # its per-image oracle _limit_sum(zeta, terms) takes each image's
+        # limit, so no image of an admissible big-companion spec may lead
+        # with +1 (zeta would refuse it)
         big = checked = 0
         for family, (grid, _) in C1_GRIDS.items():
             for spec in enumerate_specs(family, **grid):
