@@ -23,7 +23,7 @@ over lcm(1..n)^weight, and one rational is formed per sum.
 The damping weights are plain integers from ``math.comb``: C(n,k) for the
 small companion, and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) for the big one,
 whose shared denominator C(2n,n) the companion pass applies once per sum.
-The companion pass and the exact checks in ``families`` add their terms with
+The companion pass and the closed forms in ``families`` add their terms with
 ``_lcm_sum``: one integer sum over the lcm of the term denominators, reduced
 once by the caller.
 
@@ -99,35 +99,43 @@ def rat_str(value) -> str:
 # across cells only through these lists.
 #
 # Memory bound: _ensure, which alone stores lists, drops them all before it
-# stores a new one once more than _MEMO_LIMIT rational values are cached.  A
-# list further up the recursion, being grown at the drop, still grows
-# correctly; it is just no longer cached, and its values are not counted.
+# stores a new one once more than _MEMO_LIMIT rational values are cached, and
+# counts the drop.  A list further up the recursion, being grown at the drop,
+# still grows correctly; it is just no longer cached, and its values are not
+# counted.
 # ---------------------------------------------------------------------------
 
 _lists: Dict[Tuple[tuple, int, int], List] = {}
 _stored_values = 0
+_drops = 0
 _MEMO_LIMIT = 600_000
 
 
 def clear_memo() -> None:
-    global _stored_values
+    global _stored_values, _drops
     _lists.clear()
     _stored_values = 0
+    _drops = 0
 
 
 def memo_stats() -> dict:
+    """The stored values, the H and T lists, the wholesale drops by the
+    limit since the last clear_memo(), and the limit."""
     h_lists = sum(1 for _, _, lt in _lists if lt == 1)
     return {
         "stored_values": _stored_values,
         "h_lists": h_lists,
         "t_lists": len(_lists) - h_lists,
+        "drops": _drops,
         "limit": _MEMO_LIMIT,
     }
 
 
 def _lcm_sum(terms: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
     """(N, D) with N/D the sum of the fractions num/den of the (num, den)
-    pairs in terms and D the lcm of the den: one integer sum, not reduced."""
+    pairs in terms and D the lcm of the den: one integer sum, not reduced.
+    Its callers are pi_companion_sum and the closed forms in families; the
+    kernel sums there know their denominator, lcm(1..n)^p, in advance."""
     terms = list(terms)
     denom = lcm(*(den for _, den in terms))
     return sum(num * (denom // den) for num, den in terms), denom
@@ -142,12 +150,13 @@ def _term(part: int, k: int, numerator: int = 1):
 
 def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
     """Grow (and return) the cached list L_0..L_n of a nonempty suffix."""
-    global _stored_values
+    global _stored_values, _drops
     key = (parts, eq, lt)
     vals = _lists.get(key)
     if vals is None:
         if _stored_values > _MEMO_LIMIT:
             clear_memo()
+            _drops += 1
         vals = [_ZERO]
         _lists[key] = vals
         _stored_values += 1

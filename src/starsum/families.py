@@ -5,10 +5,12 @@ signed comma-or-merge expansion of a short base index, evaluated through one
 of the two damped companion sums.  This module constructs both sides from a
 parameter tuple, verifies instances and whole parameter sweeps as exact
 rationals, and also hosts the binomial-kernel identities and small closed
-forms used as independent cross-checks.  Each kernel sum and each closed-form
-sum is summed as written, as integers over the lcm of its term denominators
-(exact_eval._lcm_sum), and reduced once; none of them is rewritten through
-the engine's own binomial identities.
+forms used as independent cross-checks.  None of them is rewritten through
+the engine's own binomial identities.  Each kernel sum is summed as written,
+as one integer numerator over lcm(1..n)^p (p its weight plus its exponent),
+and cached, so a check of Lemma 3.1 is one integer equality over a common
+power of lcm(1..n); each closed-form sum is one integer sum over the lcm of
+its term denominators (exact_eval._lcm_sum), reduced once.
 
 The families are declared once, in FAMILY_TABLE, one row each (see Family);
 a new family is one new row.  Slot lengths, r inference, validation, the
@@ -24,7 +26,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
@@ -465,33 +467,56 @@ LEMMA31 = {"i": ("A", "A", False), "ii": ("B", "B", False),
            "iii": ("B", "A", True), "iv": ("A", "B", True)}
 
 
-def _kernel_row(kind: str, m: int, n: int) -> List[int]:
+@lru_cache(maxsize=128)
+def _lcm_to(n: int) -> int:
+    """lcm(1..n)."""
+    return lcm(*range(1, n + 1))
+
+
+@lru_cache(maxsize=256)
+def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
     """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
     counterpart ("B").  The kernels of the lemma carry a further factor c_n
     (1 for m = 1, 1/C(2n,n) for m = 2, so that |K| = C(n,k)/C(n+k,k) in
     the damped case); it is left out, see check_lemma31."""
     sign = -1 if kind == "A" else 1
-    return [sign ** k * comb(m * n, n - k) for k in range(n + 1)]
+    return tuple(sign ** k * comb(m * n, n - k) for k in range(n + 1))
 
 
-def _kernel_sum(v_parts: Tuple[int, ...], expo: int, row: List[int], n: int):
-    # sum_{k=1..n} H_{k-1}(v) K_{n,k} / k^expo; expo = -1 gives the k-weighted
-    # form that appears on the right of the two difference identities.  The
-    # list H_0..H_{n-1}(v) is read once from the engine's memo; the terms
-    # H.num K[k] k^-expo / H.den are added as integers over the lcm of their
-    # denominators, and the sum is reduced once.
-    h_vals = _ensure(v_parts, 0, 1, n - 1) if v_parts else [1] * n
-    terms = []
+# Sized from the traffic: a perfbench kernels pass asks for 11,600 sums,
+# 6,060 of them distinct, and the bound holds them all.  The c2 grid asks
+# for 34,800 (18,180 distinct) but reuses each soon; the bound costs it 69
+# of 16,620 hits.
+@lru_cache(maxsize=1 << 13)
+def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
+                n: int) -> int:
+    """The integer N with S(x, expo) = N / lcm(1..n)^p, where
+    S(x, e) = sum_{k=1..n} H_{k-1}(x) K_{n,k} / k^e over the row
+    _kernel_row(kind, m, n) and p = weight(x) + max(expo, 0); expo = -1
+    gives the k-weighted form on the right of the two difference identities.
+
+    Every denominator of H_{k-1}(x) divides lcm(1..n)^weight(x), and k^expo
+    divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p.
+    The list H_0..H_{n-1}(x) is read once from the engine's memo, and each
+    quotient is taken with divmod: a remainder raises ArithmeticError, so
+    the premise is checked, not assumed.
+    """
+    h_vals = _ensure(x, 0, 1, n - 1) if x else (1,) * n
+    row = _kernel_row(kind, m, n)
+    p = sum(map(abs, x)) + max(expo, 0)
+    scale = _lcm_to(n) ** p
+    total = 0
     for k, h in zip(range(1, n + 1), h_vals):
-        if h == 0:
+        if not h:
             continue
-        num, den = h.numerator * row[k], h.denominator
-        if expo < 0:
-            num *= k ** -expo
-        else:
-            den *= k ** expo
-        terms.append((num, den))
-    return rational(*_lcm_sum(terms))
+        den = h.denominator * k ** expo if expo > 0 else h.denominator
+        quotient, remainder = divmod(scale, den)
+        if remainder:
+            raise ArithmeticError("term %d of S(%s, %d) is not over "
+                                  "lcm(1..%d)^%d" % (k, x, expo, n, p))
+        term = h.numerator * quotient * row[k]
+        total += term * k ** -expo if expo < 0 else term
+    return total
 
 
 def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
@@ -511,6 +536,9 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
 
     The kernel factor c_n multiplies every sum on both sides alike, so the
     sums run over the integer rows of _kernel_row and c_n is never formed.
+    Each sum is the cached integer numerator of _kernel_sum over
+    lcm(1..n)^p; the sides are compared as one integer equality over the
+    largest power p of the check.
     """
     if variant not in LEMMA31:
         raise ValueError("variant must be one of 'i', 'ii', 'iii', 'iv'")
@@ -530,10 +558,13 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     if kp.kind != plain:
         raise ValueError("variant %r uses kernel kind %r" % (variant, plain))
     sign = -1 if negated else 1
-    rows = {kind: _kernel_row(kind, m, n) for kind in (plain, extra)}
+    big_l = _lcm_to(n)
+    # every sum of the check is over lcm(1..n)^p with p <= top
+    top = sum(map(abs, v)) + a + (c if shift else 0)
 
-    def S(x: Tuple[int, ...], expo: int, kind: str = plain):
-        return _kernel_sum(x, expo, rows[kind], n)
+    def S(x: Tuple[int, ...], expo: int, kind: str = plain) -> int:
+        p = sum(map(abs, x)) + max(expo, 0)
+        return _kernel_sum(x, expo, kind, m, n) * big_l ** (top - p)
 
     if not shift:
         return n * S(v, a) == S(v, a - 1) + 2 * S((sign * a,) + v, -1, extra)

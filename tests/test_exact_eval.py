@@ -236,8 +236,9 @@ class TestMemo:
     def test_stats_and_clear(self):
         ee.clear_memo()
         before = ee.memo_stats()
-        assert set(before) == {"stored_values", "h_lists", "t_lists", "limit"}
-        assert before["stored_values"] == 0
+        assert set(before) == {"stored_values", "h_lists", "t_lists", "drops",
+                               "limit"}
+        assert before["stored_values"] == before["drops"] == 0
         ee.mhs(50, (2, 1))
         assert ee.memo_stats()["stored_values"] > 0
         ee.clear_memo()
@@ -292,6 +293,7 @@ class TestMemo:
                 checked(lambda: ee.pi_companion_sum(parts, coeff, sign,
                                                     companion, n), expect)
             assert evictions > 0
+            assert ee.memo_stats()["drops"] == evictions
         finally:
             ee.clear_memo()
 
@@ -307,5 +309,6 @@ def test_drop_while_a_list_grows(monkeypatch):
         assert ee.mhs(12, (3, 2)) == ee.mhs_oracle(12, (3, 2))
         assert ee.memo_stats()["h_lists"] == 1  # only (2,) survives
         assert ee.memo_stats()["stored_values"] == 13
+        assert ee.memo_stats()["drops"] == 1
     finally:
         ee.clear_memo()

@@ -26,6 +26,7 @@ from starsum.exact_eval import (
     rational,
 )
 from starsum.families import (
+    _kernel_sum,
     _rhs_form,
     BIG,
     C2_TWO_ONE_C2,
@@ -625,30 +626,49 @@ class TestFamilyTable:
 
 
 class TestKernelIdentities:
-    def test_examples(self):
-        assert check_lemma31("i", KernelParams(m=1, kind="A", a=0, c=2,
-                                               v=(1,)), 6)
-        assert check_lemma31("ii", KernelParams(m=2, kind="B", a=1), 5)
-        assert check_lemma31("iii", KernelParams(m=2, kind="B", a=1, c=1,
-                                                 v=(-2,)), 7)
-        assert check_lemma31("iv", KernelParams(m=2, kind="A", a=2,
-                                                v=(-1,)), 8)
+    EXAMPLES = (
+        ("i", KernelParams(m=1, kind="A", a=0, c=2, v=(1,)), 6),
+        ("ii", KernelParams(m=2, kind="B", a=1), 5),
+        ("iii", KernelParams(m=2, kind="B", a=1, c=1, v=(-2,)), 7),
+        ("iv", KernelParams(m=2, kind="A", a=2, v=(-1,)), 8),
+    )
 
-    def test_perturbed_sums_fail(self, monkeypatch):
-        # negative control: a check that compared a side with itself would
-        # still pass once every H_k(v) is off by 1/(k + 2); the patched list
-        # reader returns a new list and leaves the memo's lists as they are
-        def perturbed(parts, eq, lt, n):
-            return [h + rational(1, k + 2)
+    def test_examples(self):
+        for variant, kp, n in self.EXAMPLES:
+            assert check_lemma31(variant, kp, n) is True
+
+    @pytest.fixture
+    def cold_kernel_sums(self):
+        # no sum from a patched list reader is served from the cache or
+        # left in it
+        _kernel_sum.cache_clear()
+        yield
+        _kernel_sum.cache_clear()
+
+    @staticmethod
+    def shift_lists(monkeypatch, shift):
+        # the patched list reader returns a new list and leaves the memo's
+        # lists as they are
+        def shifted(parts, eq, lt, n):
+            return [h + shift(k)
                     for k, h in enumerate(_ensure(parts, eq, lt, n))]
 
-        monkeypatch.setattr("starsum.families._ensure", perturbed)
-        for variant, kp, n in (
-                ("i", KernelParams(m=1, kind="A", a=0, c=2, v=(1,)), 6),
-                ("ii", KernelParams(m=2, kind="B", a=1), 5),
-                ("iii", KernelParams(m=2, kind="B", a=1, c=1, v=(-2,)), 7),
-                ("iv", KernelParams(m=2, kind="A", a=2, v=(-1,)), 8)):
+        monkeypatch.setattr("starsum.families._ensure", shifted)
+
+    def test_perturbed_sums_fail(self, monkeypatch, cold_kernel_sums):
+        # negative control: a check that compared a side with itself would
+        # still pass once every H_k(v) is off by 1/(k + 1), a shift that
+        # keeps every term over the known denominator lcm(1..n)^p
+        self.shift_lists(monkeypatch, lambda k: rational(1, k + 1))
+        for variant, kp, n in self.EXAMPLES:
             assert check_lemma31(variant, kp, n) is False
+
+    def test_foreign_denominator_raises(self, monkeypatch, cold_kernel_sums):
+        # 1/97 is not over lcm(1..n)^p for n < 97: the sum refuses it
+        self.shift_lists(monkeypatch, lambda k: rational(1, 97))
+        for variant, kp, n in self.EXAMPLES:
+            with pytest.raises(ArithmeticError, match="lcm"):
+                check_lemma31(variant, kp, n)
 
     def test_grid(self):
         inner = (SignedIndex(()), SignedIndex((1,)), SignedIndex((-2,)))

@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from starsum import families
 from starsum import zeta_numeric as zn
 from starsum.cli import main
-from starsum.exact_eval import mhs, rational
+from starsum.exact_eval import _ensure, mhs, rational
 from starsum.families import (
     BIG,
     C21,
@@ -383,6 +383,77 @@ class TestTailSums:
                         assert len(plain) == len(alt) == cap + 1
                         assert math.gcd(den, *plain, *alt) == 1
                         checked += 1
+
+
+def _split_misses(cases=16, seed=20261021):
+    """The seeded cases where the tail chain misses its exact split.
+
+    Split the chain's value at N: with U_i the tail function of the i
+    outermost parts (all indices above N) and L_N the exact (eq, lt) list of
+    the rest (all indices at most N), the value is sum_{i=0..d} U_i(N) *
+    L_N(s_(i+1)..s_d), with U_0 = 1 and L_N(()) = 1.  U_i(N) is the level
+    expansion _chain_level(s[:i]) summed exactly at the even N, so the split
+    shares none of the fixed-point kernel and its only error is the
+    truncation of the expansions at cap.  A case misses when the split and
+    _chain_eval at tol 1e-30 differ by more than the bound it returns.
+    """
+    rng = random.Random(seed)
+    kinds = ((0, 1), (1, 1), (1, 2), (1, 3))
+    pool = (-3, -2, -1, 1, 2, 3)
+    n = zn._SEED_CHECK_N
+    misses = []
+    for case in range(cases):
+        parts = (1,)
+        while parts[0] == 1:
+            parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+        eq, lt = kinds[case % len(kinds)]
+        cap = sum(map(abs, parts)) + zn._EXTRA_ORDERS
+        split = Fraction(_ensure(parts, eq, lt, n)[n])  # U_0 = 1
+        for i in range(1, len(parts) + 1):
+            den, plain, alt = zn._chain_level(parts[:i], eq, lt, cap)
+            num = 0
+            for p, q in zip(plain, alt):  # (-1)^N = 1
+                num = num * n + p + q
+            upper = Fraction(num, den * n ** cap)
+            rest = parts[i:]
+            split += upper * (_ensure(rest, eq, lt, n)[n] if rest else 1)
+        try:
+            value, bound, _ = zn._chain_eval(parts, eq, lt, 1e-30)
+        except EvaluationError:
+            misses.append((parts, eq, lt, "uncertified"))
+            continue
+        with mp.workdps(90):
+            diff = abs(mpf(split.numerator) / split.denominator - value)
+        if diff > bound:
+            misses.append((parts, eq, lt, float(diff / bound)))
+    return misses
+
+
+class TestExactSplit:
+    def test_chain_agrees_with_the_split(self):
+        clear_value_cache()
+        assert _split_misses() == []
+
+    def test_off_bracket_fails(self, monkeypatch):
+        # negative control: the kernel steps with the bracket of (eq, lt + 1)
+        # from seeds of that same chain, so its doubling check certifies a
+        # value that is off; only the split can see it
+        chain_value = zn._chain_value
+
+        def off(parts, eq, lt, seed_n, levels):
+            cap = len(levels[0][1]) - 1
+            return chain_value(parts, eq, lt + 1, seed_n,
+                               [zn._chain_level(parts[:i + 1], eq, lt + 1, cap)
+                                for i in range(len(parts))])
+
+        monkeypatch.setattr(zn, "_chain_value", off)
+        clear_value_cache()
+        try:
+            misses = _split_misses()
+        finally:
+            clear_value_cache()
+        assert len(misses) == 16
+        assert all(ratio != "uncertified" for *_, ratio in misses)
 
 
 class TestClosedForms:
