@@ -155,7 +155,9 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
     vals = _lists.get(key)
     if vals is None:
         if _stored_values > _MEMO_LIMIT:
-            clear_memo()
+            # not clear_memo(), which would also reset _drops
+            _lists.clear()
+            _stored_values = 0
             _drops += 1
         vals = [_ZERO]
         _lists[key] = vals

@@ -297,6 +297,31 @@ class TestMemo:
         finally:
             ee.clear_memo()
 
+    def test_drops_counted_across_drops(self, monkeypatch):
+        # each wholesale drop is one clear() of the lists; clear_memo()
+        # clears them too, so count only after it
+        class CountingLists(dict):
+            clears = 0
+
+            def clear(self):
+                self.clears += 1
+                super().clear()
+
+        lists = CountingLists()
+        monkeypatch.setattr(ee, "_lists", lists)
+        monkeypatch.setattr(ee, "_MEMO_LIMIT", 200)
+        try:
+            ee.clear_memo()
+            lists.clears = 0
+            # ten new lists of 61 values: the 5th and the 9th drop the memo
+            for part in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
+                assert ee.mhs_star(60, (part,)) == ee.mhs_star_oracle(60,
+                                                                      (part,))
+            assert lists.clears >= 2
+            assert ee.memo_stats()["drops"] == lists.clears
+        finally:
+            ee.clear_memo()
+
 
 def test_drop_while_a_list_grows(monkeypatch):
     # At the limit exactly, the new outer list of (3, 2) is still stored;
