@@ -23,9 +23,8 @@ over lcm(1..n)^weight, and one rational is formed per sum.
 The damping weights are plain integers from ``math.comb``: C(n,k) for the
 small companion, and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) for the big one,
 whose shared denominator C(2n,n) the companion pass applies once per sum.
-The companion pass and the closed forms in ``families`` add their terms with
-``_lcm_sum``: one integer sum over the lcm of the term denominators, reduced
-once by the caller.
+The companion pass is one checked integer sum over lcm(1..n)^weight(base),
+the denominator its mathematics fixes (``_lcm_to`` caches lcm(1..n)).
 
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
@@ -36,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from starsum.index_core import SignedIndex, as_index, as_int
 
@@ -131,14 +131,11 @@ def memo_stats() -> dict:
     }
 
 
-def _lcm_sum(terms: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
-    """(N, D) with N/D the sum of the fractions num/den of the (num, den)
-    pairs in terms and D the lcm of the den: one integer sum, not reduced.
-    Its callers are pi_companion_sum and the closed forms in families; the
-    kernel sums there know their denominator, lcm(1..n)^p, in advance."""
-    terms = list(terms)
-    denom = lcm(*(den for _, den in terms))
-    return sum(num * (denom // den) for num, den in terms), denom
+# Sized from the traffic: deep asks for n = 1..200, sweeps and caps n <= 50.
+@lru_cache(maxsize=256)
+def _lcm_to(n: int) -> int:
+    """lcm(1..n)."""
+    return lcm(*range(1, n + 1))
 
 
 def _term(part: int, k: int, numerator: int = 1):
@@ -260,10 +257,10 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     weighs coeff_base, grown by the list recurrence with (eq, lt) =
     (1, coeff_base).  For coeff_base 1 it is the mhs_star list itself.
 
-    The pass is one integer sum: with D the lcm of the denominators of the
-    increments dT(k) = T(k) - T(k-1), the result is sign * sum_k w_k *
-    dT(k)*D over D (small, w_k = C(n,k)) or over D*C(2n,n) (big,
-    w_k = C(2n,n-k)).
+    A merge keeps the weight, so each increment dT(k) = T(k) - T(k-1) is
+    over D = lcm(1..n)^weight(base) (divmod checks it, ArithmeticError if
+    not) and the pass is one integer sum: sign * sum_k w_k * dT(k)*D over D
+    (small, w_k = C(n,k)) or over D*C(2n,n) (big, w_k = C(2n,n-k)).
     """
     n = as_int("n", n)
     base = as_index(base)
@@ -279,13 +276,15 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     if coeff_base < 1:
         raise ValueError("coeff_base must be >= 1, got %d" % coeff_base)
     tvals = _ensure(base.parts, 1, coeff_base, n)
-    deltas = [tvals[k] - tvals[k - 1] for k in range(1, n + 1)]
-    if companion == "big":
-        weights = [comb(2 * n, n - k) for k in range(1, n + 1)]
-    else:
-        weights = [comb(n, k) for k in range(1, n + 1)]
-    total, denom = _lcm_sum((w * delta.numerator, delta.denominator)
-                            for w, delta in zip(weights, deltas))
+    denom = _lcm_to(n) ** base.weight()
+    total = 0
+    for k in range(1, n + 1):
+        delta = tvals[k] - tvals[k - 1]
+        quotient, remainder = divmod(denom, delta.denominator)
+        if remainder:
+            raise ArithmeticError("dT(%d) is not over lcm(1..%d)^w" % (k, n))
+        weight = comb(2 * n, n - k) if companion == "big" else comb(n, k)
+        total += weight * delta.numerator * quotient
     if companion == "big":
         denom *= comb(2 * n, n)
     return _Q(global_sign * total, denom)

@@ -9,8 +9,9 @@ forms used as independent cross-checks.  None of them is rewritten through
 the engine's own binomial identities.  Each kernel sum is summed as written,
 as one integer numerator over lcm(1..n)^p (p its weight plus its exponent),
 and cached, so a check of Lemma 3.1 is one integer equality over a common
-power of lcm(1..n); each closed-form sum is one integer sum over the lcm of
-its term denominators (exact_eval._lcm_sum), reduced once.
+power of lcm(1..n) (exact_eval._lcm_to).  Each closed form states the
+denominator its terms are summed over; the geometric sum is an integer
+identity.
 
 The families are declared once, in FAMILY_TABLE, one row each (see Family);
 a new family is one new row.  Slot lengths, r inference, validation, the
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
     _ensure,
-    _lcm_sum,
+    _lcm_to,
     mhs_star,
     mollified_big,
     mollified_small,
@@ -467,15 +468,8 @@ LEMMA31 = {"i": ("A", "A", False), "ii": ("B", "B", False),
            "iii": ("B", "A", True), "iv": ("A", "B", True)}
 
 
-# Sized from the traffic, like _kernel_sum below: the c2 grid (n = 1..30)
-# asks for 30 values of n and 120 distinct rows, a perfbench kernels pass for
-# 10 and 40, and both bounds hold them all.
-@lru_cache(maxsize=32)
-def _lcm_to(n: int) -> int:
-    """lcm(1..n)."""
-    return lcm(*range(1, n + 1))
-
-
+# Sized from the traffic, like _kernel_sum below: the c2 grid asks for 120
+# distinct rows, a perfbench kernels pass for 40.
 @lru_cache(maxsize=128)
 def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
     """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
@@ -596,37 +590,38 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_ones_bar_one(a: int, n: int) -> bool:
-    """H*_n({1}^a, -1) against its alternating binomial closed form."""
+    """H*_n({1}^a, -1) against its closed form, summed over lcm(1..n)^(a+1)."""
     a, n = as_int("a", a), as_int("n", n)
     if a < 0 or n < 1:
         raise ValueError("need a >= 0 and n >= 1")
     lhs = mhs_star(n, (1,) * a + (-1,))
-    rhs = rational(*_lcm_sum(((-1) ** k * (2 ** k - 1) * comb(n, k),
-                              k ** (a + 1)) for k in range(1, n + 1)))
+    big_l = _lcm_to(n)
+    rhs = rational(sum((-1) ** k * (2 ** k - 1) * comb(n, k)
+                       * (big_l // k) ** (a + 1) for k in range(1, n + 1)),
+                   big_l ** (a + 1))
     return lhs == rhs
 
 
 def check_tail_weight_sum(l: int, n: int) -> bool:
-    """2 sum_{k=l+1}^n k C(n,k)/C(n+k,k) against both closed forms."""
+    """2 sum_{k=l+1}^n k C(n,k)/C(n+k,k), summed over the lcm of its C(n+k,k),
+    against both closed forms over C(n+l,l); compared as integers."""
     l, n = as_int("l", l), as_int("n", n)
     if not 0 <= l < n:
         raise ValueError("need 0 <= l < n")
-    total = rational(*_lcm_sum((2 * k * comb(n, k), comb(n + k, k))
-                               for k in range(l + 1, n + 1)))
-    first = rational(n * comb(n - 1, l), comb(n + l, l))
-    second = rational((n - l) * comb(n, l), comb(n + l, l))
-    return total == first and total == second
+    dens = {k: comb(n + k, k) for k in range(l + 1, n + 1)}
+    denom = lcm(*dens.values())
+    total = sum(2 * k * comb(n, k) * (denom // den) for k, den in dens.items())
+    return (total * comb(n + l, l) == n * comb(n - 1, l) * denom
+            == (n - l) * comb(n, l) * denom)
 
 
 def check_geometric_sum(a: int, k: int, n: int) -> bool:
-    """sum_{l=0}^a (n/k)^{2l} against its telescoped rational form."""
+    """sum_{l=0}^a (n/k)^{2l} = (n^(2a+2) - k^(2a+2)) / (k^(2a) (n^2 - k^2)),
+    checked as sum_l n^(2l) k^(2a-2l) (n-k)(n+k) = n^(2a+2) - k^(2a+2)."""
     a, k, n = as_int("a", a), as_int("k", k), as_int("n", n)
     if a < 0:
         raise ValueError("need a >= 0")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    total = rational(*_lcm_sum((n ** (2 * l), k ** (2 * l))
-                               for l in range(a + 1)))
-    closed = rational(n ** (2 * a + 2) - k ** (2 * a + 2),
-                      k ** (2 * a) * (n - k) * (n + k))
-    return total == closed
+    total = sum(n ** (2 * l) * k ** (2 * a - 2 * l) for l in range(a + 1))
+    return total * (n - k) * (n + k) == n ** (2 * a + 2) - k ** (2 * a + 2)

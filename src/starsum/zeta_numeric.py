@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from . import families as fam
+from . import exact_eval, families as fam
 from .index_core import SignedIndex, as_index, as_int, as_ints, \
     format_index, oplus, star_expand
 
@@ -175,7 +175,7 @@ def _tail_sum(den: int, plain: Sequence[int], alt: Sequence[int],
     if alt[0]:
         raise ValueError("divergent alternating tail at exponent 0")
     w_den, bern, boole = _tail_weights(cap)
-    big_l = lcm(*range(1, cap + 1))
+    big_l = exact_eval._lcm_to(cap)
     plain_tail = [0] * (cap + 1)
     for e in range(2, cap + 1):
         v = plain[e] * (big_l // (e - 1))
@@ -389,6 +389,11 @@ def mhs_float(n: int, s) -> float:
     return level[n]
 
 
+def _tail_bound_min_n(depth: int) -> int:
+    """The least n past the hump of partial_sum_tail_bound's majorant."""
+    return max(512, int(math.exp(depth - 1)) + 1)
+
+
 def partial_sum_tail_bound(s, n: int) -> float:
     """Upper bound for |zeta(s) - H_n(s)|, valid for admissible s.
 
@@ -401,7 +406,7 @@ def partial_sum_tail_bound(s, n: int) -> float:
     _require_admissible(parts)
     rest_depth = len(parts) - 1
     lead = abs(parts[0])
-    if n < max(512, int(math.exp(rest_depth)) + 1):
+    if n < _tail_bound_min_n(len(parts)):
         raise ValueError("n too small for the monotone tail bound")
     with mp.workdps(30):
         integrand = lambda x: x ** (-lead) * (1 + mp.log(x)) ** rest_depth
@@ -411,12 +416,12 @@ def partial_sum_tail_bound(s, n: int) -> float:
 
 def _partial_eval(parts: Tuple[int, ...],
                   tol: float) -> Tuple[object, float, str]:
-    n = 4096
-    while n <= (1 << 21):
+    for n in (1 << e for e in range(12, 22)):  # 4096 .. 2^21
+        if n < _tail_bound_min_n(len(parts)):
+            continue
         bound = partial_sum_tail_bound(parts, n) + 1e-11
         if bound <= tol:
             return mpf(mhs_float(n, parts)), bound, "partial sum n=%d" % n
-        n *= 2
     raise EvaluationError("partial-sum tail bound cannot reach tol=%g" % tol)
 
 

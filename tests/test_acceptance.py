@@ -1,13 +1,12 @@
 """Acceptance checklist: eight independent criteria, one test function each.
 
 Criterion 1 sweeps roughly 580k exact cells and dominates the runtime of the
-whole suite.  The whole suite took 136 s on one core with gmpy2, measured
-before the companion pass became one integer sum; with the pure-Python
-fractions backend and mpmath's pure-Python backend it took 164 s on a 2-core
-VM with Python 3.11, 150 s of it in criterion 1 (198 s, run side by side,
-before the kernel sums and the oracles became integer sums).  Setting
-STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the
-widened grid (run lengths up to 5, n up to 100).
+whole suite.  With the pure-Python fractions backend and mpmath's pure-Python
+backend the whole suite took 240 s on a 2-core VM with Python 3.11, 211 s of
+it in criterion 1, against 262 s and 228 s, run side by side, before the
+companion pass summed over lcm(1..n)^weight.  Setting STARSUM_NIGHTLY=1
+additionally re-runs the two pair-run families at the widened grid (run
+lengths up to 5, n up to 100).
 """
 
 import itertools

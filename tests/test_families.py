@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from starsum.exact_eval import (
     _ensure,
+    clear_memo,
     mhs,
     mhs_star,
     mollified_big,
@@ -318,6 +319,82 @@ class TestVerifyInstance:
         for spec in SAMPLE_SPECS:
             for n in (1, 3, 7, 16):
                 assert rhs_value(spec, n) == rhs_value_expanded(spec, n)
+
+    # one c1 spec per family of left-hand weight 6 (7 for ONE_C212, which
+    # has none of weight 6), far past c1's n = 50, where the companion
+    # pass's denominator lcm(1..n)^weight is largest
+    FAR_SPECS = [
+        FamilySpec(TWO_ONE, a=(1, 1)),
+        FamilySpec(TWO_ONE_TWO, a=(0, 0, 2)),
+        FamilySpec(C21, a=(0,), b=(1,), c=(3,)),
+        FamilySpec(C212, a=(0,), b=(0,), c=(3,), t=1),
+        FamilySpec(ONE_C21, a=(0, 0), b=(0,), c=(4,)),
+        FamilySpec(ONE_C212, a=(0, 0), b=(0,), c=(3,), t=1),
+        FamilySpec(TWO_ONE_C2, a=(0,), b=(0,), c=(3,), t=1),
+        FamilySpec(C2_TWO_ONE_C2, b=(0,), c=(4,), t=1),
+        FamilySpec(ONES_C, a=(1,), c=(3,), t=2),
+    ]
+
+    @pytest.mark.parametrize("spec", FAR_SPECS, ids=lambda spec: spec.family)
+    def test_far_cells(self, spec):
+        for n in (200, 500):
+            rhs = rhs_value(spec, n)
+            assert rhs == rhs_value_expanded(spec, n), n
+            assert rhs == mhs_star(n, build_lhs(spec)), n
+
+
+class TestCompanionDenominator:
+    """Negative controls for the companion pass's stated denominator
+    lcm(1..n)^weight(base), one big and one small companion."""
+
+    SPECS = [FamilySpec(C21, a=(0,), b=(1,), c=(3,)),
+             FamilySpec(ONES_C, a=(1,), c=(3,), t=2)]
+
+    @pytest.fixture
+    def cold_memo(self):
+        # no list grown under a patched reader is left in the memo
+        clear_memo()
+        yield
+        clear_memo()
+
+    @staticmethod
+    def shift_t_values(monkeypatch, spec, shift):
+        # only the base's (1, coeff_base) list, the T values the companion
+        # pass reads, is shifted, and as a new list; the H* lists mhs_star
+        # reads are not (no suffix of a left side is a base)
+        form = build_rhs(spec)
+        key = (form.base.parts, 1, form.coeff_base)
+
+        def shifted(parts, eq, lt, n):
+            vals = _ensure(parts, eq, lt, n)
+            if (parts, eq, lt) != key:
+                return vals
+            return [t + shift(k) for k, t in enumerate(vals)]
+
+        monkeypatch.setattr("starsum.exact_eval._ensure", shifted)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
+    def test_foreign_denominator_raises(self, monkeypatch, cold_memo, spec):
+        # k/97 moves every increment by 1/97, which is not over
+        # lcm(1..n)^weight for n < 97: the pass refuses it
+        self.shift_t_values(monkeypatch, spec, lambda k: rational(k, 97))
+        for n in (1, 2, 7, 50, 96):
+            with pytest.raises(ArithmeticError, match="lcm"):
+                rhs_value(spec, n)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
+    def test_shift_within_the_denominator_fails(self, monkeypatch, cold_memo,
+                                                spec):
+        # 1/k for k >= 1 moves increment 1 by 1 and increment k > 1 by
+        # -1/(k(k-1)), both over lcm(1..n)^weight: the pass accepts them,
+        # so only the comparison with H*_n can catch the shift
+        self.shift_t_values(monkeypatch, spec,
+                            lambda k: rational(1, k) if k else 0)
+        lhs = build_lhs(spec)
+        for n in (1, 2, 7, 50, 200):
+            report = verify_instance(spec, n)
+            assert report["lhs"] == mhs_star(n, lhs)
+            assert report["rhs"] != report["lhs"], n
 
 
 def compositions(total):
