@@ -20,9 +20,9 @@ independent to be checked against; each strict/weak pair is one body.  They
 share no code with the recurrence: each chain's term is an integer product
 over lcm(1..n)^weight, and one rational is formed per sum.
 
-The damping weights are plain integers from ``math.comb``: C(n,k) for the
-small companion, and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) for the big one,
-whose shared denominator C(2n,n) the companion pass applies once per sum.
+The damping weights C(n,k) and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) are
+Lemma 3.1's integer kernel rows C(mn,n-k) over C(mn,n), so each companion
+of an index is one cached kernel sum (``_kernel_sum``) over lcm(1..n)^weight.
 The companion pass is one checked integer sum over lcm(1..n)^weight(base),
 the denominator its mathematics fixes (``_lcm_to`` caches lcm(1..n)).
 
@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Dict, List, Tuple
 
-from starsum.index_core import SignedIndex, as_index, as_int
+from starsum.index_core import as_index, as_int
 
 __all__ = [
     "RATIONAL_BACKEND",
@@ -98,37 +98,30 @@ def rat_str(value) -> str:
 # so the companion pass shares the mhs_star lists.  Sweep drivers share work
 # across cells only through these lists.
 #
-# Memory bound: _ensure, which alone stores lists, drops them all before it
-# stores a new one once more than _MEMO_LIMIT rational values are cached, and
-# counts the drop.  A list further up the recursion, being grown at the drop,
-# still grows correctly; it is just no longer cached, and its values are not
-# counted.
+# Memory bound: _ensure, which alone stores lists, drops them all on entry
+# once more than _MEMO_LIMIT values are stored (the sum of the list
+# lengths), and counts the drop.  Every reader of the lists is here.
 # ---------------------------------------------------------------------------
 
 _lists: Dict[Tuple[tuple, int, int], List] = {}
-_stored_values = 0
-_drops = 0
+_stored_values = _drops = _hits = _grown = 0
 _MEMO_LIMIT = 600_000
 
 
 def clear_memo() -> None:
-    global _stored_values, _drops
+    global _stored_values, _drops, _hits, _grown
     _lists.clear()
-    _stored_values = 0
-    _drops = 0
+    _stored_values = _drops = _hits = _grown = 0
 
 
 def memo_stats() -> dict:
-    """The stored values, the H and T lists, the wholesale drops by the
-    limit since the last clear_memo(), and the limit."""
+    """The stored values, the H and T lists, the limit, and since the last
+    clear_memo() the drops by it, the lists grown and the hits (_ensure
+    calls that returned at once)."""
     h_lists = sum(1 for _, _, lt in _lists if lt == 1)
-    return {
-        "stored_values": _stored_values,
-        "h_lists": h_lists,
-        "t_lists": len(_lists) - h_lists,
-        "drops": _drops,
-        "limit": _MEMO_LIMIT,
-    }
+    return {"stored_values": _stored_values, "h_lists": h_lists,
+            "t_lists": len(_lists) - h_lists, "drops": _drops, "hits": _hits,
+            "grown": _grown, "limit": _MEMO_LIMIT}
 
 
 # Sized from the traffic: deep asks for n = 1..200, sweeps and caps n <= 50.
@@ -146,41 +139,53 @@ def _term(part: int, k: int, numerator: int = 1):
 
 
 def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
-    """Grow (and return) the cached list L_0..L_n of a nonempty suffix."""
-    global _stored_values, _drops
-    key = (parts, eq, lt)
-    vals = _lists.get(key)
-    if vals is None:
-        if _stored_values > _MEMO_LIMIT:
-            # not clear_memo(), which would also reset _drops
-            _lists.clear()
-            _stored_values = 0
-            _drops += 1
-        vals = [_ZERO]
-        _lists[key] = vals
-        _stored_values += 1
-    if len(vals) > n:
+    """Grow (and return) the cached list L_0..L_n of a nonempty suffix.  The
+    lists of its own suffixes grow first, so none is shorter than it: only
+    the lists outside the outermost one long enough grow, innermost first."""
+    global _stored_values, _drops, _hits, _grown
+    suffix = parts
+    vals = _lists.get((suffix, eq, lt))
+    if vals is not None and len(vals) > n:
+        _hits += 1
         return vals
-    head, tail = parts[0], parts[1:]
-    tail_vals = _ensure(tail, eq, lt, n) if tail else None
-    grown = len(vals)
-    for k in range(grown, n + 1):
-        if tail_vals is None:
-            # L(()) == 1, so the bracket is eq + (lt - eq) == lt
-            vals.append(vals[k - 1] + _term(head, k, lt))
-            continue
-        if not eq:
-            inner = tail_vals[k - 1]
-        elif lt == 1:
-            inner = tail_vals[k]
-        else:
-            inner = tail_vals[k] + (lt - 1) * tail_vals[k - 1]
-        if inner:
-            vals.append(vals[k - 1] + _term(head, k) * inner)
-        else:
-            vals.append(vals[k - 1])
-    if _lists.get(key) is vals:  # not dropped while the tail grew
-        _stored_values += len(vals) - grown
+    if _stored_values > _MEMO_LIMIT:
+        _lists.clear()
+        _stored_values = 0
+        _drops += 1
+        vals = None
+    chain, tail_vals = [], None  # (head part, list) to grow, outermost first
+    while True:
+        if vals is None:
+            vals = _lists[(suffix, eq, lt)] = [_ZERO]
+            _stored_values += 1
+        chain.append((suffix[0], vals))
+        suffix = suffix[1:]
+        if not suffix:
+            break
+        vals = _lists.get((suffix, eq, lt))
+        if vals is not None and len(vals) > n:
+            tail_vals = vals
+            break
+    for head, vals in reversed(chain):
+        grown = len(vals)
+        for k in range(grown, n + 1):
+            if tail_vals is None:
+                # L(()) == 1, so the bracket is eq + (lt - eq) == lt
+                vals.append(vals[k - 1] + _term(head, k, lt))
+                continue
+            if not eq:
+                inner = tail_vals[k - 1]
+            elif lt == 1:
+                inner = tail_vals[k]
+            else:
+                inner = tail_vals[k] + (lt - 1) * tail_vals[k - 1]
+            if inner:
+                vals.append(vals[k - 1] + _term(head, k) * inner)
+            else:
+                vals.append(vals[k - 1])
+        _stored_values += n + 1 - grown
+        _grown += 1
+        tail_vals = vals
     return vals
 
 
@@ -206,40 +211,82 @@ def mhs_star(n: int, s) -> "rational":
     return _h_value(n, s, star=True)
 
 
-def _mollified(n: int, s: SignedIndex, kind: str):
+# Sized from the traffic, like _kernel_sum below: the c2 grid asks for 120
+# distinct rows, a perfbench kernels pass for 40.
+@lru_cache(maxsize=128)
+def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
+    """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
+    counterpart ("B").  The kernels of Lemma 3.1 carry a further factor c_n
+    (1 for m = 1, 1/C(2n,n) for m = 2, so that |K| = C(n,k)/C(n+k,k) in
+    the damped case); it is left out, see families.check_lemma31."""
+    sign = -1 if kind == "A" else 1
+    return tuple(sign ** k * comb(m * n, n - k) for k in range(n + 1))
+
+
+def _kernel_power(x: Tuple[int, ...], expo: int) -> int:
+    """p = weight(x) + max(expo, 0): S(x, expo) is an integer over
+    lcm(1..n)^p.  _kernel_sum and check_lemma31 both read p from here."""
+    return sum(map(abs, x)) + max(expo, 0)
+
+
+# Sized from the traffic: a perfbench kernels pass asks for 11,600 sums,
+# 6,060 of them distinct, and the bound holds them all.  The c2 grid asks
+# for 34,800 (18,180 distinct) but reuses each soon; the bound costs it 69
+# of 16,620 hits.
+@lru_cache(maxsize=1 << 13)
+def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
+                n: int) -> int:
+    """The integer N with S(x, expo) = N / lcm(1..n)^p, where
+    S(x, e) = sum_{k=1..n} H_{k-1}(x) K_{n,k} / k^e over the row
+    _kernel_row(kind, m, n) and p = _kernel_power(x, expo); expo = -1
+    gives the k-weighted form on the right of the two difference identities.
+
+    Every denominator of H_{k-1}(x) divides lcm(1..n)^weight(x), and k^expo
+    divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p.
+    The list H_0..H_{n-1}(x) is read once from the memo, and each quotient
+    is taken with divmod: a remainder raises ArithmeticError, so the premise
+    is checked, not assumed.
+    """
+    h_vals = _ensure(x, 0, 1, n - 1) if x else (1,) * n
+    row = _kernel_row(kind, m, n)
+    p = _kernel_power(x, expo)
+    scale = _lcm_to(n) ** p
+    total = 0
+    for k, h in zip(range(1, n + 1), h_vals):
+        if not h:
+            continue
+        den = h.denominator * k ** expo if expo > 0 else h.denominator
+        quotient, remainder = divmod(scale, den)
+        if remainder:
+            raise ArithmeticError("term %d of S(%s, %d) is not over "
+                                  "lcm(1..%d)^%d" % (k, x, expo, n, p))
+        term = h.numerator * quotient * row[k]
+        total += term * k ** -expo if expo < 0 else term
+    return total
+
+
+def _mollified(n: int, s, m: int):
+    """S(tail, |s_1|) of kind "A" (s_1 < 0) or "B", with m = 2 (big) or 1
+    (small), times the kernel factor c_n = 1/C(mn, n)."""
     n = as_int("n", n)
     if n < 1:
         raise ValueError("mollified sums need n >= 1")
     s = as_index(s)
     if s.is_empty():
         raise ValueError("mollified sums need a nonempty index")
-    head = s.head()
-    tail = s.parts[1:]
-    tail_vals = _ensure(tail, 0, 1, n - 1) if tail else None
-    total = _ZERO
-    for k in range(1, n + 1):
-        if tail_vals is None:
-            inner = _ONE
-        else:
-            inner = tail_vals[k - 1]
-            if inner == 0:
-                continue
-        if kind == "big":
-            weight = _Q(comb(n, k), comb(n + k, k))
-        else:
-            weight = comb(n, k)
-        total += _term(head, k) * weight * inner
-    return total
+    head, tail = s.head(), s.parts[1:]
+    return _Q(_kernel_sum(tail, abs(head), "A" if head < 0 else "B", m, n),
+              _lcm_to(n) ** s.weight() * comb(m * n, n))
 
 
 def mollified_big(n: int, s) -> "rational":
     """Outer sum damped by C(n,k)/C(n+k,k); exact."""
-    return _mollified(n, s, "big")
+    return _mollified(n, s, 2)
 
 
 def mollified_small(n: int, s) -> "rational":
     """Outer sum damped by C(n,k); exact."""
-    return _mollified(n, s, "small")
+    return _mollified(n, s, 1)
 
 
 def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,

@@ -6,12 +6,12 @@ of the two damped companion sums.  This module constructs both sides from a
 parameter tuple, verifies instances and whole parameter sweeps as exact
 rationals, and also hosts the binomial-kernel identities and small closed
 forms used as independent cross-checks.  None of them is rewritten through
-the engine's own binomial identities.  Each kernel sum is summed as written,
-as one integer numerator over lcm(1..n)^p (p its weight plus its exponent),
-and cached, so a check of Lemma 3.1 is one integer equality over a common
-power of lcm(1..n) (exact_eval._lcm_to).  Each closed form states the
-denominator its terms are summed over; the geometric sum is an integer
-identity.
+the engine's own binomial identities.  Each kernel sum is summed as written
+by exact_eval._kernel_sum, the owner of the engine's lists, as one cached
+integer numerator over lcm(1..n)^p (p its weight plus its exponent), so a
+check of Lemma 3.1 is one integer equality over a common power of
+lcm(1..n) (exact_eval._lcm_to).  Each closed form states the denominator
+its terms are summed over; the geometric sum is an integer identity.
 
 The families are declared once, in FAMILY_TABLE, one row each (see Family);
 a new family is one new row.  Slot lengths, r inference, validation, the
@@ -31,7 +31,8 @@ from math import comb, lcm
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exact_eval import (
-    _ensure,
+    _kernel_power,
+    _kernel_sum,
     _lcm_to,
     mhs_star,
     mollified_big,
@@ -468,60 +469,6 @@ LEMMA31 = {"i": ("A", "A", False), "ii": ("B", "B", False),
            "iii": ("B", "A", True), "iv": ("A", "B", True)}
 
 
-# Sized from the traffic, like _kernel_sum below: the c2 grid asks for 120
-# distinct rows, a perfbench kernels pass for 40.
-@lru_cache(maxsize=128)
-def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
-    """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
-    counterpart ("B").  The kernels of the lemma carry a further factor c_n
-    (1 for m = 1, 1/C(2n,n) for m = 2, so that |K| = C(n,k)/C(n+k,k) in
-    the damped case); it is left out, see check_lemma31."""
-    sign = -1 if kind == "A" else 1
-    return tuple(sign ** k * comb(m * n, n - k) for k in range(n + 1))
-
-
-def _kernel_power(x: Tuple[int, ...], expo: int) -> int:
-    """p = weight(x) + max(expo, 0): S(x, expo) is an integer over
-    lcm(1..n)^p.  _kernel_sum and check_lemma31 both read p from here."""
-    return sum(map(abs, x)) + max(expo, 0)
-
-
-# Sized from the traffic: a perfbench kernels pass asks for 11,600 sums,
-# 6,060 of them distinct, and the bound holds them all.  The c2 grid asks
-# for 34,800 (18,180 distinct) but reuses each soon; the bound costs it 69
-# of 16,620 hits.
-@lru_cache(maxsize=1 << 13)
-def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
-                n: int) -> int:
-    """The integer N with S(x, expo) = N / lcm(1..n)^p, where
-    S(x, e) = sum_{k=1..n} H_{k-1}(x) K_{n,k} / k^e over the row
-    _kernel_row(kind, m, n) and p = _kernel_power(x, expo); expo = -1
-    gives the k-weighted form on the right of the two difference identities.
-
-    Every denominator of H_{k-1}(x) divides lcm(1..n)^weight(x), and k^expo
-    divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p.
-    The list H_0..H_{n-1}(x) is read once from the engine's memo, and each
-    quotient is taken with divmod: a remainder raises ArithmeticError, so
-    the premise is checked, not assumed.
-    """
-    h_vals = _ensure(x, 0, 1, n - 1) if x else (1,) * n
-    row = _kernel_row(kind, m, n)
-    p = _kernel_power(x, expo)
-    scale = _lcm_to(n) ** p
-    total = 0
-    for k, h in zip(range(1, n + 1), h_vals):
-        if not h:
-            continue
-        den = h.denominator * k ** expo if expo > 0 else h.denominator
-        quotient, remainder = divmod(scale, den)
-        if remainder:
-            raise ArithmeticError("term %d of S(%s, %d) is not over "
-                                  "lcm(1..%d)^%d" % (k, x, expo, n, p))
-        term = h.numerator * quotient * row[k]
-        total += term * k ** -expo if expo < 0 else term
-    return total
-
-
 def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     """Exact check of one of the four kernel summation identities.
 
@@ -538,8 +485,8 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
       n S(v, a) = S(v, a - 1) + 2 S((s a,) + v, -1).
 
     The kernel factor c_n multiplies every sum on both sides alike, so the
-    sums run over the integer rows of _kernel_row and c_n is never formed.
-    Each sum is the cached integer numerator of _kernel_sum over
+    sums run over integer kernel rows and c_n is never formed.  Each sum is
+    the cached integer numerator of exact_eval._kernel_sum over
     lcm(1..n)^p; the sides are compared as one integer equality over the
     largest power p of the check.
     """

@@ -226,6 +226,8 @@ def pi_expand_weighted(base: SignedIndex, coeff_base: int = 2,
 
     Coefficients of colliding indices accumulate.
     """
+    coeff_base = as_int("coeff_base", coeff_base)
+    global_sign = as_int("global_sign", global_sign)
     if coeff_base < 1:
         raise ValueError("coeff_base must be a positive integer")
     if global_sign not in (1, -1):

@@ -18,6 +18,7 @@ from .index_core import (
     FormalSum,
     SignedIndex,
     as_index,
+    as_int,
     oplus,
     pi_expand_weighted,
 )
@@ -110,6 +111,7 @@ def verify_middlestep_1(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     expansion with the single term 2 * (-(4(n-j)+2)).  Checked as an exact
     FormalSum identity.
     """
+    n, depth_cap = as_int("n", n), as_int("depth_cap", depth_cap)
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = 2 * n + 1
@@ -129,6 +131,7 @@ def verify_middlestep_2(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     multiplicity here: summing over the -4 position already supplies the
     copies the product form generates.
     """
+    n, depth_cap = as_int("n", n), as_int("depth_cap", depth_cap)
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = 2 * n

@@ -5,7 +5,9 @@ before anything else trusts it; the spot values used elsewhere in the suite
 (11/8, 11/16, ...) are pinned here too.
 """
 
+import ast
 import hashlib
+import pathlib
 import random
 from math import comb
 
@@ -134,19 +136,27 @@ class TestMollified:
         assert ee.mollified_small(2, (3,)) == ee.rational(17, 8)
 
     def test_against_direct_sum(self):
-        n = 7
-        for parts in ((2,), (-2,), (2, 1), (-3, 1)):
-            head, tail = parts[0], parts[1:]
-            expect = ee.rational(0)
-            for k in range(1, n + 1):
-                inner = ee.mhs(k - 1, tail)
-                if inner == 0:
-                    continue
-                term = ee.rational(comb(n, k), comb(n + k, k))
-                term *= ee.rational((-1) ** k if head < 0 else 1,
-                                    k ** abs(head))
-                expect += term * inner
-            assert ee.mollified_big(n, parts) == expect
+        # the defining weights, not kernel rows: the companions are summed
+        # as Lemma 3.1 kernel sums, through C(n,k)/C(n+k,k) =
+        # C(2n,n-k)/C(2n,n) and C(n,k) = C(n,n-k)
+        weights = {
+            ee.mollified_big: lambda n, k: ee.rational(comb(n, k),
+                                                       comb(n + k, k)),
+            ee.mollified_small: comb,
+        }
+        for n in (1, 2, 7, 30):
+            for parts in ((2,), (-2,), (2, 1), (-3, 1), (-1, 2, -1)):
+                head, tail = parts[0], parts[1:]
+                for evaluate, weight in weights.items():
+                    expect = ee.rational(0)
+                    for k in range(1, n + 1):
+                        inner = ee.mhs(k - 1, tail)
+                        if inner == 0:
+                            continue
+                        term = weight(n, k) * ee.rational(
+                            (-1) ** k if head < 0 else 1, k ** abs(head))
+                        expect += term * inner
+                    assert evaluate(n, parts) == expect, (evaluate, n, parts)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -237,12 +247,38 @@ class TestMemo:
         ee.clear_memo()
         before = ee.memo_stats()
         assert set(before) == {"stored_values", "h_lists", "t_lists", "drops",
-                               "limit"}
-        assert before["stored_values"] == before["drops"] == 0
+                               "hits", "grown", "limit"}
+        assert (before["stored_values"] == before["drops"] == before["hits"]
+                == before["grown"] == 0)
         ee.mhs(50, (2, 1))
         assert ee.memo_stats()["stored_values"] > 0
         ee.clear_memo()
         assert ee.memo_stats()["stored_values"] == 0
+
+    def test_hits_and_growths_counted(self):
+        # hits: calls that find their list long enough; grown: lists grown
+        ee.clear_memo()
+        try:
+            steps = (
+                (lambda: ee.mhs(10, (2, 1)), 0, 2),  # (1,) and (2, 1), new
+                (lambda: ee.mhs(7, (2, 1)), 1, 2),
+                (lambda: ee.mhs(10, (2, 1)), 2, 2),
+                # (1,) and (2, 1) grow on, (3, 2, 1) is new
+                (lambda: ee.mhs(12, (3, 2, 1)), 2, 5),
+                (lambda: ee.mhs(12, (2, 1)), 3, 5),
+                # the weak lists are others: (1,) and (2, 1) again
+                (lambda: ee.mhs_star(12, (2, 1)), 3, 7),
+                # (1,) is long enough, (4, 1) is new
+                (lambda: ee.mhs(9, (4, 1)), 3, 8),
+            )
+            for compute, hits, grown in steps:
+                compute()
+                stats = ee.memo_stats()
+                assert (stats["hits"], stats["grown"]) == (hits, grown)
+            ee.clear_memo()
+            assert ee.memo_stats()["hits"] == ee.memo_stats()["grown"] == 0
+        finally:
+            ee.clear_memo()
 
     def test_list_kinds_counted(self):
         # h_lists: strict, weak and coefficient-1 aggregates; t_lists: the rest
@@ -323,17 +359,84 @@ class TestMemo:
             ee.clear_memo()
 
 
-def test_drop_while_a_list_grows(monkeypatch):
-    # At the limit exactly, the new outer list of (3, 2) is still stored;
-    # storing it passes the limit, so its new tail (2,) drops the memo.
-    # The outer list grows on, uncached and uncounted.
-    try:
-        ee.clear_memo()
-        ee.mhs(10, (2, 1))
-        monkeypatch.setattr(ee, "_MEMO_LIMIT", ee.memo_stats()["stored_values"])
-        assert ee.mhs(12, (3, 2)) == ee.mhs_oracle(12, (3, 2))
-        assert ee.memo_stats()["h_lists"] == 1  # only (2,) survives
-        assert ee.memo_stats()["stored_values"] == 13
-        assert ee.memo_stats()["drops"] == 1
-    finally:
-        ee.clear_memo()
+    def test_drop_only_on_entry(self, monkeypatch):
+        # A call that finds its list short while more than _MEMO_LIMIT
+        # values are stored drops the memo before it grows anything: after
+        # the drop the memo holds just the lists of its own index, every
+        # one of them counted.  A call that finds its list long enough
+        # drops nothing.
+        def lengths():
+            return sum(map(len, ee._lists.values()))
+
+        try:
+            ee.clear_memo()
+            ee.mhs(10, (2, 1))  # 22 values
+            monkeypatch.setattr(ee, "_MEMO_LIMIT", 22)
+            # at the limit, not past it: both new lists of (3, 2) are kept
+            assert ee.mhs(12, (3, 2)) == ee.mhs_oracle(12, (3, 2))
+            stats = ee.memo_stats()
+            assert (stats["drops"], stats["h_lists"]) == (0, 4)
+            assert stats["stored_values"] == lengths() == 48
+            # past it, a call that only grows lists drops first
+            assert ee.mhs(11, (2, 1)) == ee.mhs_oracle(11, (2, 1))
+            assert ee.memo_stats()["drops"] == 1
+            assert set(ee._lists) == {((2, 1), 0, 1), ((1,), 0, 1)}
+            assert ee.memo_stats()["stored_values"] == lengths() == 24
+            ee.mhs(11, (2, 1))  # a hit drops nothing
+            assert ee.memo_stats()["drops"] == 1
+
+            monkeypatch.setattr(ee, "_MEMO_LIMIT", 150)
+            ee.clear_memo()
+            rng = random.Random(19)
+            for _ in range(60):
+                # n >= depth: mhs returns 0 below it without reading a list
+                n = rng.randint(3, 30)
+                parts = tuple(rng.choice((-3, -2, -1, 1, 2, 3))
+                              for _ in range(rng.randint(1, 3)))
+                star = rng.random() < 0.5
+                key = (parts, int(star), 1)
+                hit = key in ee._lists and len(ee._lists[key]) > n
+                over = ee.memo_stats()["stored_values"] > ee._MEMO_LIMIT
+                drops = ee.memo_stats()["drops"]
+                evaluate, oracle = ((ee.mhs_star, ee.mhs_star_oracle) if star
+                                    else (ee.mhs, ee.mhs_oracle))
+                assert evaluate(n, parts) == oracle(n, parts)
+                stats = ee.memo_stats()
+                dropped = over and not hit
+                assert stats["drops"] - drops == dropped
+                if dropped:
+                    assert set(ee._lists) == {
+                        (parts[i:], int(star), 1) for i in range(len(parts))}
+                assert stats["stored_values"] == lengths()
+                # _ensure stops its walk at the first suffix list long
+                # enough, which is sound only while no suffix list is
+                # shorter than the list it is a suffix of
+                for (p, eq, lt), vals in ee._lists.items():
+                    for i in range(1, len(p)):
+                        assert len(ee._lists[(p[i:], eq, lt)]) >= len(vals)
+            assert ee.memo_stats()["drops"] >= 3
+        finally:
+            ee.clear_memo()
+
+
+def test_only_exact_eval_names_ensure():
+    # every reader of the memo's lists sits in exact_eval, so the list
+    # recurrence can be replaced in one module
+    def names(path):
+        tree = ast.parse(path.read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name for alias in node.names)
+        return found
+
+    package = pathlib.Path(ee.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        assert ("_ensure" in names(path)) == (path.name == "exact_eval.py"), \
+            path.name

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from starsum.exact_eval import (
     _ensure,
+    _kernel_sum,
     clear_memo,
     mhs,
     mhs_star,
@@ -27,7 +28,6 @@ from starsum.exact_eval import (
     rational,
 )
 from starsum.families import (
-    _kernel_sum,
     _rhs_form,
     BIG,
     C2_TWO_ONE_C2,
@@ -730,7 +730,7 @@ class TestKernelIdentities:
             return [h + shift(k)
                     for k, h in enumerate(_ensure(parts, eq, lt, n))]
 
-        monkeypatch.setattr("starsum.families._ensure", shifted)
+        monkeypatch.setattr("starsum.exact_eval._ensure", shifted)
 
     def test_perturbed_sums_fail(self, monkeypatch, cold_kernel_sums):
         # negative control: a check that compared a side with itself would

@@ -239,6 +239,15 @@ class TestWeightedExpansion:
             SignedIndex((5,)): 2
         }
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(coeff_base=2.0), "coeff_base"),
+        (dict(global_sign=1.0), "global_sign"),
+    ])
+    def test_non_integers_refused(self, kwargs, name):
+        # coeff_base 2.0 gave float coefficients, printed as 4*(2,1)
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
+            pi_expand_weighted(SignedIndex((2, 1)), **kwargs)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             pi_expand_weighted(SignedIndex((2,)), 0, 1)

@@ -151,6 +151,15 @@ class TestMiddlesteps:
         with pytest.raises(ValueError, match="n must be >= 1"):
             verify_middlestep_2(0)
 
+    @pytest.mark.parametrize("verify", [verify_middlestep_1,
+                                        verify_middlestep_2])
+    def test_non_integers_refused(self, verify):
+        # n = 1.5 failed inside the expansion with a TypeError
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            verify(1.5)
+        with pytest.raises(ValueError, match="^depth_cap must be an integer"):
+            verify(1, depth_cap=9.0)
+
     def test_numeric_consequence(self):
         # The formal equality must survive evaluation: both sides of the
         # n = 1 identity give the same rational once every image is run
