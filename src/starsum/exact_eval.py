@@ -13,12 +13,14 @@ rationals, never floats.  The public evaluators are
 ``mhs``, ``mhs_star`` and ``pi_companion_sum`` read one memoized list
 recurrence, L_k(s) = L_{k-1}(s) + term(s_1,k) * (eq * L_k(tail) + (lt - eq) *
 L_{k-1}(tail)); the three kinds of list differ only in the weight eq of an
-equal step and lt of a strict step (table at the memo below).  There are
-also brute-force oracles that re-evaluate the defining sums by direct
-enumeration (no recursion, no caching) so the fast engine has something
-independent to be checked against; each strict/weak pair is one body.  They
-share no code with the recurrence: each chain's term is an integer product
-over lcm(1..n)^weight, and one rational is formed per sum.
+equal step and lt of a strict step (table at the memo below).  The lists
+grow on integers over lcm(1..n)^weight and store one normalized rational
+per value.  There are also brute-force oracles that re-evaluate the
+defining sums by direct enumeration (no recursion, no caching) so the fast
+engine has something independent to be checked against; each strict/weak
+pair is one body.  They share no code with the recurrence: each chain's
+term is an integer product over lcm(1..n)^weight, and one rational is
+formed per sum.
 
 The damping weights C(n,k) and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) are
 Lemma 3.1's integer kernel rows C(mn,n-k) over C(mn,n), so each companion
@@ -98,6 +100,19 @@ def rat_str(value) -> str:
 # so the companion pass shares the mhs_star lists.  Sweep drivers share work
 # across cells only through these lists.
 #
+# Growth to n runs on integers.  With scale = lcm(1..n) and w = weight(s),
+# N_k = L_k(s) * scale^w, and term(s_1, k) * scale^|s_1| is the integer
+# sgn(s_1)^k * (scale/k)^|s_1| (_step_weight), so
+#
+#     N_k = N_{k-1} + sgn(s_1)^k (scale/k)^|s_1| (eq * M_k
+#                                                  + (lt - eq) * M_{k-1})
+#
+# with M the tail's integers over scale^weight(tail) (M == 1 for an empty
+# tail).  A stored value a growth starts from is put on the scale by a
+# checked division (_on_scale), and each new value is stored as the one
+# normalized rational N_k / scale^w; an unchanged value is the previous
+# object itself.
+#
 # Memory bound: _ensure, which alone stores lists, drops them all on entry
 # once more than _MEMO_LIMIT values are stored (the sum of the list
 # lengths), and counts the drop.  Every reader of the lists is here.
@@ -131,17 +146,27 @@ def _lcm_to(n: int) -> int:
     return lcm(*range(1, n + 1))
 
 
-def _term(part: int, k: int, numerator: int = 1):
-    """numerator * sgn(part)^k / k^|part| as an exact rational."""
-    if part > 0 or k % 2 == 0:
-        return _Q(numerator, k ** abs(part))
-    return _Q(-numerator, k ** abs(part))
+def _step_weight(scale: int, part: int, k: int) -> int:
+    """sgn(part)^k * (scale/k)^|part|: term(part, k) over scale^|part|."""
+    weight = (scale // k) ** abs(part)
+    return -weight if part < 0 and k % 2 else weight
+
+
+def _on_scale(value, den: int, where: Tuple[int, tuple]) -> int:
+    """The integer N with value == N / den, for the stored value L_k(s) at
+    where = (k, s); ArithmeticError if there is none, so the premise that
+    den = lcm(1..n)^weight(s) is a common denominator is checked."""
+    quotient, remainder = divmod(den, value.denominator)
+    if remainder:
+        raise ArithmeticError("L_%d%s is not over lcm(1..n)^weight" % where)
+    return value.numerator * quotient
 
 
 def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
     """Grow (and return) the cached list L_0..L_n of a nonempty suffix.  The
     lists of its own suffixes grow first, so none is shorter than it: only
-    the lists outside the outermost one long enough grow, innermost first."""
+    the lists outside the outermost one long enough grow, innermost first,
+    on integers over lcm(1..n)^weight (see the memo comment)."""
     global _stored_values, _drops, _hits, _grown
     suffix = parts
     vals = _lists.get((suffix, eq, lt))
@@ -153,12 +178,12 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
         _stored_values = 0
         _drops += 1
         vals = None
-    chain, tail_vals = [], None  # (head part, list) to grow, outermost first
+    chain, tail_vals = [], None  # (suffix, list) to grow, outermost first
     while True:
         if vals is None:
             vals = _lists[(suffix, eq, lt)] = [_ZERO]
             _stored_values += 1
-        chain.append((suffix[0], vals))
+        chain.append((suffix, vals))
         suffix = suffix[1:]
         if not suffix:
             break
@@ -166,26 +191,42 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
         if vals is not None and len(vals) > n:
             tail_vals = vals
             break
-    for head, vals in reversed(chain):
-        grown = len(vals)
-        for k in range(grown, n + 1):
-            if tail_vals is None:
-                # L(()) == 1, so the bracket is eq + (lt - eq) == lt
-                vals.append(vals[k - 1] + _term(head, k, lt))
-                continue
+    scale = _lcm_to(n)
+    # The tail's integers over tail_den: below tail_lo its values are only
+    # stored, and tail_ints[k - tail_lo] is the one this call grew at k.  A
+    # tail list is at least as long as the list it is a suffix of, so what
+    # this call grew of it starts at or after the first index the list reads.
+    tail_den = scale ** sum(map(abs, suffix))  # 1 for the empty tail
+    tail_lo, tail_ints = n + 1, []
+    for suffix_now, vals in reversed(chain):
+        head, lo = suffix_now[0], len(vals) - 1
+        den = tail_den * scale ** abs(head)
+        if tail_vals is None:
+            # L(()) == 1, so the bracket is eq + (lt - eq) == lt
+            brackets = itertools.repeat(lt)
+        else:
+            inner = [_on_scale(tail_vals[k], tail_den, (k, suffix))
+                     for k in range(lo, tail_lo)] + tail_ints
             if not eq:
-                inner = tail_vals[k - 1]
+                brackets = inner[:-1]
             elif lt == 1:
-                inner = tail_vals[k]
+                brackets = inner[1:]
             else:
-                inner = tail_vals[k] + (lt - 1) * tail_vals[k - 1]
-            if inner:
-                vals.append(vals[k - 1] + _term(head, k) * inner)
+                brackets = [now + (lt - 1) * before
+                            for before, now in zip(inner, inner[1:])]
+        total = _on_scale(vals[lo], den, (lo, suffix_now))
+        ints = [total]
+        for k, bracket in zip(range(lo + 1, n + 1), brackets):
+            if bracket:
+                total += _step_weight(scale, head, k) * bracket
+                vals.append(_Q(total, den))
             else:
                 vals.append(vals[k - 1])
-        _stored_values += n + 1 - grown
+            ints.append(total)
+        _stored_values += n - lo
         _grown += 1
-        tail_vals = vals
+        suffix, tail_vals, tail_den = suffix_now, vals, den
+        tail_lo, tail_ints = lo, ints
     return vals
 
 

@@ -598,7 +598,8 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     as one tail chain of the base in which an equal step weighs 1 and a
     strict step coeff_base.  The tolerances are split as if each image were
     a limit of its own, so the combined error budget stays at or below
-    10*tol.
+    10*tol.  lhs_error and rhs_error are the errors the two sides achieved
+    (NumericValue.error and the chain's bound), each within its share.
     """
     form = fam.build_rhs(spec)
     if form.companion != fam.BIG:
@@ -616,9 +617,9 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     c, slots = form.coeff_base, form.base.depth() - 1
     coeff_mass = c * (c + 1) ** slots
     tol_each = min(tol, 10.0 * tol / (1 + coeff_mass))
-    lhs = zeta_star(lhs_idx, tol_each).value
-    chain, _, _ = _chain_eval(form.base.parts, 1, form.coeff_base,
-                              coeff_mass * tol_each)
+    lhs = zeta_star(lhs_idx, tol_each)
+    chain, chain_error, _ = _chain_eval(form.base.parts, 1, form.coeff_base,
+                                        coeff_mass * tol_each)
     with mp.workdps(_digits(tol_each)):
         rhs = form.sign * chain
     return {
@@ -626,7 +627,9 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
         "params": spec.params(),
         "lhs_index": format_index(lhs_idx),
         "rhs_terms": 2 ** slots,
-        **_compare(lhs, rhs, (1 + coeff_mass) * tol_each),
+        **_compare(lhs.value, rhs, (1 + coeff_mass) * tol_each),
+        "lhs_error": lhs.error,
+        "rhs_error": chain_error,
     }
 
 

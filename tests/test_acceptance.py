@@ -10,6 +10,7 @@ lengths up to 5, n up to 100).
 """
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -169,6 +170,10 @@ def test_c5_numeric_limit_suite():
         report = verify_mzsv_family(spec, 1e-6)
         assert report["budget"] <= 1e-5 * (1 + 1e-9), spec
         assert report["within_tol"], report
+        # the achieved errors of the two sides fit in the budget they split
+        errors = report["lhs_error"], report["rhs_error"]
+        assert all(map(math.isfinite, errors)), report
+        assert sum(errors) <= report["budget"], report
     for n in (1, 2, 3):
         report = check_zlobin(n, 1e-6)
         assert report["budget"] <= 1e-5 and report["within_tol"], report

@@ -87,15 +87,22 @@ class TestOracleAgreement:
         expected = [(ee.mhs_oracle(n, s), ee.mhs_star_oracle(n, s))
                     for n, s in cases]
         engine = [ee.mhs(n, s) for n, s in cases]
-        # a wrong per-term value must move the recurrence and only it
-        monkeypatch.setattr(ee, "_term", lambda part, k, numerator=1:
-                            ee.rational(numerator, k ** abs(part) + 1))
+        # a step weight (L/k)^|a| off by one must move the recurrence and
+        # only it
+        step_weight = ee._step_weight
+        monkeypatch.setattr(ee, "_step_weight", lambda scale, part, k:
+                            step_weight(scale, part, k) + 1)
         ee.clear_memo()
         try:
             assert [(ee.mhs_oracle(n, s), ee.mhs_star_oracle(n, s))
                     for n, s in cases] == expected
-            moved = [ee.mhs(n, s) != value
-                     for (n, s), value in zip(cases, engine)]
+            moved = []
+            for (n, s), value in zip(cases, engine):
+                # each case grows on a cold memo: the +1 puts a stored value
+                # over the lcm(1..n) of its own call, which a later call with
+                # a smaller n would refuse (ArithmeticError), not carry on
+                ee.clear_memo()
+                moved.append(ee.mhs(n, s) != value)
             # every case with a nonzero sum moves
             assert moved == [n >= len(s) for n, s in cases]
         finally:
@@ -240,6 +247,132 @@ class TestValueDigest:
                     count += 1
         assert count == 1008
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestIntegerGrowth:
+    """The lists grow on integers over lcm(1..n)^weight: stored values are
+    put on that scale with a checked division, and each new value is stored
+    as one rational."""
+
+    KINDS = ((0, 1), (1, 1), (1, 2), (1, 3))
+
+    @staticmethod
+    def expected(parts, eq, lt, n):
+        # L_0..L_n from the oracles: the strict or weak sum for lt = 1, the
+        # comma-or-merge images weighted by lt^depth otherwise
+        if lt == 1:
+            oracle = ee.mhs_star_oracle if eq else ee.mhs_oracle
+            return [oracle(k, parts) for k in range(n + 1)]
+        images = list(pi_expand_weighted(SignedIndex(parts), lt))
+        return [sum((c * ee.mhs_oracle(k, q) for q, c in images),
+                    ee.rational(0)) for k in range(n + 1)]
+
+    @staticmethod
+    def plant(parts, n, shift):
+        # grow the strict list of parts to n, then shift its stored values
+        ee.mhs(n, parts)
+        vals = ee._lists[(parts, 0, 1)]
+        vals[:] = [v + shift(k) for k, v in enumerate(vals)]
+
+    # a shift planted in the list's own last value, and in the values of a
+    # tail that the call does not grow
+    PLANTED = pytest.mark.parametrize("planted,grown", [((2, 1), (2, 1)),
+                                                        ((1,), (3, 1))])
+
+    @PLANTED
+    def test_foreign_denominator_raises(self, planted, grown):
+        # k/97 is not over lcm(1..n)^weight for n < 97: the next growth
+        # refuses it instead of carrying it on
+        ee.clear_memo()
+        try:
+            self.plant(planted, 10, lambda k: ee.rational(k, 97))
+            with pytest.raises(ArithmeticError, match="lcm"):
+                ee.mhs(12, grown)
+        finally:
+            ee.clear_memo()
+
+    @PLANTED
+    def test_shift_inside_the_scale_moves_the_value(self, planted, grown):
+        # 1/(k+1) with k <= 10 is over lcm(1..12): growth takes it, and the
+        # value it gives is wrong, so the check is on the scale alone
+        ee.clear_memo()
+        try:
+            self.plant(planted, 10, lambda k: ee.rational(1, k + 1))
+            assert ee.mhs(12, grown) != ee.mhs_oracle(12, grown)
+        finally:
+            ee.clear_memo()
+
+    def test_growth_patterns_agree(self):
+        # one call to n, one value per call, and random chunks interleaved
+        # with lists that share suffixes all give the oracle's lists
+        rng = random.Random(20261020)
+        pool = (-4, -3, -2, -1, 1, 2, 3, 4)
+        n = 12
+        try:
+            for case in range(16):
+                eq, lt = self.KINDS[case % len(self.KINDS)]
+                parts = tuple(rng.choice(pool)
+                              for _ in range(rng.randint(1, 4)))
+                ee.clear_memo()
+                whole = list(ee._ensure(parts, eq, lt, n))
+                assert whole == self.expected(parts, eq, lt, n), (parts, eq,
+                                                                  lt)
+
+                ee.clear_memo()
+                for m in range(n + 1):
+                    stepped = ee._ensure(parts, eq, lt, m)
+                assert stepped == whole
+
+                # the same tail under other heads, and the tail itself
+                keys = [parts] + [(head,) + parts[1:]
+                                  for head in rng.sample(pool, 2)]
+                keys += [parts[1:]] if parts[1:] else []
+                reached = dict.fromkeys(keys, 0)
+                ee.clear_memo()
+                while any(m < n for m in reached.values()):
+                    key = rng.choice(keys)
+                    reached[key] = min(n, reached[key] + rng.randint(1, 5))
+                    ee._ensure(key, eq, lt, reached[key])
+                    assert (ee.memo_stats()["stored_values"]
+                            == sum(map(len, ee._lists.values())))
+                assert ee._ensure(parts, eq, lt, n) == whole
+                for key in keys[1:]:
+                    assert ee._ensure(key, eq, lt, n) == self.expected(
+                        key, eq, lt, n), (key, eq, lt)
+        finally:
+            ee.clear_memo()
+
+    def test_one_rational_per_new_value(self, monkeypatch):
+        # growth forms each new value as one rational N/D and stores that
+        # object: a stored value made by rational arithmetic (a sum or a
+        # product of fractions) is not one of those made here
+        made = []
+        make = ee._Q
+
+        def counting(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ee, "_Q", counting)
+        rng = random.Random(5)
+        try:
+            ee.clear_memo()
+            for case in range(12):
+                eq, lt = self.KINDS[case % len(self.KINDS)]
+                parts = tuple(rng.choice((-3, -2, -1, 1, 2, 3))
+                              for _ in range(rng.randint(1, 4)))
+                ee._ensure(parts, eq, lt, rng.randint(5, 30))
+            # every list starts with the one shared zero
+            new_values = ee.memo_stats()["stored_values"] - len(ee._lists)
+            assert 0 < len(made) <= new_values
+            ids = {id(value) for value in made}
+            for vals in ee._lists.values():
+                assert vals[0] is ee._ZERO
+                for before, value in zip(vals, vals[1:]):
+                    # an unchanged value is the previous object itself
+                    assert id(value) in ids or value is before
+        finally:
+            ee.clear_memo()
 
 
 class TestMemo:
