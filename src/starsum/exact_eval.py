@@ -23,10 +23,13 @@ term is an integer product over lcm(1..n)^weight, and one rational is
 formed per sum.
 
 The damping weights C(n,k) and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) are
-Lemma 3.1's integer kernel rows C(mn,n-k) over C(mn,n), so each companion
-of an index is one cached kernel sum (``_kernel_sum``) over lcm(1..n)^weight.
-The companion pass is one checked integer sum over lcm(1..n)^weight(base),
-the denominator its mathematics fixes (``_lcm_to`` caches lcm(1..n)).
+Lemma 3.1's unsigned kernel rows ``_kernel_row("B", m, n)``, C(mn,n-k) with
+c_n = 1/C(mn,n), for m = 1 (small) and m = 2 (big).  So each companion of
+an index is one cached kernel sum (``_kernel_sum``) over lcm(1..n)^weight,
+and the companion pass sums the same row against the increments of its T
+list over lcm(1..n)^weight(base), the denominator its mathematics fixes
+(``_lcm_to`` caches lcm(1..n)).  Every stored rational these sums read is
+put on its scale by one checked rescaling, ``_on_scale``.
 
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
@@ -93,6 +96,7 @@ def rat_str(value) -> str:
 #     (eq, lt) = (1, 1)   H*_k(s), the weak sum (mhs_star)
 #     (eq, lt) = (1, c)   T_k(s), the sum over the comma-or-merge images q of
 #                         s of c^depth(q) * H_k(q) (pi_companion_sum)
+#     (eq, lt) = (0, c)   c^depth(s) * H_k(s) (no caller)
 #
 # T is a weak sum in which an equal step weighs 1 and a strict step weighs c:
 # term(a,k) * term(b,k) == term(a (+) b, k), so a run of equal indices is one
@@ -108,10 +112,11 @@ def rat_str(value) -> str:
 #                                                  + (lt - eq) * M_{k-1})
 #
 # with M the tail's integers over scale^weight(tail) (M == 1 for an empty
-# tail).  A stored value a growth starts from is put on the scale by a
-# checked division (_on_scale), and each new value is stored as the one
-# normalized rational N_k / scale^w; an unchanged value is the previous
-# object itself.
+# tail, so its bracket is lt).  For lt = 1 the bracket is M_k (weak) or
+# M_{k-1} (strict), a slice of the tail's integers.  A stored value a
+# growth starts from is put on the scale by the one checked rescaling
+# (_on_scale), and each new value is stored as the one normalized rational
+# N_k / scale^w; an unchanged value is the previous object itself.
 #
 # Memory bound: _ensure, which alone stores lists, drops them all on entry
 # once more than _MEMO_LIMIT values are stored (the sum of the list
@@ -152,13 +157,16 @@ def _step_weight(scale: int, part: int, k: int) -> int:
     return -weight if part < 0 and k % 2 else weight
 
 
-def _on_scale(value, den: int, where: Tuple[int, tuple]) -> int:
-    """The integer N with value == N / den, for the stored value L_k(s) at
-    where = (k, s); ArithmeticError if there is none, so the premise that
-    den = lcm(1..n)^weight(s) is a common denominator is checked."""
+def _on_scale(value, den: int, what: str, *args) -> int:
+    """The integer N with value == N / den.  den is the scale the value's
+    mathematics fixes (a power of lcm(1..n), over k^expo for a kernel
+    term), so the premise that it is a common denominator is checked, not
+    assumed: if there is no such N, this raises ArithmeticError naming the
+    refused value (what % args)."""
     quotient, remainder = divmod(den, value.denominator)
     if remainder:
-        raise ArithmeticError("L_%d%s is not over lcm(1..n)^weight" % where)
+        raise ArithmeticError("%s is not over lcm(1..n)^weight"
+                              % (what % args))
     return value.numerator * quotient
 
 
@@ -205,16 +213,15 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
             # L(()) == 1, so the bracket is eq + (lt - eq) == lt
             brackets = itertools.repeat(lt)
         else:
-            inner = [_on_scale(tail_vals[k], tail_den, (k, suffix))
+            inner = [_on_scale(tail_vals[k], tail_den, "list value L_%d%s",
+                               k, suffix)
                      for k in range(lo, tail_lo)] + tail_ints
-            if not eq:
-                brackets = inner[:-1]
-            elif lt == 1:
-                brackets = inner[1:]
+            if lt == 1:
+                brackets = inner[1:] if eq else inner[:-1]
             else:
-                brackets = [now + (lt - 1) * before
+                brackets = [eq * now + (lt - eq) * before
                             for before, now in zip(inner, inner[1:])]
-        total = _on_scale(vals[lo], den, (lo, suffix_now))
+        total = _on_scale(vals[lo], den, "list value L_%d%s", lo, suffix_now)
         ints = [total]
         for k, bracket in zip(range(lo + 1, n + 1), brackets):
             if bracket:
@@ -252,14 +259,19 @@ def mhs_star(n: int, s) -> "rational":
     return _h_value(n, s, star=True)
 
 
-# Sized from the traffic, like _kernel_sum below: the c2 grid asks for 120
-# distinct rows, a perfbench kernels pass for 40.
+# Sized from the traffic, like _kernel_sum below.  Distinct rows and hits:
+# the c2 grid 120 and 18,129, a perfbench kernels pass 40 and 6,020; the
+# companion pass reads (B, 1..2, n), so c1 100 and 581,750 and a sweep pass
+# 100 and 5,650 (n <= 50).  A deep verify reads its 200 rows (B, m, n) once
+# each: no bound gives it hits, so the bound is the least power of two
+# that holds c2's 120, and keeps as few of deep's rows as that allows.
 @lru_cache(maxsize=128)
 def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
     """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
-    counterpart ("B").  The kernels of Lemma 3.1 carry a further factor c_n
-    (1 for m = 1, 1/C(2n,n) for m = 2, so that |K| = C(n,k)/C(n+k,k) in
-    the damped case); it is left out, see families.check_lemma31."""
+    counterpart ("B").  The kernels of Lemma 3.1 carry a further factor
+    c_n = 1/C(mn, n) for both m (so c_n |K| is C(n,k) for m = 1 and
+    C(n,k)/C(n+k,k) for m = 2); it is left out of the row.  check_lemma31
+    never forms it, and _mollified and pi_companion_sum divide by it once."""
     sign = -1 if kind == "A" else 1
     return tuple(sign ** k * comb(m * n, n - k) for k in range(n + 1))
 
@@ -284,24 +296,19 @@ def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
 
     Every denominator of H_{k-1}(x) divides lcm(1..n)^weight(x), and k^expo
     divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p.
-    The list H_0..H_{n-1}(x) is read once from the memo, and each quotient
-    is taken with divmod: a remainder raises ArithmeticError, so the premise
-    is checked, not assumed.
+    The list H_0..H_{n-1}(x) is read once from the memo, and each H_{k-1}(x)
+    is put on lcm(1..n)^p / k^max(expo, 0) by _on_scale, so the premise is
+    checked, not assumed.
     """
     h_vals = _ensure(x, 0, 1, n - 1) if x else (1,) * n
     row = _kernel_row(kind, m, n)
-    p = _kernel_power(x, expo)
-    scale = _lcm_to(n) ** p
+    scale = _lcm_to(n) ** _kernel_power(x, expo)
     total = 0
     for k, h in zip(range(1, n + 1), h_vals):
         if not h:
             continue
-        den = h.denominator * k ** expo if expo > 0 else h.denominator
-        quotient, remainder = divmod(scale, den)
-        if remainder:
-            raise ArithmeticError("term %d of S(%s, %d) is not over "
-                                  "lcm(1..%d)^%d" % (k, x, expo, n, p))
-        term = h.numerator * quotient * row[k]
+        term = row[k] * _on_scale(h, scale // k ** expo if expo > 0 else scale,
+                                  "kernel term %d of S(%s, %d)", k, x, expo)
         total += term * k ** -expo if expo < 0 else term
     return total
 
@@ -337,24 +344,27 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
 
     companion is "big" (weights C(n,k)/C(n+k,k)) or "small" (C(n,k)).
     Equivalent to expanding with pi_expand_weighted and evaluating each
-    image separately; this pass is O(n * depth) after cache warmup and is
-    what the sweep drivers call.
+    image separately; a call is n checked increments plus the growth of its
+    list, and it is what the sweep drivers call.
 
     T(k) is the sum of coeff_base^depth(p) * H_k(p) over the images p: the
     weak nested sum of base in which an equal step weighs 1 and a strict step
     weighs coeff_base, grown by the list recurrence with (eq, lt) =
     (1, coeff_base).  For coeff_base 1 it is the mhs_star list itself.
 
-    A merge keeps the weight, so each increment dT(k) = T(k) - T(k-1) is
-    over D = lcm(1..n)^weight(base) (divmod checks it, ArithmeticError if
-    not) and the pass is one integer sum: sign * sum_k w_k * dT(k)*D over D
-    (small, w_k = C(n,k)) or over D*C(2n,n) (big, w_k = C(2n,n-k)).
+    The weights are the Lemma 3.1 kernel row _kernel_row("B", m, n),
+    C(mn, n-k) with c_n = 1/C(mn, n), of order m = 2 (big) or 1 (small),
+    as in _mollified.  A merge keeps the weight, so each increment
+    dT(k) = T(k) - T(k-1) is over D = lcm(1..n)^weight(base) (_on_scale
+    checks it) and the pass is one integer sum:
+    sign * sum_k C(mn, n-k) * dT(k)*D over D*C(mn, n).
     """
     n = as_int("n", n)
     base = as_index(base)
     if base.is_empty():
         raise ValueError("pi_companion_sum needs a nonempty base")
-    if companion not in ("big", "small"):
+    m = {"big": 2, "small": 1}.get(companion)
+    if m is None:
         raise ValueError("companion must be 'big' or 'small'")
     if global_sign not in (1, -1):
         raise ValueError("global_sign must be +1 or -1")
@@ -364,18 +374,13 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     if coeff_base < 1:
         raise ValueError("coeff_base must be >= 1, got %d" % coeff_base)
     tvals = _ensure(base.parts, 1, coeff_base, n)
+    row = _kernel_row("B", m, n)
     denom = _lcm_to(n) ** base.weight()
     total = 0
     for k in range(1, n + 1):
-        delta = tvals[k] - tvals[k - 1]
-        quotient, remainder = divmod(denom, delta.denominator)
-        if remainder:
-            raise ArithmeticError("dT(%d) is not over lcm(1..%d)^w" % (k, n))
-        weight = comb(2 * n, n - k) if companion == "big" else comb(n, k)
-        total += weight * delta.numerator * quotient
-    if companion == "big":
-        denom *= comb(2 * n, n)
-    return _Q(global_sign * total, denom)
+        total += row[k] * _on_scale(tvals[k] - tvals[k - 1], denom,
+                                    "increment dT(%d)", k)
+    return _Q(global_sign * total, denom * comb(m * n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -254,15 +254,18 @@ class TestIntegerGrowth:
     put on that scale with a checked division, and each new value is stored
     as one rational."""
 
-    KINDS = ((0, 1), (1, 1), (1, 2), (1, 3))
+    KINDS = ((0, 1), (1, 1), (1, 2), (1, 3), (0, 2), (0, 3))
 
     @staticmethod
     def expected(parts, eq, lt, n):
-        # L_0..L_n from the oracles: the strict or weak sum for lt = 1, the
-        # comma-or-merge images weighted by lt^depth otherwise
+        # L_0..L_n from the oracles: the strict sum times lt^depth for
+        # eq = 0, the weak sum for (1, 1), the comma-or-merge images weighted
+        # by lt^depth otherwise
+        if not eq:
+            return [lt ** len(parts) * ee.mhs_oracle(k, parts)
+                    for k in range(n + 1)]
         if lt == 1:
-            oracle = ee.mhs_star_oracle if eq else ee.mhs_oracle
-            return [oracle(k, parts) for k in range(n + 1)]
+            return [ee.mhs_star_oracle(k, parts) for k in range(n + 1)]
         images = list(pi_expand_weighted(SignedIndex(parts), lt))
         return [sum((c * ee.mhs_oracle(k, q) for q, c in images),
                     ee.rational(0)) for k in range(n + 1)]
@@ -550,6 +553,21 @@ class TestMemo:
             assert ee.memo_stats()["drops"] >= 3
         finally:
             ee.clear_memo()
+
+
+def test_only_on_scale_calls_divmod():
+    # every rescaling of a stored rational onto its lcm(1..n) scale is the
+    # one checked _on_scale, so no second copy of the check can drift
+    def divmods(node):
+        return sum(1 for name in ast.walk(node)
+                   if isinstance(name, ast.Name) and name.id == "divmod")
+
+    tree = ast.parse(pathlib.Path(ee.__file__).read_text())
+    on_scale, = (node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_on_scale")
+    assert divmods(on_scale) >= 1
+    assert divmods(tree) == divmods(on_scale)
 
 
 def test_only_exact_eval_names_ensure():
