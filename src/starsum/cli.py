@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import List, Optional, Sequence
 
@@ -199,10 +200,10 @@ def _cmd_verify(args, stream) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
     config = RunConfig("verify", fmt=args.format, timings=args.timings)
-    records, _, _ = fam._spec_cells(spec, args.n_max, False, args.timings)
-    keys = ("n", "lhs", "rhs", "equal", "elapsed_ms")
-    items = [dict(params=spec.params(), **{key: record[key] for key in keys})
-             for record in records]
+    cells = fam._cells(spec, range(1, args.n_max + 1))
+    items = [_timed_item(args.timings, partial(fam._cell_item, spec), next,
+                         cells)
+             for _ in range(args.n_max)]
     report = _report(config, items)
     _emit(report, args.format, stream)
     return _exit_code(report)

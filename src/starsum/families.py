@@ -3,9 +3,12 @@
 Each family ties a weak-descent sum H*_n over a patterned composition to a
 signed comma-or-merge expansion of a short base index, evaluated through one
 of the two damped companion sums.  This module constructs both sides from a
-parameter tuple, verifies instances and whole parameter sweeps as exact
-rationals, and also hosts the binomial-kernel identities and small closed
-forms used as independent cross-checks.  None of them is rewritten through
+parameter tuple and compares them as exact rationals one cell (spec, n) at
+a time.  One per-spec generator, _cells, builds both sides once and yields
+every cell's two values; verify_instance, verify_sweep and the CLI's verify
+read their cells from it, and _cell_item is the one record of a cell.  The
+module also hosts the binomial-kernel identities and small closed forms used
+as independent cross-checks.  None of them is rewritten through
 the engine's own binomial identities.  Each kernel sum is summed as written
 by exact_eval._kernel_sum, the owner of the engine's lists, as one cached
 integer numerator over lcm(1..n)^p (p its weight plus its exponent), so a
@@ -24,7 +27,6 @@ says whether that rule reads runs of 2 or runs of 1.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm
@@ -299,10 +301,9 @@ def build_rhs(spec: FamilySpec) -> RhsForm:
 
 
 def rhs_value(spec: FamilySpec, n: int):
-    """Right-hand side at n through the aggregated companion pass."""
-    form = build_rhs(spec)
-    return pi_companion_sum(form.base, form.coeff_base, form.sign,
-                            form.companion, n)
+    """Right-hand side at n through the aggregated companion pass: the rhs of
+    the cell _cells yields at n, without its left side."""
+    return pi_companion_sum(*build_rhs(spec), n)
 
 
 def rhs_value_expanded(spec: FamilySpec, n: int):
@@ -320,12 +321,33 @@ def rhs_value_expanded(spec: FamilySpec, n: int):
     return total
 
 
+def _cells(spec: FamilySpec, ns: Iterable[int]) -> Iterator[tuple]:
+    """(n, H*_n of the left side, the right side at n) for each n of ns.
+
+    Both sides are built once; each cell is one mhs_star call and one
+    pi_companion_sum call.  verify_instance, verify_sweep and the CLI's
+    verify read every cell from here.
+    """
+    lhs = build_lhs(spec)
+    form = build_rhs(spec)
+    for n in ns:
+        yield n, mhs_star(n, lhs), pi_companion_sum(*form, n)
+
+
+def _cell_item(spec: FamilySpec, cell: tuple) -> dict:
+    """The report record of one cell: params, n, both sides as "p/q" and
+    whether they are equal."""
+    n, lhs, rhs = cell
+    return {"params": spec.params(), "n": n, "lhs": rat_str(lhs),
+            "rhs": rat_str(rhs), "equal": lhs == rhs}
+
+
 def verify_instance(spec: FamilySpec, n: int) -> dict:
-    """Exact comparison of both sides at a single n."""
+    """Exact comparison of both sides at a single n: the one cell _cells
+    yields at n, as rationals."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = mhs_star(n, build_lhs(spec))
-    rhs = rhs_value(spec, n)
+    _, lhs, rhs = next(_cells(spec, (n,)))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
@@ -372,65 +394,40 @@ def _grid_specs(family: str, grid: dict) -> Iterator[FamilySpec]:
     return enumerate_specs(family, r_values=grid.get("r", (1,)), **pools)
 
 
-def _spec_cells(spec: FamilySpec, n_max: int, failures_only: bool,
-                timings: bool) -> Tuple[List[dict], int, int]:
-    """verify_instance over n = 1..n_max for one spec.
-
-    Returns (records, passed, failed); passing records are dropped when
-    failures_only is set, so huge sweeps stay in memory.
-    """
-    records: List[dict] = []
-    passed = failed = 0
-    lhs_index = build_lhs(spec)
-    form = build_rhs(spec)
-    for n in range(1, n_max + 1):
-        started = time.perf_counter() if timings else 0.0
-        lhs = mhs_star(n, lhs_index)
-        rhs = pi_companion_sum(form.base, form.coeff_base, form.sign,
-                               form.companion, n)
-        ok = lhs == rhs
-        if ok:
-            passed += 1
-            if failures_only:
-                continue
-        else:
-            failed += 1
-        elapsed = int((time.perf_counter() - started) * 1000) if timings else 0
-        records.append(dict(spec.params(), n=n, equal=ok, elapsed_ms=elapsed,
-                            lhs=rat_str(lhs), rhs=rat_str(rhs)))
-    return records, passed, failed
-
-
 def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
                  failures_only: bool = False) -> dict:
     """Verify every (spec, n) cell of a parameter grid, in enumeration order.
 
     param_ranges maps any of "r", "a", "b", "c", "t" to value pools (see
-    enumerate_specs).  With failures_only the per-cell records of passing
-    cells are omitted (the summary still counts them), which is how the full
-    acceptance grid stays within memory.
+    enumerate_specs).  Each cell is one _cells comparison, and its record in
+    results is the item `starsum verify` prints for it without elapsed_ms:
+    {params, n, lhs, rhs, equal}, the sides as "p/q" (_cell_item).  With
+    failures_only the records of passing cells are omitted (the summary
+    still counts them), which is how the full acceptance grid stays within
+    memory.
     """
     n_max = as_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     specs = list(_grid_specs(family, param_ranges))
     results: List[dict] = []
-    passed = failed = 0
+    passed = 0
     for spec in specs:
-        records, ok_count, bad_count = _spec_cells(spec, n_max, failures_only,
-                                                   False)
-        results.extend(records)
-        passed += ok_count
-        failed += bad_count
+        for cell in _cells(spec, range(1, n_max + 1)):
+            ok = cell[1] == cell[2]
+            passed += ok
+            if not (ok and failures_only):
+                results.append(_cell_item(spec, cell))
+    cells = len(specs) * n_max
     return {
         "family": family,
         "n_max": n_max,
         "specs": len(specs),
         "results": results,
         "summary": {
-            "cells": passed + failed,
+            "cells": cells,
             "passed": passed,
-            "failed": failed,
+            "failed": cells - passed,
         },
     }
 
@@ -441,8 +438,9 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Parameters of the kernel identities: kernel order m, signed or
-    unsigned kind, outer exponent a, shift c and inner index v."""
+    """Parameters of the kernel identities: kernel order m >= 1, signed or
+    unsigned kind, outer exponent a, shift c and inner index v.  The shift
+    forms of check_lemma31 take any m; the difference forms need m = 2."""
 
     m: int = 1
     kind: str = "A"
@@ -454,8 +452,8 @@ class KernelParams:
         for name in ("m", "a", "c"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         object.__setattr__(self, "v", as_index(self.v))
-        if self.m not in (1, 2):
-            raise ValueError("kernel order m must be 1 or 2")
+        if self.m < 1:
+            raise ValueError("kernel order m must be >= 1")
         if self.kind not in ("A", "B"):
             raise ValueError("kernel kind must be 'A' or 'B'")
         if self.a < 0:
@@ -477,12 +475,17 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     of the correction sums (all others) and the sign s = -1 or +1 of the
     correction's signed part.  The variants come in two shapes:
 
-    * shift form ("i", "iii"), c >= 1:
+    * shift form ("i", "iii"), any kernel order m >= 1 and c >= 1:
       S(v, a) / n^c = S(v, a + c) + sum m^len(x) S(x + v, j), summed over
       j >= 0 and x = y + (s l,) with l > a and y a composition of
       a + c - j - l;
     * difference form ("ii", "iv"), m = 2 and a >= 1:
       n S(v, a) = S(v, a - 1) + 2 S((s a,) + v, -1).
+
+    The shift forms are checked at m = 1..4 (c2); weights m^len(x) against
+    a kernel of order m + 1 fail.  The difference form with factor f in
+    place of 2 was found to hold only at m = f = 2 among m, f in 1..4, so it
+    refuses every other m.
 
     The kernel factor c_n multiplies every sum on both sides alike, so the
     sums run over integer kernel rows and c_n is never formed.  Each sum is

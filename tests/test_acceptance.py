@@ -2,11 +2,12 @@
 
 Criterion 1 sweeps roughly 580k exact cells and dominates the runtime of the
 whole suite.  With the pure-Python fractions backend and mpmath's pure-Python
-backend the whole suite took 240 s on a 2-core VM with Python 3.11, 211 s of
-it in criterion 1, against 262 s and 228 s, run side by side, before the
-companion pass summed over lcm(1..n)^weight.  Setting STARSUM_NIGHTLY=1
-additionally re-runs the two pair-run families at the widened grid (run
-lengths up to 5, n up to 100).
+backend the whole suite took 287 s on a 2-core VM with Python 3.11, 250 s of
+it in criterion 1, against 284 s and 250 s, run side by side, before every
+cell was read from the one per-spec generator families._cells.  The
+machine's speed drifts, so compare only times taken side by side.  Setting
+STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the
+widened grid (run lengths up to 5, n up to 100).
 """
 
 import itertools
@@ -91,6 +92,14 @@ def test_c2_kernel_identity_grid():
     inner = ((), (1,), (-2,), (2, 1))
     for m, a, c, v in itertools.product((1, 2), range(4), (1, 2, 3), inner):
         for n in range(1, 31):
+            assert check_lemma31("i", KernelParams(m=m, kind="A", a=a, c=c,
+                                                   v=v), n)
+            assert check_lemma31("iii", KernelParams(m=m, kind="B", a=a, c=c,
+                                                     v=v), n)
+    # the shift forms hold at kernel orders 3 and 4 too (n <= 12); the
+    # difference forms only at m = 2
+    for m, a, c, v in itertools.product((3, 4), range(4), (1, 2, 3), inner):
+        for n in range(1, 13):
             assert check_lemma31("i", KernelParams(m=m, kind="A", a=a, c=c,
                                                    v=v), n)
             assert check_lemma31("iii", KernelParams(m=m, kind="B", a=a, c=c,

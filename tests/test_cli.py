@@ -16,6 +16,8 @@ import pytest
 
 import starsum
 from starsum.cli import _normalize_argv, main
+from starsum.exact_eval import rat_str
+from starsum.families import TWO_ONE, FamilySpec, verify_instance, verify_sweep
 from starsum.zeta_numeric import clear_value_cache
 
 
@@ -126,6 +128,23 @@ class TestVerify:
             assert item["equal"] is True
             assert item["elapsed_ms"] == 0
             assert item["params"]["family"] == "TWO_ONE"
+
+    def test_one_record_shape(self, capsys):
+        # verify_sweep, verify_instance and verify read one per-spec cell
+        # generator: a cell has one record and one verdict everywhere
+        _, out, _ = run_cli(capsys, "verify", "--family", "two-one", "--a",
+                            "1", "--n-max", "20", "--format", "json")
+        items = json.loads(out)["items"]
+        for item in items:
+            del item["elapsed_ms"]
+        sweep = verify_sweep(TWO_ONE, {"r": (1,), "a": (1,)}, 20)
+        assert sweep["results"] == items
+        spec = FamilySpec(TWO_ONE, a=(1,))
+        for item in items:
+            report = verify_instance(spec, item["n"])
+            assert (rat_str(report["lhs"]), rat_str(report["rhs"]),
+                    report["equal"]) == (item["lhs"], item["rhs"],
+                                         item["equal"])
 
     def test_reports_are_byte_identical(self, capsys):
         argv = ("verify", "--family", "c21", "--a", "1", "--b", "0",
@@ -331,7 +350,7 @@ class TestReportBytes:
     """sha256 of whole reports, pinned so that refactors of the verifiers
     and of the item builders cannot change a byte of what is printed."""
 
-    @pytest.mark.parametrize("argv,digest", [
+    CASES = [
         (("suite", "--suite", "paper-examples", "--format", "json"),
          "d856533da8f070422e725d47107638a1c9a4a574b69b8765706740320e8648c8"),
         (("suite", "--suite", "ittw", "--format", "json"),
@@ -348,7 +367,23 @@ class TestReportBytes:
         (("verify-mzsv", "--family", "two-one", "--a", "1,1", "--format",
           "csv"),
          "b222909a973c837d677684f7a6bd01f4b3915927661e66dc34de614ecd42df11"),
-    ])
+        (("verify", "--family", "two-one", "--a", "1,1", "--n-max", "20"),
+         "2eb6d2394eccbe64671d1739c3f58198a7699417a7366aaaf4c57b34260b8713"),
+        (("verify", "--family", "two-one", "--a", "1,1", "--n-max", "20",
+          "--format", "json"),
+         "7eefd0192b7c003bb16f4cb0cbbf2995cafc7f8a3e8b7e13346c2eff0fa32e64"),
+        (("verify", "--family", "two-one", "--a", "1,1", "--n-max", "20",
+          "--format", "csv"),
+         "8ebb67f5fbb7d371d0a9c3a1beed4cb2b17cff9033db44a4c2b699c853e122f1"),
+        (("verify", "--family", "c21", "--a", "1,0", "--b", "0,1", "--c",
+          "3,4", "--n-max", "12", "--format", "json"),
+         "2b2ef6825266b76cab76c5aa5818d8cd6dc5cd4c26abc0a1e2bad11a46dde070"),
+    ]
+
+    # named after the argv, with the flags' dashes dropped, so that a
+    # re-pinned digest keeps its test's name
+    @pytest.mark.parametrize("argv,digest", CASES, ids=[
+        " ".join(argv).replace("--", "") for argv, _ in CASES])
     def test_report_digest(self, capsys, argv, digest):
         # a value cached at a tighter tolerance would be served as is
         clear_value_cache()

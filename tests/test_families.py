@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from starsum.exact_eval import (
     _ensure,
     _kernel_sum,
+    _lcm_to,
     clear_memo,
     mhs,
     mhs_star,
@@ -27,6 +28,7 @@ from starsum.exact_eval import (
     pi_companion_sum,
     rational,
 )
+from starsum import families
 from starsum.families import (
     _rhs_form,
     BIG,
@@ -289,6 +291,74 @@ class TestCompositionRule:
         # negative controls: a comparison that could not fail would pass
         # these too
         assert self._failed_cells(perturb) == 6120
+
+
+class TestRuleCensus:
+    """Every right side of one ansatz against every H*_n(s) of weight <= 6.
+
+    A candidate is sign * sum_{k<=n} eps^k C(mn, n-k)/C(mn, n) dT_k(q), with
+    T the (1, c) list of a signed composition q of the weight of s, c and m
+    in 1..4 and eps and sign in +-1; it matches s when the two agree at
+    n = 1..8.  The pass with eps = +1 and m = 2 or 1 is pi_companion_sum.
+    Nothing is claimed outside the ansatz.
+    """
+
+    N_MAX = 8
+
+    def census(self):
+        """{s: its matches (q, c, m, eps, sign)} over the signed s of
+        weight 1..6, and the number of candidates."""
+        matches, candidates = {}, 0
+        for weight in range(1, 7):
+            signed = [tuple(sign * p for sign, p in zip(signs, parts))
+                      for parts in compositions(weight)
+                      for signs in itertools.product((1, -1),
+                                                     repeat=len(parts))]
+            # the candidates with sign +1 by their value sequence; sign -1
+            # matches s where +1 matches -H*(s)
+            scale = _lcm_to(self.N_MAX) ** weight
+            by_values = {}
+            for q, c in itertools.product(signed, range(1, 5)):
+                t_vals = _ensure(q, 1, c, self.N_MAX)[:self.N_MAX + 1]
+                steps = [(now - before) * scale
+                         for before, now in zip(t_vals, t_vals[1:])]
+                assert all(step.denominator == 1 for step in steps)
+                steps = [step.numerator for step in steps]
+                for m, eps in itertools.product(range(1, 5), (1, -1)):
+                    values = tuple(rational(
+                        sum(eps ** k * comb(m * n, n - k) * steps[k - 1]
+                            for k in range(1, n + 1)),
+                        scale * comb(m * n, n))
+                        for n in range(1, self.N_MAX + 1))
+                    by_values.setdefault(values, []).append((q, c, m, eps))
+                    candidates += 2
+            for s in signed:
+                values = tuple(mhs_star(n, s)
+                               for n in range(1, self.N_MAX + 1))
+                matches[s] = {key + (sign,) for sign in (1, -1)
+                              for key in by_values.get(
+                                  tuple(sign * v for v in values), ())}
+        return matches, candidates
+
+    def test_only_the_two_walks_and_their_mirrors_match(self):
+        matches, candidates = self.census()
+        positive = [s for s in matches if min(s) > 0]
+        signed = [s for s in matches if min(s) < 0]
+        assert (len(matches), len(positive), len(signed), candidates) == (
+            728, 63, 665, 46592)
+        for s in positive:
+            expected = set()
+            for unit in (2, 1):
+                form = _rhs_form(s, unit)
+                base = form.base.parts
+                m = 2 if form.companion == BIG else 1
+                # the mirror: the first part of q negated turns every dT_k
+                # into (-1)^k dT_k, which eps = -1 undoes
+                expected |= {(base, form.coeff_base, m, 1, form.sign),
+                             ((-base[0],) + base[1:], form.coeff_base, m, -1,
+                              form.sign)}
+            assert matches[s] == expected, s
+        assert not any(matches[s] for s in signed)
 
 
 class TestVerifyInstance:
@@ -762,6 +832,24 @@ class TestKernelIdentities:
                 assert check_lemma31("iv", KernelParams(m=2, kind="A", a=a,
                                                         v=v), n)
 
+    @pytest.mark.parametrize("m", (2, 3))
+    def test_kernel_one_order_up_fails(self, monkeypatch, m):
+        # negative control for the shift forms at every order: the weights
+        # m^len(x) against the kernel rows of order m + 1 fail 240 of the 288
+        # cells per variant (a <= 2, c <= 2, c2's four v, n <= 12)
+        kernel_sum = families._kernel_sum
+        monkeypatch.setattr(families, "_kernel_sum",
+                            lambda x, expo, kind, order, n:
+                            kernel_sum(x, expo, kind, order + 1, n))
+        inner = ((), (1,), (-2,), (2, 1))
+        for variant, kind in (("i", "A"), ("iii", "B")):
+            failed = sum(
+                not check_lemma31(variant, KernelParams(m=m, kind=kind, a=a,
+                                                        c=c, v=v), n)
+                for a, c, v in itertools.product(range(3), (1, 2), inner)
+                for n in range(1, 13))
+            assert failed == 240, variant
+
     @pytest.mark.parametrize("variant,kp_kwargs,message", [
         ("v", dict(kind="A"), "variant must be one of"),
         ("i", dict(kind="B"), "uses kernel kind"),
@@ -769,6 +857,7 @@ class TestKernelIdentities:
         ("ii", dict(m=1, kind="B", a=1), "need m = 2"),
         ("ii", dict(m=2, kind="B", a=0), "need a >= 1"),
         ("iv", dict(m=2, kind="B", a=1), "uses kernel kind"),
+        ("iv", dict(m=4, kind="A", a=1), "need m = 2"),
     ])
     def test_rejections(self, variant, kp_kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -776,7 +865,7 @@ class TestKernelIdentities:
 
     def test_kernel_params_validation(self):
         with pytest.raises(ValueError, match="kernel order m"):
-            KernelParams(m=3)
+            KernelParams(m=0)
         with pytest.raises(ValueError, match="kernel kind"):
             KernelParams(kind="C")
         with pytest.raises(ValueError, match="exponent a"):
