@@ -28,8 +28,11 @@ c_n = 1/C(mn,n), for m = 1 (small) and m = 2 (big).  So each companion of
 an index is one cached kernel sum (``_kernel_sum``) over lcm(1..n)^weight,
 and the companion pass sums the same row against the increments of its T
 list over lcm(1..n)^weight(base), the denominator its mathematics fixes
-(``_lcm_to`` caches lcm(1..n)).  Every stored rational these sums read is
-put on its scale by one checked rescaling, ``_on_scale``.
+(``_lcm_to`` caches lcm(1..n)).  A kernel sum is the dot product of three
+cached integer rows over k: H_{k-1} on lcm(1..n)^weight (``_h_row``), the
+weight that puts 1/k^e on its lcm power (``_term_weights``) and the kernel
+row.  Every stored rational these sums read is put on its scale by one
+checked rescaling, ``_on_scale``, once per H row and once per increment.
 
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
@@ -42,6 +45,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 from typing import Dict, List, Tuple
 
 from starsum.index_core import as_index, as_int
@@ -159,10 +163,9 @@ def _step_weight(scale: int, part: int, k: int) -> int:
 
 def _on_scale(value, den: int, what: str, *args) -> int:
     """The integer N with value == N / den.  den is the scale the value's
-    mathematics fixes (a power of lcm(1..n), over k^expo for a kernel
-    term), so the premise that it is a common denominator is checked, not
-    assumed: if there is no such N, this raises ArithmeticError naming the
-    refused value (what % args)."""
+    mathematics fixes (a power of lcm(1..n)), so the premise that it is a
+    common denominator is checked, not assumed: if there is no such N, this
+    raises ArithmeticError naming the refused value (what % args)."""
     quotient, remainder = divmod(den, value.denominator)
     if remainder:
         raise ArithmeticError("%s is not over lcm(1..n)^weight"
@@ -278,14 +281,51 @@ def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
 
 def _kernel_power(x: Tuple[int, ...], expo: int) -> int:
     """p = weight(x) + max(expo, 0): S(x, expo) is an integer over
-    lcm(1..n)^p.  _kernel_sum and check_lemma31 both read p from here."""
+    lcm(1..n)^p, the power _kernel_sum's rows put it on (weight(x) from
+    _h_row, max(expo, 0) from _term_weights).  check_lemma31 reads p from
+    here."""
     return sum(map(abs, x)) + max(expo, 0)
+
+
+# Sized from the traffic, by hits and by size.  A kernel sum reads the row
+# of its (x, n) whatever its exponent, kind and order.  Distinct rows and
+# the reads that miss the sum cache: a perfbench kernels pass 1,440 and
+# 6,060, and the c2 grid 4,320 and 26,124; a row there (n <= 30) is at most
+# 2.4 KB.  The bound holds a kernels pass whole (4,620 hits; 1,024 rows
+# would give 3,149) and gives c2 15,748 of its 21,804, in at most 5 MB.
+# Large n reads few rows: test_far_cells 40 (n = 200 and 500, 5.3 MB in
+# all, up to 305 KB each, 22 hits) and a deep references pass at most 8
+# per spec (n = 200, up to 38 KB each, no hits), so no counted traffic
+# comes near a bound filled with rows that large.
+@lru_cache(maxsize=1 << 11)
+def _h_row(x: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """H_{k-1}(x) * lcm(1..n)^weight(x) for k = 1..n.  Only H_0..H_{n-1}
+    of the memo's list are read (it may be longer), and each is put on the
+    scale by _on_scale, so the premise that lcm(1..n)^weight(x) is a common
+    denominator is checked, not assumed."""
+    if not x:
+        return (1,) * n
+    scale = _lcm_to(n) ** sum(map(abs, x))
+    return tuple(_on_scale(h, scale, "list value H_%d%s", k, x)
+                 for k, h in enumerate(_ensure(x, 0, 1, n - 1)[:n]))
+
+
+# Sized from the traffic: distinct (expo, n) pairs are 80 in a perfbench
+# kernels pass, 240 in the c2 grid and 14 in the far cells; at n <= 30 a
+# row is at most 2 KB.
+@lru_cache(maxsize=256)
+def _term_weights(expo: int, n: int) -> Tuple[int, ...]:
+    """(lcm(1..n)/k)^expo for k = 1..n if expo >= 0, else k^-expo: the
+    factor that puts 1/k^expo on lcm(1..n)^max(expo, 0)."""
+    if expo < 0:
+        return tuple(k ** -expo for k in range(1, n + 1))
+    scale = _lcm_to(n)
+    return tuple((scale // k) ** expo for k in range(1, n + 1))
 
 
 # Sized from the traffic: a perfbench kernels pass asks for 11,600 sums,
 # 6,060 of them distinct, and the bound holds them all.  The c2 grid asks
-# for 34,800 (18,180 distinct) but reuses each soon; the bound costs it 69
-# of 16,620 hits.
+# for 47,856 (25,164 distinct) but reuses each soon; it misses 26,124.
 @lru_cache(maxsize=1 << 13)
 def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
                 n: int) -> int:
@@ -295,22 +335,13 @@ def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
     gives the k-weighted form on the right of the two difference identities.
 
     Every denominator of H_{k-1}(x) divides lcm(1..n)^weight(x), and k^expo
-    divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p.
-    The list H_0..H_{n-1}(x) is read once from the memo, and each H_{k-1}(x)
-    is put on lcm(1..n)^p / k^max(expo, 0) by _on_scale, so the premise is
-    checked, not assumed.
+    divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p:
+    the product of three cached integer rows at k, H_{k-1}(x) on
+    lcm(1..n)^weight(x) (_h_row, where _on_scale checks that premise),
+    the weight _term_weights(expo, n) and K_{n,k}.  N is their dot product.
     """
-    h_vals = _ensure(x, 0, 1, n - 1) if x else (1,) * n
-    row = _kernel_row(kind, m, n)
-    scale = _lcm_to(n) ** _kernel_power(x, expo)
-    total = 0
-    for k, h in zip(range(1, n + 1), h_vals):
-        if not h:
-            continue
-        term = row[k] * _on_scale(h, scale // k ** expo if expo > 0 else scale,
-                                  "kernel term %d of S(%s, %d)", k, x, expo)
-        total += term * k ** -expo if expo < 0 else term
-    return total
+    return sum(map(mul, map(mul, _h_row(x, n), _term_weights(expo, n)),
+                   itertools.islice(_kernel_row(kind, m, n), 1, None)))
 
 
 def _mollified(n: int, s, m: int):

@@ -525,14 +525,23 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     rhs = S(v, a + c)
     for j in range(a + c):
         for last in range(a + 1, a + c - j + 1):
-            rest = a + c - j - last
-            # the compositions of rest, each weighted m^depth
-            prefixes = (pi_expand_weighted(SignedIndex((1,) * rest), m)
-                        if rest else ((EMPTY, 1),))
-            for prefix, weight in prefixes:
-                rhs += m * weight * S(prefix.parts + (sign * last,) + v, j,
-                                      extra)
+            tail = (sign * last,) + v
+            for prefix, weight in _weighted_compositions(a + c - j - last, m):
+                rhs += weight * S(prefix + tail, j, extra)
     return S(v, a) == n ** c * rhs
+
+
+# Sized from the traffic: check_lemma31 asks for rest < c and m <= 4, so
+# c2 (c <= 3) reads 12 pairs (rest, m) and a perfbench kernels pass 6.
+@lru_cache(maxsize=64)
+def _weighted_compositions(rest: int, m: int) -> Tuple[tuple, ...]:
+    """(y, m^(len(y) + 1)) for each composition y of rest, y a plain tuple:
+    the comma-or-merge images of (1,)^rest, weighted for a correction
+    term x = y + (s l,) of check_lemma31, which has one more part."""
+    if not rest:
+        return (((), m),)
+    return tuple((prefix.parts, m * weight) for prefix, weight
+                 in pi_expand_weighted(SignedIndex((1,) * rest), m))
 
 
 # ---------------------------------------------------------------------------

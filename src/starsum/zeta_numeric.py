@@ -634,14 +634,16 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
 
 
 def check_zlobin(n: int, tol: float = DEFAULT_TOL) -> dict:
-    """zeta*({2}^n) against -2 * zeta of the single bar argument 2n."""
+    """zeta*({2}^n) against -2 * zeta of the single bar argument 2n, which
+    is an exact rational times pi^(2n) (_even_zeta_coefficient): the left
+    side is the only limit taken, checked as verify_muneta checks its own."""
     n = as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    each = tol / 3
-    lhs = zeta_star(SignedIndex((2,) * n), each).value
-    rhs = _limit_sum(zeta, [(SignedIndex((-2 * n,)), -2)], each)
-    return {"n": n, **_compare(lhs, rhs, 3 * each)}
+    coefficient = -2 * _even_zeta_coefficient(-2 * n)
+    lhs = zeta_star(SignedIndex((2,) * n), tol / 2).value
+    return {"n": n,
+            **_against_pi_power(lhs, coefficient, 2 * n, tol / 2, tol)}
 
 
 def check_three_n(n: int, tol: float = DEFAULT_TOL) -> dict:

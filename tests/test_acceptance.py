@@ -2,10 +2,12 @@
 
 Criterion 1 sweeps roughly 580k exact cells and dominates the runtime of the
 whole suite.  With the pure-Python fractions backend and mpmath's pure-Python
-backend the whole suite took 287 s on a 2-core VM with Python 3.11, 250 s of
-it in criterion 1, against 284 s and 250 s, run side by side, before every
-cell was read from the one per-spec generator families._cells.  The
-machine's speed drifts, so compare only times taken side by side.  Setting
+backend the whole suite took 262 s on a 2-core VM with Python 3.11, 229 s of
+it in criterion 1, against 257 s and 223 s, run side by side, before the
+kernel sums were dot products of cached integer rows; criterion 1 calls no
+kernel sum.  Criterion 2 took 0.52 s against 0.66 s (medians of seven cold
+runs each, run alternately).  The machine's speed drifts, so compare only
+times taken side by side.  Setting
 STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the
 widened grid (run lengths up to 5, n up to 100).
 """

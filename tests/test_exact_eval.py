@@ -7,9 +7,11 @@ before anything else trusts it; the spot values used elsewhere in the suite
 
 import ast
 import hashlib
+import itertools
 import pathlib
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,38 @@ class TestMollified:
             ee.mollified_big(0, (2,))
         with pytest.raises(ValueError):
             ee.mollified_big(3, ())
+
+
+def test_kernel_sum_matches_its_definition():
+    # S(x, e) = sum_k H_{k-1}(x) K_{n,k} / k^e times lcm(1..n)^p, summed as
+    # rationals from the oracle and comb, with no memo and no cached row.
+    # Each x's list is grown past n first, so a row that read more of it
+    # than H_0..H_{n-1} would be refused by its scale check
+    ee.clear_memo()
+    ee._kernel_sum.cache_clear()
+    ee._h_row.cache_clear()
+    rng = random.Random(2307)
+    pool = (-3, -2, -1, 1, 2, 3)
+    xs = [()] + [tuple(rng.choice(pool) for _ in range(depth))
+                 for depth in (1, 2, 3) for _ in range(8)]
+    checked = 0
+    for x in xs:
+        ee.mhs(24, x)
+        oracle = [ee.mhs_oracle(k, x) for k in range(20)]
+        for n in rng.sample(range(1, 21), 3):
+            for kind, m, e in itertools.product("AB", (1, 2, 3, 4),
+                                                (-1, 0, 1, 3)):
+                sign = -1 if kind == "A" else 1
+                total = sum((oracle[k - 1] * sign ** k * comb(m * n, n - k)
+                             * Fraction(1, k) ** e for k in range(1, n + 1)),
+                            Fraction(0))
+                power = sum(map(abs, x)) + max(e, 0)
+                scaled = total * lcm(*range(1, n + 1)) ** power
+                assert scaled.denominator == 1, (x, e, kind, m, n)
+                assert ee._kernel_sum(x, e, kind, m, n) == scaled, \
+                    (x, e, kind, m, n)
+                checked += 1
+    assert checked == 25 * 3 * 32
 
 
 class TestCompanionSum:

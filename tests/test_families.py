@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from starsum.exact_eval import (
     _ensure,
+    _h_row,
     _kernel_sum,
     _lcm_to,
     clear_memo,
@@ -786,11 +787,13 @@ class TestKernelIdentities:
 
     @pytest.fixture
     def cold_kernel_sums(self):
-        # no sum from a patched list reader is served from the cache or
-        # left in it
+        # no sum or H row from a patched list reader is served from its
+        # cache or left in it
         _kernel_sum.cache_clear()
+        _h_row.cache_clear()
         yield
         _kernel_sum.cache_clear()
+        _h_row.cache_clear()
 
     @staticmethod
     def shift_lists(monkeypatch, shift):

@@ -932,10 +932,9 @@ class TestVerdictsCanFail:
     family limit is one chain of its own, shifted by patching _chain_eval."""
 
     @pytest.mark.parametrize("check", [
-        lambda: check_zlobin(2),
         lambda: check_three_n(1),
         lambda: hoffman_symmetric_check((2, 2)),
-    ], ids=["zlobin", "three_n", "hoffman"])
+    ], ids=["three_n", "hoffman"])
     def test_shifted_strict_limits(self, monkeypatch, check):
         monkeypatch.setattr(zn, "zeta", _shifted(zn.zeta))
         assert check()["within_tol"] is False
@@ -947,11 +946,23 @@ class TestVerdictsCanFail:
         lambda: verify_ittw_conj2("i", {"m": 1, "n": 0}),
         lambda: verify_ittw_conj2("ii", {"n": 1}),
         lambda: verify_ittw_conj2("iii", {"n": 1}),
+        lambda: check_zlobin(2),
     ], ids=["family", "yamamoto", "muneta", "ittw_i", "ittw_ii",
-            "ittw_iii"])
+            "ittw_iii", "zlobin"])
     def test_shifted_weak_limits(self, monkeypatch, check):
         monkeypatch.setattr(zn, "zeta_star", _shifted(zn.zeta_star))
         assert check()["within_tol"] is False
+
+    def test_shifted_zlobin_coefficient(self, monkeypatch):
+        # the right side of check_zlobin is exact: a coefficient off by a
+        # factor 1 + 1e-3 must fail both the comparison and the recognition
+        coefficient = zn._even_zeta_coefficient
+        monkeypatch.setattr(zn, "_even_zeta_coefficient", lambda v:
+                            coefficient(v) * Fraction(1001, 1000))
+        for n in (1, 2, 3):
+            report = check_zlobin(n)
+            assert report["within_tol"] is False, n
+            assert report["recognition_ok"] is False, n
 
     def test_shifted_right_side(self, monkeypatch):
         chain_eval = zn._chain_eval
