@@ -133,15 +133,22 @@ _MEMO_LIMIT = 600_000
 
 
 def clear_memo() -> None:
+    """Empty this process's memo: the lists, their counts and the caches
+    read off them (the H rows and the kernel sums, and the weight rows
+    beside them).  A sweep's children (families.verify_sweep) each hold a
+    memo of their own, which ends with them."""
     global _stored_values, _drops, _hits, _grown
     _lists.clear()
     _stored_values = _drops = _hits = _grown = 0
+    for cache in (_h_row, _kernel_sum, _term_weights):
+        cache.cache_clear()
 
 
 def memo_stats() -> dict:
     """The stored values, the H and T lists, the limit, and since the last
     clear_memo() the drops by it, the lists grown and the hits (_ensure
-    calls that returned at once)."""
+    calls that returned at once).  All of them count this process's memo
+    only, not that of a sweep's children."""
     h_lists = sum(1 for _, _, lt in _lists if lt == 1)
     return {"stored_values": _stored_values, "h_lists": h_lists,
             "t_lists": len(_lists) - h_lists, "drops": _drops, "hits": _hits,

@@ -1,20 +1,24 @@
 """Builders and exact verifiers for the harmonic-sum identity families.
 
 Each family ties a weak-descent sum H*_n over a patterned composition to a
-signed comma-or-merge expansion of a short base index, evaluated through one
-of the two damped companion sums.  This module constructs both sides from a
-parameter tuple and compares them as exact rationals one cell (spec, n) at
-a time.  One per-spec generator, _cells, builds both sides once and yields
-every cell's two values; verify_instance, verify_sweep and the CLI's verify
-read their cells from it, and _cell_item is the one record of a cell.  The
-module also hosts the binomial-kernel identities and small closed forms used
-as independent cross-checks.  None of them is rewritten through
-the engine's own binomial identities.  Each kernel sum is summed as written
-by exact_eval._kernel_sum, the owner of the engine's lists, as one cached
+signed comma-or-merge expansion of a short base index, evaluated through
+one of the two damped companion sums.  This module constructs both sides
+from a parameter tuple and compares them as exact rationals one cell
+(spec, n) at a time.  One per-spec generator, _cells, builds both sides
+once and yields every cell's two values; verify_instance, verify_sweep and
+the CLI's verify read their cells from it, and _cell_item is the one record
+of a cell.  A sweep checks its specs in shares, one per usable core: the
+caller checks the first, each other share runs in a forked child with a
+memo of its own (a share of the memo limit), and the records are merged
+back in enumeration order (verify_sweep); there is no option to set.  The
+module also hosts the binomial-kernel identities and small closed forms
+used as independent cross-checks.  None of them is rewritten through the
+engine's own binomial identities.  Each kernel sum is summed as written by
+exact_eval._kernel_sum, the owner of the engine's lists, as one cached
 integer numerator over lcm(1..n)^p (p its weight plus its exponent), so a
-check of Lemma 3.1 is one integer equality over a common power of
-lcm(1..n) (exact_eval._lcm_to).  Each closed form states the denominator
-its terms are summed over; the geometric sum is an integer identity.
+check of Lemma 3.1 is one integer equality over a common power of lcm(1..n)
+(exact_eval._lcm_to).  Each closed form states the denominator its terms
+are summed over; the geometric sum is an integer identity.
 
 The families are declared once, in FAMILY_TABLE, one row each (see Family);
 a new family is one new row.  Slot lengths, r inference, validation, the
@@ -27,11 +31,14 @@ says whether that rule reads runs of 2 or runs of 1.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm
+from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+from . import exact_eval
 from .exact_eval import (
     _kernel_power,
     _kernel_sum,
@@ -405,31 +412,140 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     failures_only the records of passing cells are omitted (the summary
     still counts them), which is how the full acceptance grid stays within
     memory.
+
+    The specs are checked in shares, one per usable core (_usable_cores:
+    the affinity, capped by a cgroup CPU quota) and at most one per spec,
+    the positions dealt round-robin (_shares).  The caller checks share 0
+    itself; every other share runs in one forked child, which sends back
+    its pass count and its records keyed by spec position, and the records
+    are merged in enumeration order, so the result does not depend on the
+    share count.  Each process grows its own memo: a child starts from the
+    caller's memo as it stood at the fork, holds at most 1/shares of
+    exact_eval's limit, and what it grows goes with it, so the memos of a
+    sweep hold under about twice the limit on any number of cores.  There
+    is no option: with one usable core or one spec no child is started.
+    A child's exception is raised again here, a child that ends without a
+    reply raises RuntimeError naming it, and every child has ended and been
+    joined when this returns or raises.
     """
     n_max = as_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     specs = list(_grid_specs(family, param_ranges))
-    results: List[dict] = []
-    passed = 0
-    for spec in specs:
-        for cell in _cells(spec, range(1, n_max + 1)):
-            ok = cell[1] == cell[2]
-            passed += ok
-            if not (ok and failures_only):
-                results.append(_cell_item(spec, cell))
+    first, *rest = _shares(len(specs))
+    ns = range(1, n_max + 1)
+    children = []
+    if rest:
+        # imported here, not with the module, where it would add about
+        # 11 ms to every start-up
+        import multiprocessing
+        # fork, not spawn: a child starts at once from this process's memo
+        # and state, where a fresh import costs more than most sweeps; the
+        # package starts no thread that a fork could split
+        context = multiprocessing.get_context("fork")
+    try:
+        for number, positions in enumerate(rest, 1):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_share_child, name="verify_sweep share %d" % number,
+                args=(writer, len(rest) + 1, specs, positions, ns,
+                      failures_only))
+            child.start()
+            # the child now holds the only write end, so its reader ends
+            # in EOFError if the child ends without a reply
+            writer.close()
+            children.append((child, reader))
+        passed, records = _check_share(specs, first, ns, failures_only)
+        for child, reader in children:
+            try:
+                reply = reader.recv()
+            except EOFError:
+                child.join()
+                reply = RuntimeError("%s (pid %d) ended with exit code %s "
+                                     "without a reply" % (
+                                         child.name, child.pid, child.exitcode))
+            if isinstance(reply, Exception):
+                raise reply
+            passed += reply[0]
+            records.update(reply[1])
+    finally:
+        for child, reader in children:
+            reader.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
     cells = len(specs) * n_max
     return {
         "family": family,
         "n_max": n_max,
         "specs": len(specs),
-        "results": results,
+        "results": [item for i in sorted(records) for item in records[i]],
         "summary": {
             "cells": cells,
             "passed": passed,
             "failed": cells - passed,
         },
     }
+
+
+# Where a container sees its own cgroup: cgroup v2's cpu.max ("quota
+# period", or "max period" for none) and cgroup v1's cpu.cfs_quota_us and
+# cpu.cfs_period_us (quota -1 for none), both in microseconds.
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (os.sched_getaffinity, 1 where
+    it cannot be read), fewer where a cgroup CPU quota allows fewer: q
+    microseconds per period of p allow ceil(q / p) cores."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else 1
+    for names in (("cpu.max",),
+                  ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            quota, period = " ".join(
+                (_CGROUP / name).read_text() for name in names).split()
+            if quota in ("max", "-1"):
+                break
+            return max(1, min(cores, -(-int(quota) // int(period))))
+        except (OSError, ValueError):
+            continue
+    return cores
+
+
+def _shares(specs: int) -> List[List[int]]:
+    """The spec positions of each share: every position dealt round-robin
+    over min(_usable_cores(), specs) shares."""
+    count = max(1, min(_usable_cores(), specs))
+    return [list(range(number, specs, count)) for number in range(count)]
+
+
+def _check_share(specs: List[FamilySpec], positions: Iterable[int],
+                 ns: range, failures_only: bool) -> Tuple[int, dict]:
+    """The cells passed and {position: records} of the specs at positions;
+    a spec all of whose records are left out has no entry."""
+    passed, records = 0, {}
+    for i in positions:
+        for cell in _cells(specs[i], ns):
+            ok = cell[1] == cell[2]
+            passed += ok
+            if not (ok and failures_only):
+                records.setdefault(i, []).append(_cell_item(specs[i], cell))
+    return passed, records
+
+
+def _share_child(writer, shares: int, *share) -> None:
+    """A child's body: _check_share(*share), or the exception it raised,
+    sent to the caller.  The child's memo holds at most 1/shares of
+    exact_eval's limit, the values it started with included, so that a
+    sweep's memos hold under about twice the limit whatever the number of
+    shares."""
+    exact_eval._MEMO_LIMIT //= shares
+    try:
+        reply = _check_share(*share)
+    except Exception as exc:
+        reply = exc
+    writer.send(reply)
 
 
 # ---------------------------------------------------------------------------

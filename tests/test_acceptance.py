@@ -1,12 +1,13 @@
 """Acceptance checklist: eight independent criteria, one test function each.
 
 Criterion 1 sweeps roughly 580k exact cells and dominates the runtime of the
-whole suite.  With the pure-Python fractions backend and mpmath's pure-Python
-backend the whole suite took 262 s on a 2-core VM with Python 3.11, 229 s of
-it in criterion 1, against 257 s and 223 s, run side by side, before the
-kernel sums were dot products of cached integer rows; criterion 1 calls no
-kernel sum.  Criterion 2 took 0.52 s against 0.66 s (medians of seven cold
-runs each, run alternately).  The machine's speed drifts, so compare only
+whole suite.  verify_sweep spreads each grid's specs over every usable core.
+With the pure-Python fractions backend and mpmath's pure-Python backend, on
+a 2-core VM with Python 3.11, the whole suite took 128 s, 103 s of it in
+criterion 1, against 206 s and 169 s with one core's sweep, run one after
+the other (each side needs the whole machine).  Criterion 1 alone, run
+alternately, took 103-107 s against 169-184 s.  Criterion 2 took 0.52 s
+(median of seven cold runs).  The machine's speed drifts, so compare only
 times taken side by side.  Setting
 STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the
 widened grid (run lengths up to 5, n up to 100).

@@ -425,6 +425,16 @@ class TestMemo:
         ee.clear_memo()
         assert ee.memo_stats()["stored_values"] == 0
 
+    def test_clear_empties_the_caches_read_off_the_lists(self):
+        # a caller that clears the memo to free memory must not keep the H
+        # rows or kernel sums read off the dropped lists
+        caches = (ee._h_row, ee._kernel_sum, ee._term_weights)
+        ee.mollified_big(40, (2, 1, 1))
+        ee.mollified_small(40, (-1, 2))
+        assert all(cache.cache_info().currsize for cache in caches)
+        ee.clear_memo()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
     def test_hits_and_growths_counted(self):
         # hits: calls that find their list long enough; grown: lists grown
         ee.clear_memo()

@@ -9,8 +9,12 @@ cannot silently drop a merge or flip a sign.
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import random
+import time
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +22,9 @@ from hypothesis import strategies as st
 
 from starsum.exact_eval import (
     _ensure,
-    _h_row,
-    _kernel_sum,
     _lcm_to,
     clear_memo,
+    memo_stats,
     mhs,
     mhs_star,
     mollified_big,
@@ -414,6 +417,142 @@ class TestVerifyInstance:
             assert rhs == mhs_star(n, build_lhs(spec)), n
 
 
+class TestSweepShares:
+    """verify_sweep with the caller's share alone and with a forked child.
+    os.sched_getaffinity is patched and no cgroup quota is read, so both
+    run on any machine; children fork from the test's process and inherit
+    its patches."""
+
+    # 12 C21 specs, dealt alternately to shares 0 and 1
+    GRID = dict(r=(1,), a=(0, 1, 2), b=(0, 1), c=(3, 4))
+    N_MAX = 6
+
+    @classmethod
+    def specs(cls):
+        return list(enumerate_specs(
+            C21, r_values=cls.GRID["r"], a_values=cls.GRID["a"],
+            b_values=cls.GRID["b"], c_values=cls.GRID["c"]))
+
+    @staticmethod
+    def use_cores(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+        monkeypatch.setattr(families, "_CGROUP", Path(os.devnull))
+
+    @pytest.mark.parametrize("failures_only", [False, True])
+    def test_shares_give_the_one_share_result(self, monkeypatch,
+                                              failures_only):
+        # every cell fails once the right side weighs an image 3^depth, so
+        # every record is kept either way
+        rhs = families.build_rhs
+        monkeypatch.setattr(families, "build_rhs",
+                            lambda spec: rhs(spec)._replace(coeff_base=3))
+        reports = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            clear_memo()
+            reports.append(verify_sweep(C21, self.GRID, self.N_MAX,
+                                        failures_only=failures_only))
+        assert reports[1] == reports[0]
+        assert reports[0]["summary"] == {"cells": 72, "passed": 0,
+                                         "failed": 72}
+        assert [(item["params"], item["n"]) for item in reports[0]["results"]] \
+            == [(spec.params(), n) for spec in self.specs()
+                for n in range(1, self.N_MAX + 1)]
+
+    # position 2 is in the caller's share and 5 in the child's; when the
+    # caller's share raises, the child is stuck in spec 1 and must be ended
+    @pytest.mark.parametrize("position,stuck", [(2, 1), (5, None)])
+    def test_a_raising_cell_is_raised_again(self, monkeypatch, position,
+                                            stuck):
+        self.use_cores(monkeypatch, 2)
+        specs, cells = self.specs(), families._cells
+
+        def raising(spec, ns):
+            if spec == specs[position]:
+                raise ArithmeticError("refused spec %d" % position)
+            if stuck is not None and spec == specs[stuck]:
+                time.sleep(600)
+            return cells(spec, ns)
+
+        monkeypatch.setattr(families, "_cells", raising)
+        started = time.monotonic()
+        with pytest.raises(ArithmeticError,
+                           match="^refused spec %d$" % position):
+            verify_sweep(C21, self.GRID, self.N_MAX)
+        assert time.monotonic() - started < 60
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_ends_without_a_reply_is_named(self, monkeypatch):
+        self.use_cores(monkeypatch, 2)
+        ending, cells = self.specs()[5], families._cells
+
+        def exiting(spec, ns):
+            if spec == ending:
+                os._exit(3)
+            return cells(spec, ns)
+
+        monkeypatch.setattr(families, "_cells", exiting)
+        with pytest.raises(RuntimeError, match=r"^verify_sweep share 1 "
+                           r"\(pid \d+\) ended with exit code 3 without"):
+            verify_sweep(C21, self.GRID, self.N_MAX)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_holds_a_share_of_the_memo_limit(self, monkeypatch):
+        self.use_cores(monkeypatch, 2)
+        limit, child_spec = memo_stats()["limit"], self.specs()[1]
+
+        def reporting(spec, ns):
+            if spec == child_spec:
+                raise ArithmeticError("limit %d" % memo_stats()["limit"])
+            return iter(())
+
+        monkeypatch.setattr(families, "_cells", reporting)
+        with pytest.raises(ArithmeticError, match="^limit %d$" % (limit // 2)):
+            verify_sweep(C21, self.GRID, self.N_MAX)
+        assert memo_stats()["limit"] == limit
+
+    @pytest.mark.parametrize("cores,family,grid,specs", [
+        (2, TWO_ONE, {"r": (1,), "a": (1,)}, 1),
+        (1, C21, GRID, 12),
+    ], ids=["one spec", "one core"])
+    def test_no_child_without_a_second_share(self, monkeypatch, cores,
+                                             family, grid, specs):
+        self.use_cores(monkeypatch, cores)
+
+        def no_fork():
+            raise AssertionError("a child was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = verify_sweep(family, grid, 2)
+        assert report["specs"] == specs
+        assert report["summary"]["failed"] == 0
+
+    # cgroup files under the cgroup root, and the cores they leave of 64
+    @pytest.mark.parametrize("files,cores", [
+        ({}, 64),
+        ({"cpu.max": "max 100000\n"}, 64),
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "8000000 100000\n"}, 64),
+        ({"cpu/cpu.cfs_quota_us": "-1\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 64),
+        ({"cpu/cpu.cfs_quota_us": "300000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ])
+    def test_usable_cores_are_capped_by_a_cpu_quota(self, monkeypatch,
+                                                    tmp_path, files, cores):
+        self.use_cores(monkeypatch, 64)
+        monkeypatch.setattr(families, "_CGROUP", tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert families._usable_cores() == cores
+        assert len(families._shares(100)) == cores
+        assert len(families._shares(5)) == min(cores, 5)
+
+
 class TestCompanionDenominator:
     """Negative controls for the companion pass's stated denominator
     lcm(1..n)^weight(base), one big and one small companion."""
@@ -788,12 +927,10 @@ class TestKernelIdentities:
     @pytest.fixture
     def cold_kernel_sums(self):
         # no sum or H row from a patched list reader is served from its
-        # cache or left in it
-        _kernel_sum.cache_clear()
-        _h_row.cache_clear()
+        # cache or left in it (clear_memo empties both caches)
+        clear_memo()
         yield
-        _kernel_sum.cache_clear()
-        _h_row.cache_clear()
+        clear_memo()
 
     @staticmethod
     def shift_lists(monkeypatch, shift):
