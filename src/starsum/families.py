@@ -373,10 +373,12 @@ def enumerate_specs(family: str, *, r_values: Iterable[int],
     the a slots, b slots, c slots and t.  Values a family's invariants
     forbid in a given slot (for example a leading 2-run of length zero) are
     skipped rather than reported as errors, so the pools may be shared
-    across slots.
+    across slots.  A pool that is not all integers is refused by name.
     """
     row = family_row(family)
-    av, bv, cv, tv = map(tuple, (a_values, b_values, c_values, t_values))
+    r_values = as_ints("r_values", r_values)
+    av, bv, cv, tv = (as_ints(key + "_values", pool) for key, pool in
+                      zip("abct", (a_values, b_values, c_values, t_values)))
     pools = {"a": av, "A": tuple(v for v in av if v >= 1), "b": bv,
              "c": tuple(v for v in cv if v >= row.c_min),
              "t": tuple(v for v in tv if v >= 0),
@@ -396,7 +398,10 @@ def enumerate_specs(family: str, *, r_values: Iterable[int],
 
 def _grid_specs(family: str, grid: dict) -> Iterator[FamilySpec]:
     """enumerate_specs over a grid mapping any of "r", "a", "b", "c", "t" to
-    value pools; r defaults to (1,)."""
+    value pools; r defaults to (1,), and any other key is refused by name."""
+    unknown = [key for key in grid if key not in tuple("rabct")]
+    if unknown:
+        raise ValueError("grid keys must be r, a, b, c or t, got %r" % unknown)
     pools = {key + "_values": grid[key] for key in "abct" if key in grid}
     return enumerate_specs(family, r_values=grid.get("r", (1,)), **pools)
 

@@ -46,6 +46,9 @@ independent cross-check paths are kept: zeta(method="partial"), a float
 partial sum with an explicit tail bound that only reaches loose tolerances,
 and zeta_star(method="expand"), which sums the strict limits of the
 contraction expansion.
+
+recognize_rational reads a limit exactly as a Fraction and accepts its
+limit_denominator(RECOGNITION_DEN_CAP) only within the caller's window.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from math import comb, factorial, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_rational
 
 from . import exact_eval, families as fam
 from .index_core import SignedIndex, as_index, as_int, as_ints, \
@@ -477,39 +480,23 @@ def zeta_star(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValu
 # Rational recognition
 # ---------------------------------------------------------------------------
 
-def recognize_rational(value, window: float,
-                       den_cap: int = RECOGNITION_DEN_CAP) -> Optional[Fraction]:
-    """Best continued-fraction convergent within window, denominator capped.
+def recognize_rational(value, window: float) -> Optional[Fraction]:
+    """The fraction nearest value with denominator <= RECOGNITION_DEN_CAP
+    (Fraction.limit_denominator) if it lies within window, else None.
 
-    Walks every convergent with denominator <= den_cap and keeps the one
-    closest to the value; a coarse early convergent inside the window must
-    not shadow a finer one the working precision clearly prefers.  Returns
-    None when no capped convergent lands inside the window; callers must
-    report that outcome, never substitute a guess.
+    An mpf is read exactly, at its own precision; any other value is made
+    an mpf at _DPS digits first.  Callers must report None, never
+    substitute a guess.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    with mp.workdps(_DPS):
-        x = mpf(value)
-        h0, k0, h1, k1 = 1, 0, int(mp.floor(x)), 1
-        y = x - mp.floor(x)
-        best = None
-        best_err = None
-        for _ in range(64):
-            if k1 > den_cap:
-                break
-            err = abs(x - mpf(h1) / k1)
-            if best_err is None or err < best_err:
-                best, best_err = Fraction(h1, k1), err
-            if y == 0:
-                break
-            y = 1 / y
-            a = int(mp.floor(y))
-            h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-            y -= a
-        if best is not None and best_err <= window:
-            return best
-    return None
+    if not isinstance(value, mpf):
+        value = mpf(value, dps=_DPS)
+    if not mp.isfinite(value):
+        raise ValueError("value must be finite, got %s" % value)
+    x = Fraction(*to_rational(value._mpf_))
+    found = x.limit_denominator(RECOGNITION_DEN_CAP)
+    return found if abs(x - found) <= window else None
 
 
 def _value_str(v) -> str:
@@ -558,8 +545,10 @@ def _recognition(ratio, tol: float,
                  expected: Optional[Fraction] = None) -> dict:
     """Rational recognition of ratio in a 10*tol window.
 
+    recognized is the fraction nearest ratio with denominator at most
+    RECOGNITION_DEN_CAP, if it lies within the window, else "unrecognized".
     With a predicted coefficient the check is equality with it; without
-    one it only says that a capped-denominator rational was found.
+    one it only says that such a fraction was found.
     """
     found = recognize_rational(ratio, tol * 10)
     return {
@@ -823,10 +812,20 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     the two all-2 weak limits.  part "ii": (2n+1) times the weak limit of
     ((3,1)^n,2) vs the convolution of (3,1)-blocks with odd all-2 blocks.
     part "iii": the single-insertion composition sum vs the convolution with
-    even all-2 blocks.
+    even all-2 blocks.  Part i takes params m and n, parts ii and iii take
+    n; a missing or an extra key is refused by name.
     """
+    keys = {"i": ("m", "n"), "ii": ("n",), "iii": ("n",)}.get(part)
+    if keys is None:
+        raise ValueError("part must be 'i', 'ii' or 'iii'")
+    missing = [key for key in keys if key not in params]
+    extra = [key for key in params if key not in keys]
+    if missing or extra:
+        raise ValueError("part %s takes %s; missing %s, extra %s" % (
+            part, " and ".join(keys), missing, extra))
+    n = as_int("n", params["n"])
     if part == "i":
-        m, n = as_int("m", params["m"]), as_int("n", params["n"])
+        m = as_int("m", params["m"])
         if m < 0 or n < 0:
             raise ValueError("needs m, n >= 0")
         each = tol / 8
@@ -836,20 +835,16 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
             lhs = left_a.value + left_b.value
         pairs = [(SignedIndex((2,) * (n + 1)), SignedIndex((2,) * (m + 1)))]
         rhs, budget = _product_sum(pairs, each, 2 * each)
+    elif n < 1:
+        raise ValueError("needs n >= 1")
     elif part == "ii":
-        n = as_int("n", params["n"])
-        if n < 1:
-            raise ValueError("needs n >= 1")
         each = tol / (8 * (n + 2))
         core = SignedIndex((3, 1) * n + (2,))
         lhs = _limit_sum(zeta_star, [(core, 2 * n + 1)], each)
         pairs = [(SignedIndex((3, 1) * j),
                   SignedIndex((2,) * (2 * (n - j) + 1))) for j in range(n + 1)]
         rhs, budget = _product_sum(pairs, each, (2 * n + 1) * each)
-    elif part == "iii":
-        n = as_int("n", params["n"])
-        if n < 1:
-            raise ValueError("needs n >= 1")
+    else:
         comps = _weak_compositions(1, 2 * n)
         each = tol / (4 * (len(comps) + n + 1))
         lhs = _limit_sum(zeta_star, [(_interleaved_index(e, 2 * n), 1)
@@ -857,8 +852,6 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
         pairs = [(SignedIndex((3, 1) * j + (2,)),
                   SignedIndex((2,) * (2 * (n - 1 - j) + 2))) for j in range(n)]
         rhs, budget = _product_sum(pairs, each, len(comps) * each)
-    else:
-        raise ValueError("part must be 'i', 'ii' or 'iii'")
     return {"part": part, "params": dict(params), **_compare(lhs, rhs, budget)}
 
 

@@ -5,6 +5,7 @@ import signal
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 # Linux lists a task's children, running or exited and not yet reaped, in
 # /proc/<pid>/task/<tid>/children; elsewhere the check below is skipped.
@@ -24,6 +25,19 @@ def _state(pid: int) -> str:
         return Path("/proc/%d/stat" % pid).read_text().rpartition(")")[2].split()[0]
     except OSError:
         return "?"
+
+
+@pytest.fixture(autouse=True)
+def no_precision_leak():
+    """Fail a test that leaves mpmath's working precision other than it
+    found it, then restore it, so that every precision change stays inside
+    a scoped mp.workdps or mp.workprec."""
+    prec = mp.prec
+    yield
+    left = mp.prec
+    if left != prec:
+        mp.prec = prec
+        pytest.fail("test left mp.prec at %d, found at %d" % (left, prec))
 
 
 @pytest.fixture(autouse=True)

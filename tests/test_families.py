@@ -838,6 +838,29 @@ class TestEnumerateSpecs:
         with pytest.raises(ValueError, match="unknown family"):
             list(enumerate_specs("NOPE", r_values=(1,)))
 
+    @pytest.mark.parametrize("pools, message", [
+        (dict(r_values=(1.5,)), r"r_values must hold integers, got \(1.5,\)"),
+        (dict(r_values=(1,), a_values=("1",)),
+         r"a_values must hold integers, got \('1',\)"),
+        (dict(r_values=(1,), c_values=(3.0,)), "c_values must hold integers"),
+        (dict(r_values=(1,), t_values=3), "t_values must hold integers"),
+    ])
+    def test_pools_must_hold_integers(self, pools, message):
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_specs(C21, **pools))
+
+    def test_sweep_pool_must_be_iterable(self):
+        with pytest.raises(ValueError, match="r_values must hold integers, "
+                                             "got 1"):
+            verify_sweep(C21, {"r": 1}, 2)
+
+    def test_sweep_refuses_unknown_grid_keys(self):
+        with pytest.raises(ValueError, match=r"grid keys must be r, a, b, c "
+                                             r"or t, got \['A'\]"):
+            verify_sweep(C21, {"r": (1,), "A": (1,)}, 2)
+        assert verify_sweep(C21, {"r": (1,), "a": (1,)}, 2)["summary"] == {
+            "cells": 2, "passed": 2, "failed": 0}
+
 
 # The nine acceptance (c1) grids with their spec counts, and the sha256 of
 # every spec's parameters, left-hand parts and right-hand form over them in

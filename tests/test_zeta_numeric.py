@@ -613,8 +613,38 @@ class TestRecognition:
         assert recognize_rational(mpf(11) / 1260, 1e-5) == Fraction(11, 1260)
 
     def test_none_when_nothing_fits(self):
-        assert recognize_rational(mpf(1) / 3 + 5e-4, 1e-5, den_cap=10) is None
+        # 1/3 is 1e-12 away, and every other fraction with denominator
+        # <= the cap is at least 1/(3 * cap) - 1e-12 away
+        with mp.workdps(50):
+            x = mpf(1) / 3 + mpf(10) ** -12
+        assert recognize_rational(x, 1e-13) is None
         assert recognize_rational(mp.pi, 1e-30) is None
+
+    def test_mpf_is_read_exactly(self):
+        # 1e-55 off 1/7 at 80 digits; rounding to 50 digits would hide it
+        with mp.workdps(80):
+            x = mpf(1) / 7 + mpf(10) ** -55
+        assert recognize_rational(x, 1e-60) is None
+        assert recognize_rational(x, 1e-50) == Fraction(1, 7)
+
+    def test_constants_are_not_recognized(self):
+        with mp.workdps(60):
+            constants = [mp.e, 1 / mp.pi, mp.zeta(3) / mp.pi ** 3,
+                         mp.zeta(5) / mp.pi ** 5]
+        for constant in constants:
+            assert recognize_rational(constant, 1e-40) is None, constant
+
+    def test_denominator_cap(self):
+        assert RECOGNITION_DEN_CAP == 10 ** 6
+        with mp.workdps(50):
+            below, above = mpf(1) / 999983, mpf(1) / 1000003
+        assert recognize_rational(below, 1e-30) == Fraction(1, 999983)
+        assert recognize_rational(above, 1e-30) is None
+
+    def test_value_must_be_finite(self):
+        for value in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError, match="value must be finite"):
+                recognize_rational(value, 1.0)
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window must be positive"):
@@ -628,11 +658,13 @@ class TestRecognition:
             x = mpf(p) / q
         hit = recognize_rational(x, 1e-20)
         assert hit == Fraction(p, q)
-        capped = recognize_rational(x, 1e-20, den_cap=97)
-        if q <= 97:
-            assert capped == Fraction(p, q)
-        elif capped is not None:
-            assert capped.denominator <= 97
+        # past the cap: every fraction with denominator <= the cap is at
+        # least 1 / (2 * cap**2) away, so nothing fits the window
+        beyond = q + RECOGNITION_DEN_CAP
+        assume(math.gcd(p, beyond) == 1)
+        with mp.workdps(50):
+            x = mpf(p) / beyond
+        assert recognize_rational(x, 1e-20) is None
 
 
 class TestFamilyLimits:
@@ -823,6 +855,17 @@ class TestProductIdentities:
             verify_ittw_conj2("ii", {"n": 1.7})
         with pytest.raises(ValueError, match="^m must be an integer"):
             verify_ittw_conj2("i", {"m": "1", "n": 0})
+
+    @pytest.mark.parametrize("part, params, message", [
+        ("i", {"m": 1}, r"part i takes m and n; missing \['n'\], extra \[\]"),
+        ("i", {"n": 1, "m": 0, "r": 2}, r"missing \[\], extra \['r'\]"),
+        ("ii", {"n": 1, "m": 1}, r"part ii takes n; missing \[\], "
+                                 r"extra \['m'\]"),
+        ("iii", {}, r"part iii takes n; missing \['n'\]"),
+    ])
+    def test_params_are_checked_by_name(self, part, params, message):
+        with pytest.raises(ValueError, match=message):
+            verify_ittw_conj2(part, params)
 
 
 class TestPiPowerFormulas:
