@@ -283,17 +283,9 @@ def _suite_lemma31(config: RunConfig) -> List[dict]:
     return items
 
 
-def _paper_example_specs() -> List[fam.FamilySpec]:
-    """The published sanity set: each family's example grid from the table,
-    less the instances whose left side starts with 1 (their limits diverge)."""
-    return [spec for row in fam.FAMILY_TABLE if row.examples is not None
-            for spec in fam._grid_specs(row.family, row.examples)
-            if fam.build_lhs(spec).parts[0] != 1]
-
-
 def _suite_paper_examples(config: RunConfig) -> List[dict]:
     items = [_mzsv_item(spec, config.tol, config.timings)
-             for spec in _paper_example_specs()]
+             for spec in fam.paper_example_specs()]
     checks = [("zlobin", zn.check_zlobin, n) for n in (1, 2, 3)]
     checks += [("three-n", zn.check_three_n, n) for n in (1, 2)]
     items += [_timed_item(config.timings, _compared({"check": name}, n),

@@ -13,14 +13,15 @@ rationals, never floats.  The public evaluators are
 ``mhs``, ``mhs_star`` and ``pi_companion_sum`` read one memoized list
 recurrence, L_k(s) = L_{k-1}(s) + term(s_1,k) * (eq * L_k(tail) + (lt - eq) *
 L_{k-1}(tail)); the three kinds of list differ only in the weight eq of an
-equal step and lt of a strict step (table at the memo below).  The lists
-grow on integers over lcm(1..n)^weight and store one normalized rational
-per value.  There are also brute-force oracles that re-evaluate the
-defining sums by direct enumeration (no recursion, no caching) so the fast
-engine has something independent to be checked against; each strict/weak
-pair is one body.  They share no code with the recurrence: each chain's
-term is an integer product over lcm(1..n)^weight, and one rational is
-formed per sum.
+equal step and lt of a strict step (table at the memo below).  A list
+grows by one recursion, its tail's list first, on integers over
+lcm(1..n)^weight, and stores one normalized rational per value.  There is
+also one brute-force oracle for every list kind, keyed by the same
+(eq, lt), that re-evaluates the defining sum by direct enumeration (no
+recursion, no caching) so the fast engine has something independent to be
+checked against.  It shares no code with the recurrence: each chain's term
+is an integer product over lcm(1..n)^weight, and one rational is formed
+per sum.
 
 The damping weights C(n,k) and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) are
 Lemma 3.1's unsigned kernel rows ``_kernel_row("B", m, n)``, C(mn,n-k) with
@@ -108,23 +109,27 @@ def rat_str(value) -> str:
 # so the companion pass shares the mhs_star lists.  Sweep drivers share work
 # across cells only through these lists.
 #
-# Growth to n runs on integers.  With scale = lcm(1..n) and w = weight(s),
-# N_k = L_k(s) * scale^w, and term(s_1, k) * scale^|s_1| is the integer
-# sgn(s_1)^k * (scale/k)^|s_1| (_step_weight), so
+# Growth to n runs on integers, the tail's list first (_grow recurses on
+# it).  With scale = lcm(1..n) and w = weight(s), N_k = L_k(s) * scale^w,
+# and term(s_1, k) * scale^|s_1| is the integer sgn(s_1)^k * (scale/k)^|s_1|
+# (_step_weight), so
 #
 #     N_k = N_{k-1} + sgn(s_1)^k (scale/k)^|s_1| (eq * M_k
 #                                                  + (lt - eq) * M_{k-1})
 #
 # with M the tail's integers over scale^weight(tail) (M == 1 for an empty
 # tail, so its bracket is lt).  For lt = 1 the bracket is M_k (weak) or
-# M_{k-1} (strict), a slice of the tail's integers.  A stored value a
-# growth starts from is put on the scale by the one checked rescaling
-# (_on_scale), and each new value is stored as the one normalized rational
-# N_k / scale^w; an unchanged value is the previous object itself.
+# M_{k-1} (strict), a slice of the tail's integers.  The value a growth
+# starts from and the tail's values it reads are put on the scale by the
+# one checked rescaling (_on_scale), and each new value is stored as the one
+# normalized rational N_k / scale^w; an unchanged value is the previous
+# object itself.
 #
-# Memory bound: _ensure, which alone stores lists, drops them all on entry
-# once more than _MEMO_LIMIT values are stored (the sum of the list
-# lengths), and counts the drop.  Every reader of the lists is here.
+# Memory bound: _ensure, the one entry to the lists, returns a list long
+# enough at once (a hit); a call that will grow drops every list first once
+# more than _MEMO_LIMIT values are stored (the sum of the list lengths),
+# counts the drop, and hands growth to _grow, which alone stores lists.
+# Every reader of the lists is here.
 # ---------------------------------------------------------------------------
 
 _lists: Dict[Tuple[tuple, int, int], List] = {}
@@ -181,13 +186,12 @@ def _on_scale(value, den: int, what: str, *args) -> int:
 
 
 def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
-    """Grow (and return) the cached list L_0..L_n of a nonempty suffix.  The
-    lists of its own suffixes grow first, so none is shorter than it: only
-    the lists outside the outermost one long enough grow, innermost first,
-    on integers over lcm(1..n)^weight (see the memo comment)."""
-    global _stored_values, _drops, _hits, _grown
-    suffix = parts
-    vals = _lists.get((suffix, eq, lt))
+    """The cached list L_0..L_n of a nonempty suffix, grown by _grow if it
+    is shorter.  This is the memo's entry policy: a list long enough is a
+    hit, and a call that will grow drops every list first once more than
+    _MEMO_LIMIT values are stored."""
+    global _stored_values, _drops, _hits
+    vals = _lists.get((parts, eq, lt))
     if vals is not None and len(vals) > n:
         _hits += 1
         return vals
@@ -195,78 +199,68 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
         _lists.clear()
         _stored_values = 0
         _drops += 1
-        vals = None
-    chain, tail_vals = [], None  # (suffix, list) to grow, outermost first
-    while True:
-        if vals is None:
-            vals = _lists[(suffix, eq, lt)] = [_ZERO]
-            _stored_values += 1
-        chain.append((suffix, vals))
-        suffix = suffix[1:]
-        if not suffix:
-            break
-        vals = _lists.get((suffix, eq, lt))
-        if vals is not None and len(vals) > n:
-            tail_vals = vals
-            break
+    return _grow(parts, eq, lt, n)
+
+
+def _grow(parts: tuple, eq: int, lt: int, n: int) -> List:
+    """Grow the list of a nonempty suffix to L_0..L_n: the tail's list to n
+    first, then this one from its stored length, on integers over
+    lcm(1..n)^weight (see the memo comment)."""
+    global _stored_values, _grown
+    vals = _lists.get((parts, eq, lt))
+    if vals is not None and len(vals) > n:
+        return vals
+    if vals is None:
+        vals = _lists[(parts, eq, lt)] = [_ZERO]
+        _stored_values += 1
+    head, tail, lo = parts[0], parts[1:], len(vals) - 1
     scale = _lcm_to(n)
-    # The tail's integers over tail_den: below tail_lo its values are only
-    # stored, and tail_ints[k - tail_lo] is the one this call grew at k.  A
-    # tail list is at least as long as the list it is a suffix of, so what
-    # this call grew of it starts at or after the first index the list reads.
-    tail_den = scale ** sum(map(abs, suffix))  # 1 for the empty tail
-    tail_lo, tail_ints = n + 1, []
-    for suffix_now, vals in reversed(chain):
-        head, lo = suffix_now[0], len(vals) - 1
-        den = tail_den * scale ** abs(head)
-        if tail_vals is None:
-            # L(()) == 1, so the bracket is eq + (lt - eq) == lt
-            brackets = itertools.repeat(lt)
+    tail_den = scale ** sum(map(abs, tail))  # 1 for the empty tail
+    den = tail_den * scale ** abs(head)
+    if not tail:
+        # L(()) == 1, so the bracket is eq + (lt - eq) == lt
+        brackets = itertools.repeat(lt)
+    else:
+        tail_vals = _grow(tail, eq, lt, n)
+        inner = [_on_scale(tail_vals[k], tail_den, "list value L_%d%s", k,
+                           tail) for k in range(lo, n + 1)]
+        if lt == 1:
+            brackets = inner[1:] if eq else inner[:-1]
         else:
-            inner = [_on_scale(tail_vals[k], tail_den, "list value L_%d%s",
-                               k, suffix)
-                     for k in range(lo, tail_lo)] + tail_ints
-            if lt == 1:
-                brackets = inner[1:] if eq else inner[:-1]
-            else:
-                brackets = [eq * now + (lt - eq) * before
-                            for before, now in zip(inner, inner[1:])]
-        total = _on_scale(vals[lo], den, "list value L_%d%s", lo, suffix_now)
-        ints = [total]
-        for k, bracket in zip(range(lo + 1, n + 1), brackets):
-            if bracket:
-                total += _step_weight(scale, head, k) * bracket
-                vals.append(_Q(total, den))
-            else:
-                vals.append(vals[k - 1])
-            ints.append(total)
-        _stored_values += n - lo
-        _grown += 1
-        suffix, tail_vals, tail_den = suffix_now, vals, den
-        tail_lo, tail_ints = lo, ints
+            brackets = [eq * now + (lt - eq) * before
+                        for before, now in zip(inner, inner[1:])]
+    total = _on_scale(vals[lo], den, "list value L_%d%s", lo, parts)
+    for k, bracket in zip(range(lo + 1, n + 1), brackets):
+        if bracket:
+            total += _step_weight(scale, head, k) * bracket
+            vals.append(_Q(total, den))
+        else:
+            vals.append(vals[k - 1])
+    _stored_values += n - lo
+    _grown += 1
     return vals
 
 
-def _h_value(n: int, s, star: bool):
+def _h_value(n: int, s, eq: int):
     n = as_int("n", n)
     parts = as_index(s).parts
     if n < 0:
         raise ValueError("n must be >= 0")
     if not parts:
         return _ONE
-    if n == 0 or (n < len(parts) and not star):
+    if n == 0 or (n < len(parts) and not eq):
         return _ZERO
-    return _ensure(parts, int(star), 1, n)[n]
+    return _ensure(parts, eq, 1, n)[n]
 
 
 def mhs(n: int, s) -> "rational":
     """H_n(s): strict nested sum.  H_n(empty)=1; H_n(s)=0 when n < depth."""
-    return _h_value(n, s, star=False)
+    return _h_value(n, s, 0)
 
 
 def mhs_star(n: int, s) -> "rational":
     """H*_n(s): weak nested sum.  Same conventions as mhs."""
-    return _h_value(n, s, star=True)
+    return _h_value(n, s, 1)
 
 
 # Sized from the traffic, like _kernel_sum below.  Distinct rows and hits:
@@ -429,11 +423,13 @@ _ORACLE_N_MAX = 64
 _ORACLE_DEPTH_MAX = 5
 
 
-def _oracle(n: int, s, star: bool) -> "rational":
-    """Sum over every chain of n >= k_1 > ... > k_m >= 1 (>= when star) of
-    prod sgn(s_i)^k_i / k_i^|s_i|.  With L = lcm(1..n) each term is the
-    integer prod sgn(s_i)^k_i (L/k_i)^|s_i| over L^weight(s), so the chains
-    are summed as integers and one rational is formed at the end."""
+def _oracle(n: int, s, eq: int, lt: int) -> "rational":
+    """L_n(s) of the list kind (eq, lt): the sum over every chain
+    n >= k_1 >= ... >= k_m >= 1 (strict chains only when eq == 0) of
+    prod sgn(s_i)^k_i / k_i^|s_i|, weighted lt^(1 + strict steps) *
+    eq^(equal steps), the empty chain 1.  With L = lcm(1..n) each term is
+    the integer prod sgn(s_i)^k_i (L/k_i)^|s_i| over L^weight(s), so one
+    rational is formed at the end."""
     n = as_int("n", n)
     s = as_index(s)
     if n < 0:
@@ -444,7 +440,7 @@ def _oracle(n: int, s, star: bool) -> "rational":
         raise ValueError("oracle guard: depth %d exceeds %d"
                          % (s.depth(), _ORACLE_DEPTH_MAX))
     # chains come out ascending; an empty index has the one empty chain
-    chains = (itertools.combinations_with_replacement if star
+    chains = (itertools.combinations_with_replacement if eq
               else itertools.combinations)(range(1, n + 1), s.depth())
     scale = lcm(*range(1, n + 1))  # L
     # rows[i][k] = sgn(s_i)^k (L/k)^|s_i|; index 0 is never read
@@ -453,7 +449,9 @@ def _oracle(n: int, s, star: bool) -> "rational":
             for part in s.parts]
     total = 0
     for chain in chains:
-        term = 1
+        # a chain of d distinct values has d - 1 strict steps
+        distinct = len(set(chain))
+        term = lt ** distinct * eq ** (len(chain) - distinct)
         # pair the largest k with the first part
         for row, k in zip(rows, reversed(chain)):
             term *= row[k]
@@ -463,9 +461,9 @@ def _oracle(n: int, s, star: bool) -> "rational":
 
 def mhs_oracle(n: int, s) -> "rational":
     """Definition-level evaluation of the strict sum; no recursion, no cache."""
-    return _oracle(n, s, star=False)
+    return _oracle(n, s, 0, 1)
 
 
 def mhs_star_oracle(n: int, s) -> "rational":
     """Definition-level evaluation of the weak sum; no recursion, no cache."""
-    return _oracle(n, s, star=True)
+    return _oracle(n, s, 1, 1)

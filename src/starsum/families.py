@@ -307,18 +307,13 @@ def build_rhs(spec: FamilySpec) -> RhsForm:
     return _rhs_form(build_lhs(spec).parts, _ROWS[spec.family].part)
 
 
-def rhs_value(spec: FamilySpec, n: int):
-    """Right-hand side at n through the aggregated companion pass: the rhs of
-    the cell _cells yields at n, without its left side."""
-    return pi_companion_sum(*build_rhs(spec), n)
-
-
 def rhs_value_expanded(spec: FamilySpec, n: int):
     """Right-hand side at n summed image by image.
 
-    Slow route kept deliberately separate from rhs_value: expanding with
-    pi_expand_weighted and evaluating every image through the plain
-    companion evaluators exercises none of the aggregation shortcuts.
+    Slow route kept deliberately separate from the companion pass
+    (pi_companion_sum) that _cells reads: expanding with pi_expand_weighted
+    and evaluating every image through the plain companion evaluators
+    exercises none of the aggregation shortcuts.
     """
     form = build_rhs(spec)
     evaluate = mollified_big if form.companion == BIG else mollified_small
@@ -352,6 +347,7 @@ def _cell_item(spec: FamilySpec, cell: tuple) -> dict:
 def verify_instance(spec: FamilySpec, n: int) -> dict:
     """Exact comparison of both sides at a single n: the one cell _cells
     yields at n, as rationals."""
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     _, lhs, rhs = next(_cells(spec, (n,)))
@@ -404,6 +400,14 @@ def _grid_specs(family: str, grid: dict) -> Iterator[FamilySpec]:
         raise ValueError("grid keys must be r, a, b, c or t, got %r" % unknown)
     pools = {key + "_values": grid[key] for key in "abct" if key in grid}
     return enumerate_specs(family, r_values=grid.get("r", (1,)), **pools)
+
+
+def paper_example_specs() -> List[FamilySpec]:
+    """The published sanity set: each family's example grid from the table,
+    less the instances whose left side starts with 1 (their limits diverge)."""
+    return [spec for row in FAMILY_TABLE if row.examples is not None
+            for spec in _grid_specs(row.family, row.examples)
+            if build_lhs(spec).parts[0] != 1]
 
 
 def verify_sweep(family: str, param_ranges: dict, n_max: int, *,

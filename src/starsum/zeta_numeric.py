@@ -403,6 +403,7 @@ def partial_sum_tail_bound(s, n: int) -> float:
     Bounds the inner sums by (1 + ln k)^(depth-1) and the outer tail by the
     integral of a decreasing majorant; n must sit beyond the majorant's hump.
     """
+    n = as_int("n", n)
     parts = as_index(s).parts
     if not parts:
         return 0.0

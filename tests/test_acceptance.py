@@ -43,7 +43,7 @@ from starsum.families import (
     check_lemma31,
     check_ones_bar_one,
     check_tail_weight_sum,
-    enumerate_specs,
+    paper_example_specs,
     verify_sweep,
 )
 from starsum.index_core import star_expand
@@ -152,31 +152,8 @@ def test_c4_stuffle_product_and_telescopes():
         assert verify_middlestep_2(n, depth_cap=7)["equal"], n
 
 
-def _limit_suite_specs():
-    specs = list(enumerate_specs(TWO_ONE, r_values=(1, 2),
-                                 a_values=(0, 1, 2)))
-    specs += [s for s in enumerate_specs(TWO_ONE_TWO, r_values=(2,),
-                                         a_values=(0, 1, 2))
-              if s.a[0] >= 1]
-    specs += list(enumerate_specs(C21, r_values=(1,), a_values=(0, 1),
-                                  b_values=(0, 1)))
-    specs += list(enumerate_specs(C212, r_values=(1,), a_values=(0, 1),
-                                  b_values=(0, 1), t_values=(1,)))
-    specs += [s for s in enumerate_specs(ONE_C212, r_values=(0, 1),
-                                         a_values=(0, 1), b_values=(0, 1),
-                                         t_values=(1,))
-              if s.a[0] >= 1]
-    specs += [s for s in enumerate_specs(TWO_ONE_C2, r_values=(1,),
-                                         a_values=(0, 1), b_values=(0, 1),
-                                         t_values=(0, 1))
-              if s.a[0] >= 1]
-    specs += list(enumerate_specs(C2_TWO_ONE_C2, r_values=(0,),
-                                  b_values=(0, 1), t_values=(0, 1)))
-    return specs
-
-
 def test_c5_numeric_limit_suite():
-    specs = _limit_suite_specs()
+    specs = paper_example_specs()
     assert len(specs) == 41
     for spec in specs:
         report = verify_mzsv_family(spec, 1e-6)

@@ -292,17 +292,8 @@ class TestIntegerGrowth:
 
     @staticmethod
     def expected(parts, eq, lt, n):
-        # L_0..L_n from the oracles: the strict sum times lt^depth for
-        # eq = 0, the weak sum for (1, 1), the comma-or-merge images weighted
-        # by lt^depth otherwise
-        if not eq:
-            return [lt ** len(parts) * ee.mhs_oracle(k, parts)
-                    for k in range(n + 1)]
-        if lt == 1:
-            return [ee.mhs_star_oracle(k, parts) for k in range(n + 1)]
-        images = list(pi_expand_weighted(SignedIndex(parts), lt))
-        return [sum((c * ee.mhs_oracle(k, q) for q, c in images),
-                    ee.rational(0)) for k in range(n + 1)]
+        # L_0..L_n from the oracle of the list kind (eq, lt)
+        return [ee._oracle(k, parts, eq, lt) for k in range(n + 1)]
 
     @staticmethod
     def plant(parts, n, shift):
@@ -410,6 +401,66 @@ class TestIntegerGrowth:
                     assert id(value) in ids or value is before
         finally:
             ee.clear_memo()
+
+
+class TestListOracle:
+    """_oracle(n, s, eq, lt) checks every list kind, not only the strict
+    and weak ones: it agrees with the images route for the T lists and
+    with the grown lists of every kind."""
+
+    KINDS = ((0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (0, 2), (0, 3))
+    POOL = (1, 2, 3, -1, -2)
+
+    @staticmethod
+    def sample(seed, count, kinds, pool):
+        rng = random.Random(seed)
+        return [(rng.randint(0, 12),
+                 tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+                + rng.choice(kinds) for _ in range(count)]
+
+    def test_agrees_with_the_images(self):
+        # (1, c): the comma-or-merge images q of s, each weighted by
+        # c^depth(q); (0, c): c^depth(s) times the strict sum
+        kinds = [(eq, c) for eq in (0, 1) for c in (2, 3, 4)]
+        for n, parts, eq, lt in self.sample(3, 60, kinds, self.POOL):
+            if eq:
+                images = pi_expand_weighted(SignedIndex(parts), lt)
+                expect = sum((c * ee.mhs_oracle(n, q) for q, c in images),
+                             ee.rational(0))
+            else:
+                expect = lt ** len(parts) * ee.mhs_oracle(n, parts)
+            assert ee._oracle(n, parts, eq, lt) == expect, (n, parts, eq,
+                                                            lt)
+
+    def test_agrees_with_the_grown_lists(self):
+        # one warm memo: the lists grow in steps and share suffixes
+        cases = self.sample(14, 300, self.KINDS, self.POOL)
+        ee.clear_memo()
+        try:
+            for n, parts, eq, lt in cases:
+                assert (ee._ensure(parts, eq, lt, n)[n]
+                        == ee._oracle(n, parts, eq, lt)), (n, parts, eq, lt)
+            stats = ee.memo_stats()
+            assert stats["hits"] > 0 and stats["grown"] > len(ee._lists)
+        finally:
+            ee.clear_memo()
+
+    def test_missing_leading_factor_is_caught(self):
+        # negative control: every nonempty chain carries one factor lt
+        # besides its strict steps, so an oracle without it is the oracle
+        # over lt, and it misses every nonzero case with lt >= 2
+        nonzero = missed = 0
+        ee.clear_memo()
+        try:
+            for n, parts, eq, lt in self.sample(14, 300, self.KINDS,
+                                                self.POOL):
+                value = ee._oracle(n, parts, eq, lt)
+                if lt >= 2 and value:
+                    nonzero += 1
+                    missed += value / lt != ee._ensure(parts, eq, lt, n)[n]
+        finally:
+            ee.clear_memo()
+        assert missed == nonzero > 150
 
 
 class TestMemo:
@@ -615,8 +666,8 @@ def test_only_on_scale_calls_divmod():
 
 
 def test_only_exact_eval_names_ensure():
-    # every reader of the memo's lists sits in exact_eval, so the list
-    # recurrence can be replaced in one module
+    # every reader of the memo's lists sits in exact_eval, and only it
+    # grows them, so the list recurrence can be replaced in one module
     def names(path):
         tree = ast.parse(path.read_text())
         found = set()
@@ -633,5 +684,6 @@ def test_only_exact_eval_names_ensure():
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 1
     for path in modules:
-        assert ("_ensure" in names(path)) == (path.name == "exact_eval.py"), \
-            path.name
+        for name in ("_ensure", "_grow"):
+            assert (name in names(path)) == (path.name == "exact_eval.py"), \
+                (name, path.name)

@@ -57,7 +57,6 @@ from starsum.families import (
     check_ones_bar_one,
     check_tail_weight_sum,
     enumerate_specs,
-    rhs_value,
     rhs_value_expanded,
     verify_instance,
     verify_sweep,
@@ -384,6 +383,12 @@ class TestVerifyInstance:
         with pytest.raises(ValueError, match="n must be >= 1"):
             verify_instance(FamilySpec(TWO_ONE, a=(1,)), 0)
 
+    @pytest.mark.parametrize("n", ["3", None, 2.5])
+    def test_n_must_be_an_integer(self, n):
+        # "3" and None failed inside the comparison with 1
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            verify_instance(FamilySpec(TWO_ONE, a=(1,)), n)
+
     @pytest.mark.parametrize("spec", SAMPLE_SPECS)
     def test_sample_specs_hold_to_n_20(self, spec):
         for n in (2, 3, 5, 9, 20):
@@ -392,7 +397,8 @@ class TestVerifyInstance:
     def test_aggregated_and_expanded_routes_agree(self):
         for spec in SAMPLE_SPECS:
             for n in (1, 3, 7, 16):
-                assert rhs_value(spec, n) == rhs_value_expanded(spec, n)
+                assert (pi_companion_sum(*build_rhs(spec), n)
+                        == rhs_value_expanded(spec, n))
 
     # one c1 spec per family of left-hand weight 6 (7 for ONE_C212, which
     # has none of weight 6), far past c1's n = 50, where the companion
@@ -412,7 +418,7 @@ class TestVerifyInstance:
     @pytest.mark.parametrize("spec", FAR_SPECS, ids=lambda spec: spec.family)
     def test_far_cells(self, spec):
         for n in (200, 500):
-            rhs = rhs_value(spec, n)
+            rhs = pi_companion_sum(*build_rhs(spec), n)
             assert rhs == rhs_value_expanded(spec, n), n
             assert rhs == mhs_star(n, build_lhs(spec)), n
 
@@ -590,7 +596,7 @@ class TestCompanionDenominator:
         self.shift_t_values(monkeypatch, spec, lambda k: rational(k, 97))
         for n in (1, 2, 7, 50, 96):
             with pytest.raises(ArithmeticError, match="lcm"):
-                rhs_value(spec, n)
+                pi_companion_sum(*build_rhs(spec), n)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
     def test_shift_within_the_denominator_fails(self, monkeypatch, cold_memo,
@@ -1154,4 +1160,5 @@ class TestSpecProperties:
     @given(spec=family_specs(), n=st.integers(1, 10))
     @settings(max_examples=40, deadline=None)
     def test_dual_route(self, spec, n):
-        assert rhs_value(spec, n) == rhs_value_expanded(spec, n)
+        assert (pi_companion_sum(*build_rhs(spec), n)
+                == rhs_value_expanded(spec, n))

@@ -598,6 +598,13 @@ class TestExactBridge:
         with pytest.raises(ValueError, match="n too small"):
             partial_sum_tail_bound((2, 1), 100)
 
+    @pytest.mark.parametrize("n", ["600", 600.5, None])
+    def test_tail_bound_needs_an_integer_n(self, n):
+        # "600" failed inside a comparison, and 600.5 gave a bound for a
+        # partial-sum length that is not an integer
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            partial_sum_tail_bound((2,), n)
+
 
 class TestRecognition:
     def test_exact_fractions(self):
