@@ -105,10 +105,16 @@ class TestVerify:
         assert lines[-1] == "summary: 5/5 passed"
 
     def test_invalid_spec_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--family", "c21",
-                               "--c", "2", "--n-max", "3")
-        assert code == 2
-        assert "every c_j must be >= 3" in err
+        for argv, message in (
+                (("--family", "c21", "--c", "2", "--n-max", "3"),
+                 "every c_j must be >= 3"),
+                (("--family", "two-one", "--a", "1", "--n-max", "0"),
+                 "--n-max must be >= 1"),
+                (("--family", "two-one", "--a", "1,x", "--n-max", "3"),
+                 "expected a comma-separated integer list")):
+            code, _, err = run_cli(capsys, "verify", *argv)
+            assert code == 2, argv
+            assert message in err
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "two-one",

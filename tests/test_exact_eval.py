@@ -117,8 +117,9 @@ class TestOracleAgreement:
             ee.mhs_star_oracle(4, (1,) * 6)
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            ee.mhs(-1, (2,))
+        for evaluate in (ee.mhs, ee.mhs_oracle, ee.mhs_star_oracle):
+            with pytest.raises(ValueError, match="^n must be >= 0"):
+                evaluate(-1, (2,))
 
     @pytest.mark.parametrize("evaluate", [
         ee.mhs, ee.mhs_star, ee.mhs_oracle, ee.mhs_star_oracle,
@@ -639,9 +640,8 @@ class TestMemo:
                     assert set(ee._lists) == {
                         (parts[i:], int(star), 1) for i in range(len(parts))}
                 assert stats["stored_values"] == lengths()
-                # _ensure stops its walk at the first suffix list long
-                # enough, which is sound only while no suffix list is
-                # shorter than the list it is a suffix of
+                # _grow reads a tail's stored values, so no tail list may
+                # be shorter than a list it is the tail of
                 for (p, eq, lt), vals in ee._lists.items():
                     for i in range(1, len(p)):
                         assert len(ee._lists[(p[i:], eq, lt)]) >= len(vals)

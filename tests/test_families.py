@@ -1106,6 +1106,7 @@ class TestClosedFormChecks:
         lambda: check_tail_weight_sum(-1, 3),
         lambda: check_geometric_sum(-1, 1, 2),
         lambda: check_geometric_sum(2, 2, 2),
+        lambda: verify_sweep(TWO_ONE, {"a": (1,)}, 0),
     ])
     def test_domain_errors(self, call):
         with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ that the evaluator is tested against an independent numeric source, not
 against itself.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -594,6 +596,10 @@ class TestExactBridge:
             approx = mhs_float(300, s)
             assert abs(approx - float(exact)) < 1e-9
 
+    def test_float_partial_sum_needs_nonnegative_n(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative"):
+            mhs_float(-1, (2,))
+
     def test_tail_bound_guards_small_n(self):
         with pytest.raises(ValueError, match="n too small"):
             partial_sum_tail_bound((2, 1), 100)
@@ -816,11 +822,21 @@ class TestSymmetricSums:
         assert report["budget"] == DEFAULT_TOL / 2
 
     def test_prediction_past_the_recognition_cap(self):
-        # the ratio was "recognized" as 0 with recognition_ok true; its
-        # coefficient's denominator is past the 10^6 cap
+        # the coefficient's denominator is past the 10^6 cap, so no
+        # fraction under the cap can equal it: the comparison passes and
+        # the recognition fails
         report = hoffman_symmetric_check((2, 4, 6, 8), 1e-6)
         assert report["within_tol"], report
         assert report["recognition_ok"] is not True
+
+    @pytest.mark.parametrize("args", [(2, 4, 6, 8), (-4, 6, -2, 2)])
+    def test_nearest_fraction_past_the_budget_is_unrecognized(self, args):
+        # the nearest fraction under the cap is 0, farther from the ratio
+        # than the budget carried to it, so nothing is recognized
+        report = hoffman_symmetric_check(args)
+        assert report["within_tol"], report
+        assert report["recognized"] == "unrecognized"
+        assert report["recognition_ok"] is False
 
     def test_argument_guards(self):
         with pytest.raises(ValueError, match="even and nonzero"):
@@ -832,6 +848,23 @@ class TestSymmetricSums:
         # int() would cut 2.9 to 2 and report "args": [2, 2]
         with pytest.raises(ValueError, match="^args must hold integers"):
             hoffman_symmetric_check((2.9, 2))
+
+
+def test_only_against_pi_power_writes_recognition_ok():
+    # a recognition verdict needs a predicted coefficient, and only
+    # _against_pi_power has one in scope; a check without one (Theorem 8.1)
+    # reports what it recognized and gives no verdict
+    def writes(node):
+        return sum(1 for key in ast.walk(node)
+                   if isinstance(key, ast.Constant)
+                   and key.value == "recognition_ok")
+
+    tree = ast.parse(pathlib.Path(zn.__file__).read_text())
+    against, = (node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_against_pi_power")
+    assert writes(against) >= 1
+    assert writes(tree) == writes(against)
 
 
 class TestProductIdentities:
@@ -936,8 +969,8 @@ class TestPermutedRunSums:
         report = verify_theorem81("i", (0, 0))
         assert report["recognized"] == "1/36"
         assert report["pi_power"] == 4
-        # recognition only: no predicted coefficient, so no pass to claim
-        assert report["recognition_ok"]
+        # recognition only: no predicted coefficient, so no verdict to give
+        assert "recognition_ok" not in report
         assert "within_tol" not in report
         report = verify_theorem81("i", (1, 0))
         assert report["recognized"] == "7/2160"
@@ -948,7 +981,7 @@ class TestPermutedRunSums:
         assert report["recognized"] == "11/1260"
         assert report["pi_power"] == 6
         assert report["terms"] == 6
-        assert report["recognition_ok"]
+        assert "recognition_ok" not in report
         assert "within_tol" not in report
 
     def test_shape_guards(self):
@@ -1056,7 +1089,8 @@ class TestTightTolerance:
         lambda tol: [verify_muneta(1, tol)["within_tol"]],
         lambda tol: [verify_yamamoto(1, 0, tol)["within_tol"]],
         _ittw_suite,
-        lambda tol: [verify_theorem81("i", (1, 0), tol)["recognition_ok"]],
+        lambda tol: [verify_theorem81("i", (1, 0), tol)["recognized"]
+                     == "7/2160"],
     ], ids=["family", "zlobin", "muneta", "yamamoto", "ittw_suite",
             "theorem81"])
     def test_true_identities_pass_at_1e55(self, check):
