@@ -25,7 +25,9 @@ per sum.
 
 The damping weights C(n,k) and C(n,k)/C(n+k,k) = C(2n,n-k)/C(2n,n) are
 Lemma 3.1's unsigned kernel rows ``_kernel_row("B", m, n)``, C(mn,n-k) with
-c_n = 1/C(mn,n), for m = 1 (small) and m = 2 (big).  So each companion of
+c_n = 1/C(mn,n), for m = 1 (small) and m = 2 (big).  A row is built by the
+exact integer ratio step C(mn,j+1) = C(mn,j) * (mn-j) // (j+1), with no
+binomial formed per entry, and c_n is 1/row[0].  So each companion of
 an index is one cached kernel sum (``_kernel_sum``) over lcm(1..n)^weight,
 and the companion pass sums the same row against the increments of its T
 list over lcm(1..n)^weight(base), the denominator its mathematics fixes
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 from operator import mul
 from typing import Dict, List, Tuple
 
@@ -268,16 +270,26 @@ def mhs_star(n: int, s) -> "rational":
 # companion pass reads (B, 1..2, n), so c1 100 and 581,750 and a sweep pass
 # 100 and 5,650 (n <= 50).  A deep verify reads its 200 rows (B, m, n) once
 # each: no bound gives it hits, so the bound is the least power of two
-# that holds c2's 120, and keeps as few of deep's rows as that allows.
+# that holds c2's 120, and keeps as few of deep's rows as that allows.  A
+# missed row costs one multiply and one exact division per entry.
 @lru_cache(maxsize=128)
 def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
     """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
     counterpart ("B").  The kernels of Lemma 3.1 carry a further factor
     c_n = 1/C(mn, n) for both m (so c_n |K| is C(n,k) for m = 1 and
-    C(n,k)/C(n+k,k) for m = 2); it is left out of the row.  check_lemma31
-    never forms it, and _mollified and pi_companion_sum divide by it once."""
-    sign = -1 if kind == "A" else 1
-    return tuple(sign ** k * comb(m * n, n - k) for k in range(n + 1))
+    C(n,k)/C(n+k,k) for m = 2); it is left out of the row, and is 1/K[0].
+    check_lemma31 never forms it, and _mollified and pi_companion_sum
+    divide by K[0] once.
+
+    C(mn, 0..n) come from the exact integer steps
+    C(mn, j+1) = C(mn, j) * (mn - j) // (j + 1), read back to front."""
+    top = m * n
+    up = [1]
+    for j in range(n):
+        up.append(up[-1] * (top - j) // (j + 1))
+    if kind == "A":
+        return tuple(-c if k % 2 else c for k, c in enumerate(reversed(up)))
+    return tuple(reversed(up))
 
 
 def _kernel_power(x: Tuple[int, ...], expo: int) -> int:
@@ -347,7 +359,8 @@ def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
 
 def _mollified(n: int, s, m: int):
     """S(tail, |s_1|) of kind "A" (s_1 < 0) or "B", with m = 2 (big) or 1
-    (small), times the kernel factor c_n = 1/C(mn, n)."""
+    (small), times the kernel factor c_n = 1/C(mn, n), the 1/row[0] of
+    the kernel row the sum reads."""
     n = as_int("n", n)
     if n < 1:
         raise ValueError("mollified sums need n >= 1")
@@ -355,8 +368,9 @@ def _mollified(n: int, s, m: int):
     if s.is_empty():
         raise ValueError("mollified sums need a nonempty index")
     head, tail = s.head(), s.parts[1:]
-    return _Q(_kernel_sum(tail, abs(head), "A" if head < 0 else "B", m, n),
-              _lcm_to(n) ** s.weight() * comb(m * n, n))
+    kind = "A" if head < 0 else "B"
+    return _Q(_kernel_sum(tail, abs(head), kind, m, n),
+              _lcm_to(n) ** s.weight() * _kernel_row(kind, m, n)[0])
 
 
 def mollified_big(n: int, s) -> "rational":
@@ -385,11 +399,11 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     (1, coeff_base).  For coeff_base 1 it is the mhs_star list itself.
 
     The weights are the Lemma 3.1 kernel row _kernel_row("B", m, n),
-    C(mn, n-k) with c_n = 1/C(mn, n), of order m = 2 (big) or 1 (small),
-    as in _mollified.  A merge keeps the weight, so each increment
+    C(mn, n-k) with c_n = 1/C(mn, n) = 1/row[0], of order m = 2 (big) or
+    1 (small), as in _mollified.  A merge keeps the weight, so each increment
     dT(k) = T(k) - T(k-1) is over D = lcm(1..n)^weight(base) (_on_scale
     checks it) and the pass is one integer sum:
-    sign * sum_k C(mn, n-k) * dT(k)*D over D*C(mn, n).
+    sign * sum_k C(mn, n-k) * dT(k)*D over D*row[0].
     """
     n = as_int("n", n)
     base = as_index(base)
@@ -412,7 +426,7 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     for k in range(1, n + 1):
         total += row[k] * _on_scale(tvals[k] - tvals[k - 1], denom,
                                     "increment dT(%d)", k)
-    return _Q(global_sign * total, denom * comb(m * n, n))
+    return _Q(global_sign * total, denom * row[0])
 
 
 # ---------------------------------------------------------------------------

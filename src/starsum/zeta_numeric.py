@@ -438,11 +438,17 @@ def _partial_eval(parts: Tuple[int, ...],
 # Public evaluators
 # ---------------------------------------------------------------------------
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tol that is not a positive finite number (0, negative,
+    inf or nan) by name, before any arithmetic reads it."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+
+
 def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
     """zeta (star False) or zeta_star (star True).  "chain" serves both,
     "partial" only zeta and "expand" only zeta_star."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    _check_tol(tol)
     parts = as_index(s).parts
     if not parts:
         return NumericValue(mpf(1), tol, "empty index", 0.0)
@@ -494,7 +500,7 @@ def recognize_rational(value, window: float) -> Optional[Fraction]:
     an mpf at _DPS digits first.  Callers must report None, never
     substitute a guess.
     """
-    if window <= 0:
+    if not window > 0:  # nan too
         raise ValueError("window must be positive")
     if not isinstance(value, mpf):
         value = mpf(value, dps=_DPS)
@@ -516,7 +522,9 @@ def _value_str(v) -> str:
 
 def _digits(tol: float) -> int:
     """Working digits for summing and comparing limits at tolerance tol:
-    _DPS, or ten more than tol's decimal places when that is more."""
+    _DPS, or ten more than tol's decimal places when that is more.  A tol
+    that is not positive and finite is refused as _limit refuses it."""
+    _check_tol(tol)
     return max(_DPS, 10 - math.floor(math.log10(tol)))
 
 

@@ -207,6 +207,19 @@ def test_kernel_sum_matches_its_definition():
     assert checked == 25 * 3 * 32
 
 
+@pytest.mark.parametrize("m,ns", [
+    (m, range(65)) for m in (1, 2, 3, 4)] + [
+    (m, (199, 200, 500)) for m in (1, 2)])
+def test_kernel_row_matches_comb(m, ns):
+    # the recurrence against the binomial definition, entry by entry; so
+    # K[0] is C(mn, n), the 1/c_n that the companions divide by
+    for n in ns:
+        b_row = tuple(comb(m * n, n - k) for k in range(n + 1))
+        a_row = tuple((-1) ** k * c for k, c in enumerate(b_row))
+        assert ee._kernel_row("B", m, n) == b_row, (m, n)
+        assert ee._kernel_row("A", m, n) == a_row, (m, n)
+
+
 class TestCompanionSum:
     """The fused sweep kernel vs term-by-term expansion."""
 
@@ -665,25 +678,34 @@ def test_only_on_scale_calls_divmod():
     assert divmods(tree) == divmods(on_scale)
 
 
+def _names(path):
+    """Every name, attribute and import (and its alias) in a source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+            found.update(alias.asname for alias in node.names)
+    return found
+
+
+def test_exact_eval_names_no_comb():
+    # kernel rows come from one ratio recurrence and c_n from their first
+    # entry, so no binomial is formed per entry; math.comb is the tests'
+    # oracle, and a second route to the rows could drift from the first
+    assert "comb" not in _names(pathlib.Path(ee.__file__))
+
+
 def test_only_exact_eval_names_ensure():
     # every reader of the memo's lists sits in exact_eval, and only it
     # grows them, so the list recurrence can be replaced in one module
-    def names(path):
-        tree = ast.parse(path.read_text())
-        found = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                found.update(alias.name for alias in node.names)
-        return found
-
     package = pathlib.Path(ee.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 1
     for path in modules:
         for name in ("_ensure", "_grow"):
-            assert (name in names(path)) == (path.name == "exact_eval.py"), \
+            assert (name in _names(path)) == (path.name == "exact_eval.py"), \
                 (name, path.name)

@@ -660,8 +660,9 @@ class TestRecognition:
                 recognize_rational(value, 1.0)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError, match="window must be positive"):
-            recognize_rational(mpf(1) / 2, 0.0)
+        for window in (0.0, -1e-6, math.nan):
+            with pytest.raises(ValueError, match="window must be positive"):
+                recognize_rational(mpf(1) / 2, window)
 
     @given(p=st.integers(-10 ** 4, 10 ** 4), q=st.integers(1, 10 ** 6))
     @settings(max_examples=150, deadline=None)
@@ -962,6 +963,26 @@ def test_non_integers_name_the_argument(call, name):
     # each failed with an internal TypeError
     with pytest.raises(ValueError, match="^%s must be an integer" % name):
         call()
+
+
+@pytest.mark.parametrize("verify", [
+    lambda tol: hoffman_symmetric_check((2, 2), tol),
+    lambda tol: verify_yamamoto(1, 0, tol),
+    lambda tol: verify_ittw_conj2("i", {"m": 0, "n": 0}, tol),
+    lambda tol: verify_theorem81("i", (0, 0), tol),
+    lambda tol: check_zlobin(1, tol),
+    lambda tol: check_three_n(1, tol),
+    lambda tol: verify_muneta(1, tol),
+    lambda tol: verify_mzsv_family(FamilySpec(TWO_ONE, a=(1,)), tol),
+], ids=["hoffman", "yamamoto", "ittw", "theorem81", "zlobin", "three_n",
+        "muneta", "family"])
+def test_bad_tol_is_refused_by_name(verify):
+    # the first four reached math.log10 or int() on the tol before any
+    # limit checked it: a math domain error, or an OverflowError for inf
+    for tol in (0.0, -1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError,
+                           match="^tol must be positive and finite, got"):
+            verify(tol)
 
 
 class TestPermutedRunSums:
