@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -32,15 +31,9 @@ from starsum import exact_eval
 from starsum import families as fam
 from starsum.stuffle import verify_middlestep_1, verify_middlestep_2
 from starsum import zeta_numeric as zn
-from starsum.index_core import parse_index, pi_expand_weighted
+from starsum.index_core import as_int, parse_index, pi_expand_weighted
 
 FAMILY_NAMES = {row.cli_name: row.family for row in fam.FAMILY_TABLE}
-
-
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite, got %r"
-                         % (tol,))
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.tol is not None:
-            _check_tol(self.tol)
+            zn._check_tol(self.tol)
 
     def as_dict(self) -> dict:
         out = {"format": self.fmt, "timings": self.timings}
@@ -175,8 +168,6 @@ def _compared(params: dict, n: Optional[int], *extra: str):
 
 def _cmd_eval_mhs(args, stream) -> int:
     index = parse_index(args.index)
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
     if args.mollified == "big":
         value = exact_eval.mollified_big(args.n, index)
     elif args.mollified == "small":
@@ -197,8 +188,7 @@ def _cmd_expand(args, stream) -> int:
 
 def _cmd_verify(args, stream) -> int:
     spec = _build_spec(args)
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
+    as_int("--n-max", args.n_max, 1)
     config = RunConfig("verify", fmt=args.format, timings=args.timings)
     cells = fam._cells(spec, range(1, args.n_max + 1))
     items = [_timed_item(args.timings, partial(fam._cell_item, spec), next,
@@ -309,10 +299,10 @@ def _cmd_suite(args, stream) -> int:
     runner, default_n, uses_tol, uses_seed = SUITES[args.suite]
     if args.n is not None and default_n is None:
         raise ValueError("--n does not apply to the %s suite" % args.suite)
-    if args.n is not None and args.n < 1:
-        raise ValueError("--n must be >= 1")
+    if args.n is not None:
+        as_int("--n", args.n, 1)
     # a --tol that no tolerance reads is still refused when it is invalid
-    _check_tol(args.tol)
+    zn._check_tol(args.tol)
     config = RunConfig("suite", tol=args.tol if uses_tol else None,
                        fmt=args.format,
                        seed=args.seed if uses_seed else None,

@@ -244,10 +244,8 @@ def _grow(parts: tuple, eq: int, lt: int, n: int) -> List:
 
 
 def _h_value(n: int, s, eq: int):
-    n = as_int("n", n)
+    n = as_int("n", n, 0)
     parts = as_index(s).parts
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if not parts:
         return _ONE
     if n == 0 or (n < len(parts) and not eq):
@@ -361,9 +359,7 @@ def _mollified(n: int, s, m: int):
     """S(tail, |s_1|) of kind "A" (s_1 < 0) or "B", with m = 2 (big) or 1
     (small), times the kernel factor c_n = 1/C(mn, n), the 1/row[0] of
     the kernel row the sum reads."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError("mollified sums need n >= 1")
+    n = as_int("n", n, 1)
     s = as_index(s)
     if s.is_empty():
         raise ValueError("mollified sums need a nonempty index")
@@ -405,20 +401,17 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     checks it) and the pass is one integer sum:
     sign * sum_k C(mn, n-k) * dT(k)*D over D*row[0].
     """
-    n = as_int("n", n)
+    n = as_int("n", n, 1)
     base = as_index(base)
     if base.is_empty():
         raise ValueError("pi_companion_sum needs a nonempty base")
     m = {"big": 2, "small": 1}.get(companion)
     if m is None:
         raise ValueError("companion must be 'big' or 'small'")
+    global_sign = as_int("global_sign", global_sign)
     if global_sign not in (1, -1):
         raise ValueError("global_sign must be +1 or -1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeff_base = as_int("coeff_base", coeff_base)
-    if coeff_base < 1:
-        raise ValueError("coeff_base must be >= 1, got %d" % coeff_base)
+    coeff_base = as_int("coeff_base", coeff_base, 1)
     tvals = _ensure(base.parts, 1, coeff_base, n)
     row = _kernel_row("B", m, n)
     denom = _lcm_to(n) ** base.weight()
@@ -444,10 +437,8 @@ def _oracle(n: int, s, eq: int, lt: int) -> "rational":
     eq^(equal steps), the empty chain 1.  With L = lcm(1..n) each term is
     the integer prod sgn(s_i)^k_i (L/k_i)^|s_i| over L^weight(s), so one
     rational is formed at the end."""
-    n = as_int("n", n)
+    n = as_int("n", n, 0)
     s = as_index(s)
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if n > _ORACLE_N_MAX:
         raise ValueError("oracle guard: n=%d exceeds %d" % (n, _ORACLE_N_MAX))
     if s.depth() > _ORACLE_DEPTH_MAX:

@@ -347,9 +347,7 @@ def _cell_item(spec: FamilySpec, cell: tuple) -> dict:
 def verify_instance(spec: FamilySpec, n: int) -> dict:
     """Exact comparison of both sides at a single n: the one cell _cells
     yields at n, as rationals."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     _, lhs, rhs = next(_cells(spec, (n,)))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -437,9 +435,7 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     reply raises RuntimeError naming it, and every child has ended and been
     joined when this returns or raises.
     """
-    n_max = as_int("n_max", n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = as_int("n_max", n_max, 1)
     specs = list(_grid_specs(family, param_ranges))
     first, *rest = _shares(len(specs))
     ns = range(1, n_max + 1)
@@ -574,15 +570,12 @@ class KernelParams:
     v: SignedIndex = EMPTY
 
     def __post_init__(self):
-        for name in ("m", "a", "c"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        for name, least in (("m", 1), ("a", 0), ("c", None)):
+            object.__setattr__(self, name,
+                               as_int(name, getattr(self, name), least))
         object.__setattr__(self, "v", as_index(self.v))
-        if self.m < 1:
-            raise ValueError("kernel order m must be >= 1")
         if self.kind not in ("A", "B"):
             raise ValueError("kernel kind must be 'A' or 'B'")
-        if self.a < 0:
-            raise ValueError("exponent a must be nonnegative")
 
 
 # Lemma 3.1, one row per variant: the kernel kind of the plain sums, the
@@ -620,9 +613,7 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     """
     if variant not in LEMMA31:
         raise ValueError("variant must be one of 'i', 'ii', 'iii', 'iv'")
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     m, a, c, v = kp.m, kp.a, kp.c, kp.v.parts
     shift = variant in ("i", "iii")
     if shift and c < 1:
@@ -675,9 +666,7 @@ def _weighted_compositions(rest: int, m: int) -> Tuple[tuple, ...]:
 
 def check_ones_bar_one(a: int, n: int) -> bool:
     """H*_n({1}^a, -1) against its closed form, summed over lcm(1..n)^(a+1)."""
-    a, n = as_int("a", a), as_int("n", n)
-    if a < 0 or n < 1:
-        raise ValueError("need a >= 0 and n >= 1")
+    a, n = as_int("a", a, 0), as_int("n", n, 1)
     lhs = mhs_star(n, (1,) * a + (-1,))
     big_l = _lcm_to(n)
     rhs = rational(sum((-1) ** k * (2 ** k - 1) * comb(n, k)
@@ -702,9 +691,7 @@ def check_tail_weight_sum(l: int, n: int) -> bool:
 def check_geometric_sum(a: int, k: int, n: int) -> bool:
     """sum_{l=0}^a (n/k)^{2l} = (n^(2a+2) - k^(2a+2)) / (k^(2a) (n^2 - k^2)),
     checked as sum_l n^(2l) k^(2a-2l) (n-k)(n+k) = n^(2a+2) - k^(2a+2)."""
-    a, k, n = as_int("a", a), as_int("k", k), as_int("n", n)
-    if a < 0:
-        raise ValueError("need a >= 0")
+    a, k, n = as_int("a", a, 0), as_int("k", k), as_int("n", n)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     total = sum(n ** (2 * l) * k ** (2 * a - 2 * l) for l in range(a + 1))

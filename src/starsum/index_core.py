@@ -9,12 +9,19 @@ The module supplies the merge operator ``oplus`` (magnitudes add, signs
 multiply), the comma-or-merge expansion ``pi_expand`` that underlies every
 right-hand side in this package, the star-to-strict expansion, and the
 text round-trip used by the CLI and reports.
+
+It also holds the package's one rule for integer arguments: ``as_int``
+refuses a value that is not an integer and, given ``least``, one below that
+floor, naming the argument and the value it was given.  Every public entry
+(and every integer CLI flag) with a plain lower bound reads its floor from
+there; relations between arguments, such as 1 <= k < n, are checked where
+they are used.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "SignedIndex",
@@ -32,13 +39,20 @@ __all__ = [
 ]
 
 
-def as_int(name: str, value) -> int:
-    """value as an int; 1.7 or "3" is refused, not cut, and True is 1."""
+def as_int(name: str, value, least: Optional[int] = None) -> int:
+    """value as an int; 1.7 or "3" is refused, not cut, and True is 1.
+
+    With least given, a value below it is refused as well, with
+    "<name> must be >= <least>, got <value>".
+    """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError("%s must be an integer, got %r"
                          % (name, value)) from None
+    if least is not None and value < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, value))
+    return value
 
 
 def as_ints(name: str, values) -> Tuple[int, ...]:
@@ -226,10 +240,8 @@ def pi_expand_weighted(base: SignedIndex, coeff_base: int = 2,
 
     Coefficients of colliding indices accumulate.
     """
-    coeff_base = as_int("coeff_base", coeff_base)
+    coeff_base = as_int("coeff_base", coeff_base, 1)
     global_sign = as_int("global_sign", global_sign)
-    if coeff_base < 1:
-        raise ValueError("coeff_base must be a positive integer")
     if global_sign not in (1, -1):
         raise ValueError("global_sign must be +1 or -1")
     out = FormalSum()

@@ -111,9 +111,7 @@ def verify_middlestep_1(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     expansion with the single term 2 * (-(4(n-j)+2)).  Checked as an exact
     FormalSum identity.
     """
-    n, depth_cap = as_int("n", n), as_int("depth_cap", depth_cap)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, depth_cap = as_int("n", n, 1), as_int("depth_cap", depth_cap)
     depth = 2 * n + 1
     _check_cap(depth, depth_cap)
     multiplicity = 2 * n + 1
@@ -131,9 +129,7 @@ def verify_middlestep_2(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     multiplicity here: summing over the -4 position already supplies the
     copies the product form generates.
     """
-    n, depth_cap = as_int("n", n), as_int("depth_cap", depth_cap)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, depth_cap = as_int("n", n, 1), as_int("depth_cap", depth_cap)
     depth = 2 * n
     _check_cap(depth, depth_cap)
     lhs = FormalSum()

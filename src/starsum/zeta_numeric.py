@@ -54,6 +54,10 @@ and only a check with a predicted coefficient gives a verdict on it
 (recognition_ok, equality with the coefficient).  recognized alone is a
 report, not a verdict: at a loose tol almost any real has a fraction under
 the cap inside the window.
+
+A tol that is not positive and finite is refused by one rule, _check_tol,
+naming the value the caller gave: zeta, zeta_star and every public verifier
+check their tol before deriving any share of it, and the CLI checks --tol.
 """
 
 from __future__ import annotations
@@ -378,9 +382,7 @@ def mhs_float(n: int, s) -> float:
     roundoff (~1e-13 here) is far below every tail bound it is compared to.
     """
     parts = as_index(s).parts
-    n = as_int("n", n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = as_int("n", n, 0)
     level = [1.0] * (n + 1)
     for part in reversed(parts):
         a = abs(part)
@@ -438,11 +440,18 @@ def _partial_eval(parts: Tuple[int, ...],
 # Public evaluators
 # ---------------------------------------------------------------------------
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, name: str = "tol") -> None:
     """Refuse a tol that is not a positive finite number (0, negative,
-    inf or nan) by name, before any arithmetic reads it."""
+    inf or nan), naming the value given, before any arithmetic reads it.
+
+    The package's one tolerance rule.  zeta and zeta_star (through _limit)
+    and every public verifier call it on the caller's tol before deriving
+    any share of it; _digits calls it on each share; recognize_rational
+    calls it on its window; and the CLI calls it on every --tol.
+    """
     if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+        raise ValueError("%s must be positive and finite, got %r"
+                         % (name, tol))
 
 
 def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
@@ -500,8 +509,7 @@ def recognize_rational(value, window: float) -> Optional[Fraction]:
     an mpf at _DPS digits first.  Callers must report None, never
     substitute a guess.
     """
-    if not window > 0:  # nan too
-        raise ValueError("window must be positive")
+    _check_tol(window, "window")
     if not isinstance(value, mpf):
         value = mpf(value, dps=_DPS)
     if not mp.isfinite(value):
@@ -593,6 +601,7 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     10*tol.  lhs_error and rhs_error are the errors the two sides achieved
     (NumericValue.error and the chain's bound), each within its share.
     """
+    _check_tol(tol)
     form = fam.build_rhs(spec)
     if form.companion != fam.BIG:
         raise ValueError("%s has no limit form: its companion weight does not "
@@ -629,9 +638,8 @@ def check_zlobin(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta*({2}^n) against -2 * zeta of the single bar argument 2n, which
     is an exact rational times pi^(2n) (_even_zeta_coefficient): the left
     side is the only limit taken, checked as verify_muneta checks its own."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_tol(tol)
+    n = as_int("n", n, 1)
     coefficient = -2 * _even_zeta_coefficient(-2 * n)
     lhs = zeta_star(SignedIndex((2,) * n), tol / 2).value
     return {"n": n, **_against_pi_power(lhs, coefficient, 2 * n, tol / 2)}
@@ -639,9 +647,8 @@ def check_zlobin(n: int, tol: float = DEFAULT_TOL) -> dict:
 
 def check_three_n(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta({3}^n) against 8^n * zeta((-2,1)^n)."""
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_tol(tol)
+    n = as_int("n", n, 1)
     scale = 8 ** n
     lhs = zeta(SignedIndex((3,) * n), tol / 2).value
     rhs = _limit_sum(zeta, [(SignedIndex((-2, 1) * n), scale)],
@@ -685,6 +692,7 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     coefficient times pi^weight, and the left side is checked against it as
     _against_pi_power does, with budget tol / 2.
     """
+    _check_tol(tol)
     parts = as_ints("args", args)
     depth = len(parts)
     if depth < 1 or depth > 4:
@@ -735,9 +743,7 @@ def yamamoto_rhs(r: int, m: int) -> Fraction:
     (-1)^(j+k) sign, binomial interleavings and the 1/((2i+1)(4i+2j+1)!)
     kernel.
     """
-    r, m = as_int("r", r), as_int("m", m)
-    if r < 1 or m < 0:
-        raise ValueError("needs r >= 1, m >= 0")
+    r, m = as_int("r", r, 1), as_int("m", m, 0)
     total = Fraction(0)
     for i in range(r + 1):
         for k in range(2 * r - 2 * i + 1):
@@ -755,6 +761,7 @@ def yamamoto_rhs(r: int, m: int) -> Fraction:
 
 def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL) -> dict:
     """Composition sum of weak-descent limits vs the exact pi-power formula."""
+    _check_tol(tol)
     r, m = as_int("r", r), as_int("m", m)
     coefficient = yamamoto_rhs(r, m)
     comps = _weak_compositions(m, 2 * r + 1)
@@ -768,9 +775,7 @@ def verify_yamamoto(r: int, m: int, tol: float = DEFAULT_TOL) -> dict:
 
 def muneta_value(n: int) -> Fraction:
     """Exact coefficient of pi^(4n) for the weak-descent limit of (3,1)^n."""
-    n = as_int("n", n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = as_int("n", n, 0)
     total = Fraction(0)
     for i in range(n + 1):
         k = 2 * (n - i)
@@ -784,6 +789,7 @@ def muneta_value(n: int) -> Fraction:
 
 def verify_muneta(n: int, tol: float = DEFAULT_TOL) -> dict:
     """zeta*((3,1)^n) against the double-Bernoulli pi^(4n) closed form."""
+    _check_tol(tol)
     n = as_int("n", n)
     coefficient = muneta_value(n)
     lhs = zeta_star(SignedIndex((3, 1) * n), tol / 2).value
@@ -815,6 +821,7 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     even all-2 blocks.  Part i takes params m and n, parts ii and iii take
     n; a missing or an extra key is refused by name.
     """
+    _check_tol(tol)
     keys = {"i": ("m", "n"), "ii": ("n",), "iii": ("n",)}.get(part)
     if keys is None:
         raise ValueError("part must be 'i', 'ii' or 'iii'")
@@ -823,19 +830,15 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     if missing or extra:
         raise ValueError("part %s takes %s; missing %s, extra %s" % (
             part, " and ".join(keys), missing, extra))
-    n = as_int("n", params["n"])
+    n = as_int("n", params["n"], 0 if part == "i" else 1)
     if part == "i":
-        m = as_int("m", params["m"])
-        if m < 0 or n < 0:
-            raise ValueError("needs m, n >= 0")
+        m = as_int("m", params["m"], 0)
         each = tol / 8
         lhs = _limit_sum(zeta_star, [
             (SignedIndex((2,) * n + (3,) + (2,) * m + (1,)), 1),
             (SignedIndex((2,) * m + (3,) + (2,) * n + (1,)), 1)], each)
         pairs = [(SignedIndex((2,) * (n + 1)), SignedIndex((2,) * (m + 1)))]
         rhs, budget = _product_sum(pairs, each, 2 * each)
-    elif n < 1:
-        raise ValueError("needs n >= 1")
     elif part == "ii":
         each = tol / (8 * (n + 2))
         core = SignedIndex((3, 1) * n + (2,))
@@ -867,6 +870,7 @@ def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL) -> dict:
     recognition_ok.  recognized is a report, not a pass; at a loose tol
     almost any real has a fraction under the cap inside the window.
     """
+    _check_tol(tol)
     e = as_ints("e_values", e_values)
     if any(v < 0 for v in e):
         raise ValueError("run lengths must be nonnegative")

@@ -238,9 +238,12 @@ class TestVerifyMzsv:
         assert "no limit form" in err
 
     @pytest.mark.parametrize("tol,message", [
-        ("nan", "tolerance must be positive and finite"),
-        ("inf", "tolerance must be positive and finite"),
-        ("0", "tolerance must be positive and finite"),
+        pytest.param("nan", "tol must be positive and finite, got nan",
+                     id="nan"),
+        pytest.param("inf", "tol must be positive and finite, got inf",
+                     id="inf"),
+        pytest.param("0", "tol must be positive and finite, got 0.0",
+                     id="0"),
         # finite and positive, but past what the chain can certify
         ("1e-300", "could not certify tol=1e-300"),
     ])
@@ -290,7 +293,7 @@ class TestSuites:
         code, out, err = run_cli(capsys, "suite", "--suite", suite, "--n", n)
         assert code == 2
         assert out == ""
-        assert err == "error: --n must be >= 1\n"
+        assert err == "error: --n must be >= 1, got %s\n" % n
 
     def test_n_on_paper_examples_is_a_usage_error(self, capsys):
         # paper-examples has no size knob, so an --n would be ignored
@@ -344,7 +347,7 @@ class TestSuites:
         code, out, err = run_cli(capsys, "suite", "--suite", "middlestep",
                                  "--tol", "nan")
         assert (code, out) == (2, "")
-        assert "tolerance must be positive and finite" in err
+        assert "tol must be positive and finite, got nan" in err
 
     def test_unknown_suite_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -16,6 +16,7 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starsum import cli
 from starsum import exact_eval as ee
 from starsum.index_core import SignedIndex, pi_expand_weighted
 
@@ -252,6 +253,14 @@ class TestCompanionSum:
             ee.pi_companion_sum((2,), 2, 2, "big", 3)
         with pytest.raises(ValueError):
             ee.pi_companion_sum((2,), 2, 1, "big", 0)
+
+    @pytest.mark.parametrize("global_sign", [1.0, -1.0])
+    def test_float_global_sign_refused(self, global_sign):
+        # 1.0 passed the +-1 check and failed inside Fraction with a
+        # TypeError
+        with pytest.raises(ValueError, match="^global_sign must be an "
+                           "integer, got %r$" % global_sign):
+            ee.pi_companion_sum((2, 1), 2, global_sign, "big", 3)
 
     @pytest.mark.parametrize("coeff_base", [1.5, 0, -1])
     def test_coeff_base_must_be_a_positive_integer(self, coeff_base):
@@ -697,6 +706,24 @@ def test_exact_eval_names_no_comb():
     # entry, so no binomial is formed per entry; math.comb is the tests'
     # oracle, and a second route to the rows could drift from the first
     assert "comb" not in _names(pathlib.Path(ee.__file__))
+
+
+def test_cli_has_no_tolerance_rule_of_its_own():
+    # the CLI refuses a --tol through zeta_numeric's one rule, read as it
+    # reads families._cells, so the CLI and the library cannot drift back
+    # to two rules with two wordings
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    assert not [node.name for node in nodes
+                if isinstance(node, ast.FunctionDef) and "tol" in node.name]
+    assert "inf" not in _names(pathlib.Path(cli.__file__))
+    uses = [node for node in nodes
+            if isinstance(node, ast.Attribute) and node.attr == "_check_tol"]
+    assert uses
+    assert all(isinstance(node.value, ast.Name) and node.value.id == "zn"
+               for node in uses)
+    assert not [node for node in nodes
+                if isinstance(node, ast.Name) and node.id == "_check_tol"]
 
 
 def test_only_exact_eval_names_ensure():

@@ -1033,11 +1033,11 @@ class TestKernelIdentities:
             check_lemma31(variant, KernelParams(**kp_kwargs), 4)
 
     def test_kernel_params_validation(self):
-        with pytest.raises(ValueError, match="kernel order m"):
+        with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
             KernelParams(m=0)
         with pytest.raises(ValueError, match="kernel kind"):
             KernelParams(kind="C")
-        with pytest.raises(ValueError, match="exponent a"):
+        with pytest.raises(ValueError, match="^a must be >= 0, got -1$"):
             KernelParams(a=-1)
         with pytest.raises(ValueError, match="n must be >= 1"):
             check_lemma31("i", KernelParams(), 0)

@@ -1,15 +1,24 @@
-"""Data-model tests: signed indices, formal sums, expansions."""
+"""Data-model tests: signed indices, formal sums, expansions, and the
+integer floors every public entry reads from as_int."""
 
+import contextlib
+import io
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from starsum import exact_eval as ee
+from starsum import families as fam
+from starsum import zeta_numeric as zn
+from starsum.cli import main
 from starsum.index_core import (
     EMPTY,
     FormalSum,
     SignedIndex,
     as_index,
+    as_int,
     format_index,
     oplus,
     parse_index,
@@ -17,6 +26,7 @@ from starsum.index_core import (
     pi_expand_weighted,
     star_expand,
 )
+from starsum.stuffle import verify_middlestep_1, verify_middlestep_2
 
 
 def sign_rule_holds(p: SignedIndex) -> bool:
@@ -279,3 +289,103 @@ class TestStarExpand:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             star_expand(EMPTY)
+
+
+def _cli(*argv):
+    """Run the CLI; a usage error (exit 2) is raised as the ValueError it
+    reports, so a flag's floor reads like a library argument's."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    if code == 2:
+        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+    return code
+
+
+_SPEC = fam.FamilySpec(fam.TWO_ONE, a=(1,))
+
+# (argument name, floor, call with the argument set to the value), one row
+# per public entry and argument with a plain lower bound
+FLOORS = [
+    pytest.param("n", 0, lambda v: ee.mhs(v, (2,)), id="mhs"),
+    pytest.param("n", 0, lambda v: ee.mhs_star(v, (2,)), id="mhs_star"),
+    pytest.param("n", 0, lambda v: ee.mhs_oracle(v, (2,)), id="mhs_oracle"),
+    pytest.param("n", 0, lambda v: ee.mhs_star_oracle(v, (2,)),
+                 id="mhs_star_oracle"),
+    pytest.param("n", 1, lambda v: ee.mollified_big(v, (2,)),
+                 id="mollified_big"),
+    pytest.param("n", 1, lambda v: ee.mollified_small(v, (2,)),
+                 id="mollified_small"),
+    pytest.param("n", 1, lambda v: ee.pi_companion_sum((2, 1), 2, 1, "big", v),
+                 id="pi_companion_sum-n"),
+    pytest.param("coeff_base", 1,
+                 lambda v: ee.pi_companion_sum((2, 1), v, 1, "big", 3),
+                 id="pi_companion_sum-coeff_base"),
+    pytest.param("coeff_base", 1,
+                 lambda v: pi_expand_weighted(SignedIndex((2, 1)), v),
+                 id="pi_expand_weighted"),
+    pytest.param("n", 1, lambda v: fam.verify_instance(_SPEC, v),
+                 id="verify_instance"),
+    pytest.param("n_max", 1,
+                 lambda v: fam.verify_sweep(fam.TWO_ONE, {"a": (1,)}, v),
+                 id="verify_sweep"),
+    pytest.param("m", 1, lambda v: fam.KernelParams(m=v),
+                 id="KernelParams-m"),
+    pytest.param("a", 0, lambda v: fam.KernelParams(a=v),
+                 id="KernelParams-a"),
+    pytest.param("n", 1, lambda v: fam.check_lemma31("i", fam.KernelParams(),
+                                                     v),
+                 id="check_lemma31"),
+    pytest.param("a", 0, lambda v: fam.check_ones_bar_one(v, 3),
+                 id="check_ones_bar_one-a"),
+    pytest.param("n", 1, lambda v: fam.check_ones_bar_one(1, v),
+                 id="check_ones_bar_one-n"),
+    pytest.param("a", 0, lambda v: fam.check_geometric_sum(v, 1, 2),
+                 id="check_geometric_sum"),
+    pytest.param("n", 1, verify_middlestep_1, id="verify_middlestep_1"),
+    pytest.param("n", 1, verify_middlestep_2, id="verify_middlestep_2"),
+    pytest.param("n", 0, lambda v: zn.mhs_float(v, (2,)), id="mhs_float"),
+    pytest.param("n", 1, zn.check_zlobin, id="check_zlobin"),
+    pytest.param("n", 1, zn.check_three_n, id="check_three_n"),
+    pytest.param("r", 1, lambda v: zn.yamamoto_rhs(v, 0), id="yamamoto_rhs-r"),
+    pytest.param("m", 0, lambda v: zn.yamamoto_rhs(1, v), id="yamamoto_rhs-m"),
+    pytest.param("n", 0, zn.muneta_value, id="muneta_value"),
+    pytest.param("m", 0, lambda v: zn.verify_ittw_conj2("i", {"m": v, "n": 0}),
+                 id="verify_ittw_conj2-i-m"),
+    pytest.param("n", 0, lambda v: zn.verify_ittw_conj2("i", {"m": 0, "n": v}),
+                 id="verify_ittw_conj2-i-n"),
+    pytest.param("n", 1, lambda v: zn.verify_ittw_conj2("ii", {"n": v}),
+                 id="verify_ittw_conj2-ii"),
+    pytest.param("n", 1, lambda v: zn.verify_ittw_conj2("iii", {"n": v}),
+                 id="verify_ittw_conj2-iii"),
+    pytest.param("n", 0, lambda v: _cli("eval-mhs", "--index", "2", "--n",
+                                        str(v)),
+                 id="cli-eval-mhs"),
+    pytest.param("--n-max", 1, lambda v: _cli("verify", "--family", "two-one",
+                                              "--a", "1", "--n-max", str(v)),
+                 id="cli-verify"),
+    pytest.param("--n", 1, lambda v: _cli("suite", "--suite", "middlestep",
+                                          "--n", str(v)),
+                 id="cli-suite"),
+]
+
+
+@pytest.mark.parametrize("name, least, call", FLOORS)
+def test_floors_name_the_callers_value(name, least, call):
+    # one rule and one wording for every floor, where there were 16
+    # wordings and only one named the value
+    for value in (least - 1, least - 5):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "%s must be >= %d, got %d" % (name, least, value))):
+            call(value)
+    call(least)
+
+
+def test_as_int_floor():
+    assert as_int("n", 3, 3) == 3
+    assert as_int("n", -7) == -7
+    with pytest.raises(ValueError, match="^n must be >= 3, got 2$"):
+        as_int("n", 2, 3)
+    # an integer check comes before the floor
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+        as_int("n", 2.5, 3)

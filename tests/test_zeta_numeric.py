@@ -13,6 +13,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -597,7 +598,7 @@ class TestExactBridge:
             assert abs(approx - float(exact)) < 1e-9
 
     def test_float_partial_sum_needs_nonnegative_n(self):
-        with pytest.raises(ValueError, match="^n must be nonnegative"):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             mhs_float(-1, (2,))
 
     def test_tail_bound_guards_small_n(self):
@@ -660,8 +661,10 @@ class TestRecognition:
                 recognize_rational(value, 1.0)
 
     def test_window_validation(self):
-        for window in (0.0, -1e-6, math.nan):
-            with pytest.raises(ValueError, match="window must be positive"):
+        # an infinite window "recognized" every value: 1/3 + 1e-3 as 1003/3000
+        for window in (0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(
+                    "window must be positive and finite, got %r" % window)):
                 recognize_rational(mpf(1) / 2, window)
 
     @given(p=st.integers(-10 ** 4, 10 ** 4), q=st.integers(1, 10 ** 6))
@@ -888,9 +891,9 @@ class TestProductIdentities:
     def test_part_guards(self):
         with pytest.raises(ValueError, match="part must be"):
             verify_ittw_conj2("iv", {"n": 1})
-        with pytest.raises(ValueError, match="needs n >= 1"):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             verify_ittw_conj2("ii", {"n": 0})
-        with pytest.raises(ValueError, match="needs m, n >= 0"):
+        with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
             verify_ittw_conj2("i", {"m": -1, "n": 0})
         with pytest.raises(ValueError, match="^n must be an integer"):
             verify_ittw_conj2("ii", {"n": 1.7})
@@ -942,9 +945,9 @@ class TestPiPowerFormulas:
             assert report["recognized"] == expected
 
     def test_domain_guards(self):
-        with pytest.raises(ValueError, match="needs r >= 1"):
+        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
             yamamoto_rhs(0, 1)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             muneta_value(-1)
 
 
@@ -974,14 +977,18 @@ def test_non_integers_name_the_argument(call, name):
     lambda tol: check_three_n(1, tol),
     lambda tol: verify_muneta(1, tol),
     lambda tol: verify_mzsv_family(FamilySpec(TWO_ONE, a=(1,)), tol),
+    lambda tol: zeta((2,), tol),
+    lambda tol: zeta_star((2,), tol),
 ], ids=["hoffman", "yamamoto", "ittw", "theorem81", "zlobin", "three_n",
-        "muneta", "family"])
+        "muneta", "family", "zeta", "zeta_star"])
 def test_bad_tol_is_refused_by_name(verify):
     # the first four reached math.log10 or int() on the tol before any
-    # limit checked it: a math domain error, or an OverflowError for inf
+    # limit checked it: a math domain error, or an OverflowError for inf;
+    # the verifiers named a share derived from it (-5e-07 for yamamoto's
+    # -1e-06), not the value the caller passed
     for tol in (0.0, -1e-6, math.inf, math.nan):
-        with pytest.raises(ValueError,
-                           match="^tol must be positive and finite, got"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "tol must be positive and finite, got %r" % tol)):
             verify(tol)
 
 
