@@ -51,7 +51,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, List, Tuple
 
-from starsum.index_core import as_index, as_int
+from starsum.index_core import as_choice, as_index, as_int
 
 __all__ = [
     "RATIONAL_BACKEND",
@@ -405,15 +405,12 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     base = as_index(base)
     if base.is_empty():
         raise ValueError("pi_companion_sum needs a nonempty base")
-    m = {"big": 2, "small": 1}.get(companion)
-    if m is None:
-        raise ValueError("companion must be 'big' or 'small'")
-    global_sign = as_int("global_sign", global_sign)
-    if global_sign not in (1, -1):
-        raise ValueError("global_sign must be +1 or -1")
+    companion = as_choice("companion", companion, ("big", "small"))
+    global_sign = as_choice("global_sign", as_int("global_sign", global_sign),
+                            (1, -1))
     coeff_base = as_int("coeff_base", coeff_base, 1)
     tvals = _ensure(base.parts, 1, coeff_base, n)
-    row = _kernel_row("B", m, n)
+    row = _kernel_row("B", 2 if companion == "big" else 1, n)
     denom = _lcm_to(n) ** base.weight()
     total = 0
     for k in range(1, n + 1):
@@ -437,13 +434,9 @@ def _oracle(n: int, s, eq: int, lt: int) -> "rational":
     eq^(equal steps), the empty chain 1.  With L = lcm(1..n) each term is
     the integer prod sgn(s_i)^k_i (L/k_i)^|s_i| over L^weight(s), so one
     rational is formed at the end."""
-    n = as_int("n", n, 0)
+    n = as_int("n", n, 0, _ORACLE_N_MAX)
     s = as_index(s)
-    if n > _ORACLE_N_MAX:
-        raise ValueError("oracle guard: n=%d exceeds %d" % (n, _ORACLE_N_MAX))
-    if s.depth() > _ORACLE_DEPTH_MAX:
-        raise ValueError("oracle guard: depth %d exceeds %d"
-                         % (s.depth(), _ORACLE_DEPTH_MAX))
+    as_int("len(s)", len(s), most=_ORACLE_DEPTH_MAX)
     # chains come out ascending; an empty index has the one empty chain
     chains = (itertools.combinations_with_replacement if eq
               else itertools.combinations)(range(1, n + 1), s.depth())

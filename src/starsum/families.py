@@ -50,8 +50,8 @@ from .exact_eval import (
     rat_str,
     rational,
 )
-from .index_core import EMPTY, SignedIndex, as_index, as_int, as_ints, \
-    pi_expand_weighted
+from .index_core import EMPTY, SignedIndex, as_choice, as_index, as_int, \
+    as_ints, pi_expand_weighted
 
 TWO_ONE = "TWO_ONE"
 TWO_ONE_TWO = "TWO_ONE_TWO"
@@ -125,9 +125,7 @@ _ROWS = {row.family: row for row in FAMILY_TABLE}
 
 
 def family_row(family: str) -> Family:
-    if family not in _ROWS:
-        raise ValueError("unknown family %r" % (family,))
-    return _ROWS[family]
+    return _ROWS[as_choice("family", family, FAMILIES)]
 
 
 @lru_cache(maxsize=256)
@@ -148,13 +146,14 @@ class RhsForm(NamedTuple):
     companion: str
 
 
-def _int_tuple(name: str, value) -> Tuple[int, ...]:
-    """None, one int or ints as a tuple; 1.7 or "3" is refused, not cut."""
+def _int_tuple(name: str, value, least: int) -> Tuple[int, ...]:
+    """None, one int or ints as a tuple of ints >= least; 1.7 or "3" is
+    refused, not cut."""
     if value is None:
         return ()
     if isinstance(value, int):
         value = (value,)
-    return as_ints(name, value)
+    return as_ints(name, value, least)
 
 
 @dataclass(frozen=True)
@@ -174,11 +173,11 @@ class FamilySpec:
     r: Optional[int] = None
 
     def __post_init__(self):
-        for name in "abc":
-            object.__setattr__(self, name,
-                               _int_tuple(name, getattr(self, name)))
-        object.__setattr__(self, "t", as_int("t", self.t))
         row = family_row(self.family)
+        for name, least in (("a", 0), ("b", 0), ("c", row.c_min)):
+            object.__setattr__(self, name,
+                               _int_tuple(name, getattr(self, name), least))
+        object.__setattr__(self, "t", as_int("t", self.t, 0))
         if self.r is None:
             object.__setattr__(self, "r", row.infer_r(self.a, self.c))
         else:
@@ -201,15 +200,12 @@ def _fail(spec: FamilySpec, message: str) -> None:
 
 
 def _validate(spec: FamilySpec, row: Family) -> None:
-    if spec.t < 0:
-        _fail(spec, "t must be nonnegative")
-    for slot in "ab":
-        if min(getattr(spec, slot), default=0) < 0:
-            _fail(spec, "%s entries must be nonnegative" % slot)
     used = (row.prefix + row.block + row.suffix).lower()
     for slot in "bct":
-        if getattr(spec, slot) and slot not in used:
-            _fail(spec, "parameter %s is not used by this family" % slot)
+        value = getattr(spec, slot)
+        if value and slot not in used:
+            _fail(spec, "parameter %s is not used by this family, got %r"
+                  % (slot, value))
     r = spec.r
     # each block holds an a or c: r past the lists fails before any layout
     lists = (len(spec.a), len(spec.b), len(spec.c))
@@ -224,8 +220,6 @@ def _validate(spec: FamilySpec, row: Family) -> None:
         _fail(spec, "needs r >= %d with %s" % (row.r_min, " and ".join(
             " == ".join(names + [expr]) for expr, names in groups.items())))
     layout = _shape(spec.family, r)[0]
-    if min(spec.c, default=row.c_min) < row.c_min:
-        _fail(spec, "every c_j must be >= %d" % row.c_min)
     if layout.endswith("A") and spec.a[-1] < 1:
         _fail(spec, "trailing %d-run must be nonempty (a_{r+%d} >= 1)"
               % (row.part, row.slot_len("a", 0)))
@@ -367,15 +361,17 @@ def enumerate_specs(family: str, *, r_values: Iterable[int],
     the a slots, b slots, c slots and t.  Values a family's invariants
     forbid in a given slot (for example a leading 2-run of length zero) are
     skipped rather than reported as errors, so the pools may be shared
-    across slots.  A pool that is not all integers is refused by name.
+    across slots.  A pool that is not all integers, or that holds a value
+    no family takes (below 0 in r, a, b or t, below 1 in c), is refused by
+    name before any spec is made.
     """
     row = family_row(family)
-    r_values = as_ints("r_values", r_values)
-    av, bv, cv, tv = (as_ints(key + "_values", pool) for key, pool in
-                      zip("abct", (a_values, b_values, c_values, t_values)))
+    r_values = as_ints("r_values", r_values, 0)
+    av, bv, tv = (as_ints(key + "_values", pool, 0) for key, pool in
+                  zip("abt", (a_values, b_values, t_values)))
+    cv = as_ints("c_values", c_values, 1)
     pools = {"a": av, "A": tuple(v for v in av if v >= 1), "b": bv,
-             "c": tuple(v for v in cv if v >= row.c_min),
-             "t": tuple(v for v in tv if v >= 0),
+             "c": tuple(v for v in cv if v >= row.c_min), "t": tv,
              "T": tuple(v for v in tv if v >= 1)}
     for r in r_values:
         if r < row.r_min:
@@ -574,8 +570,7 @@ class KernelParams:
             object.__setattr__(self, name,
                                as_int(name, getattr(self, name), least))
         object.__setattr__(self, "v", as_index(self.v))
-        if self.kind not in ("A", "B"):
-            raise ValueError("kernel kind must be 'A' or 'B'")
+        as_choice("kind", self.kind, ("A", "B"))
 
 
 # Lemma 3.1, one row per variant: the kernel kind of the plain sums, the
@@ -583,6 +578,7 @@ class KernelParams:
 # (the last part of x, or the leading a) is negated.
 LEMMA31 = {"i": ("A", "A", False), "ii": ("B", "B", False),
            "iii": ("B", "A", True), "iv": ("A", "B", True)}
+_VARIANTS = tuple(LEMMA31)
 
 
 def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
@@ -611,21 +607,19 @@ def check_lemma31(variant: str, kp: KernelParams, n: int) -> bool:
     lcm(1..n)^p; the sides are compared as one integer equality over the
     largest power p of the check.
     """
-    if variant not in LEMMA31:
-        raise ValueError("variant must be one of 'i', 'ii', 'iii', 'iv'")
+    as_choice("variant", variant, _VARIANTS)
     n = as_int("n", n, 1)
     m, a, c, v = kp.m, kp.a, kp.c, kp.v.parts
     shift = variant in ("i", "iii")
-    if shift and c < 1:
-        raise ValueError("variants 'i' and 'iii' need c >= 1")
-    if not shift:
-        if m != 2:
-            raise ValueError("variants 'ii' and 'iv' need m = 2")
-        if a < 1:
-            raise ValueError("variants 'ii' and 'iv' need a >= 1")
+    if shift:
+        as_int("c", c, 1)
+    else:
+        as_choice("m", m, (2,))
+        as_int("a", a, 1)
     plain, extra, negated = LEMMA31[variant]
     if kp.kind != plain:
-        raise ValueError("variant %r uses kernel kind %r" % (variant, plain))
+        raise ValueError("variant %r uses kernel kind %r, got %r"
+                         % (variant, plain, kp.kind))
     sign = -1 if negated else 1
     big_l = _lcm_to(n)
     # every sum of the check is over lcm(1..n)^p with p <= top, the power
@@ -678,9 +672,8 @@ def check_ones_bar_one(a: int, n: int) -> bool:
 def check_tail_weight_sum(l: int, n: int) -> bool:
     """2 sum_{k=l+1}^n k C(n,k)/C(n+k,k), summed over the lcm of its C(n+k,k),
     against both closed forms over C(n+l,l); compared as integers."""
-    l, n = as_int("l", l), as_int("n", n)
-    if not 0 <= l < n:
-        raise ValueError("need 0 <= l < n")
+    n = as_int("n", n, 1)
+    l = as_int("l", l, 0, n - 1)
     dens = {k: comb(n + k, k) for k in range(l + 1, n + 1)}
     denom = lcm(*dens.values())
     total = sum(2 * k * comb(n, k) * (denom // den) for k, den in dens.items())
@@ -691,8 +684,7 @@ def check_tail_weight_sum(l: int, n: int) -> bool:
 def check_geometric_sum(a: int, k: int, n: int) -> bool:
     """sum_{l=0}^a (n/k)^{2l} = (n^(2a+2) - k^(2a+2)) / (k^(2a) (n^2 - k^2)),
     checked as sum_l n^(2l) k^(2a-2l) (n-k)(n+k) = n^(2a+2) - k^(2a+2)."""
-    a, k, n = as_int("a", a, 0), as_int("k", k), as_int("n", n)
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    a, n = as_int("a", a, 0), as_int("n", n, 2)
+    k = as_int("k", k, 1, n - 1)
     total = sum(n ** (2 * l) * k ** (2 * a - 2 * l) for l in range(a + 1))
     return total * (n - k) * (n + k) == n ** (2 * a + 2) - k ** (2 * a + 2)

@@ -10,12 +10,15 @@ multiply), the comma-or-merge expansion ``pi_expand`` that underlies every
 right-hand side in this package, the star-to-strict expansion, and the
 text round-trip used by the CLI and reports.
 
-It also holds the package's one rule for integer arguments: ``as_int``
-refuses a value that is not an integer and, given ``least``, one below that
-floor, naming the argument and the value it was given.  Every public entry
-(and every integer CLI flag) with a plain lower bound reads its floor from
-there; relations between arguments, such as 1 <= k < n, are checked where
-they are used.
+It also holds the package's one rule per kind of bad argument, each
+naming the argument and the value it was given: ``as_int`` refuses a value
+that is not an integer, one below a floor ``least`` and one above a cap
+``most``; ``as_ints`` does the same for a tuple of integers, its floor
+applying to every entry; and ``as_choice`` refuses a value outside a fixed
+tuple of choices.  Every floor, cap and named choice of a public entry (and
+every integer CLI flag) goes through them, and so does every relation
+between arguments, written as a floor or cap read from an argument already
+checked: 1 <= k < n is k's floor 1 and cap n - 1 once n is read.
 """
 
 from __future__ import annotations
@@ -35,15 +38,18 @@ __all__ = [
     "as_index",
     "as_int",
     "as_ints",
+    "as_choice",
     "EMPTY",
 ]
 
 
-def as_int(name: str, value, least: Optional[int] = None) -> int:
+def as_int(name: str, value, least: Optional[int] = None,
+           most: Optional[int] = None) -> int:
     """value as an int; 1.7 or "3" is refused, not cut, and True is 1.
 
     With least given, a value below it is refused as well, with
-    "<name> must be >= <least>, got <value>".
+    "<name> must be >= <least>, got <value>"; with most given, a value
+    above it, with "<name> must be <= <most>, got <value>".
     """
     try:
         value = operator.index(value)
@@ -52,16 +58,35 @@ def as_int(name: str, value, least: Optional[int] = None) -> int:
                          % (name, value)) from None
     if least is not None and value < least:
         raise ValueError("%s must be >= %d, got %d" % (name, least, value))
+    if most is not None and value > most:
+        raise ValueError("%s must be <= %d, got %d" % (name, most, value))
     return value
 
 
-def as_ints(name: str, values) -> Tuple[int, ...]:
-    """values as a tuple of ints, each coerced as by as_int."""
+def as_ints(name: str, values, least: Optional[int] = None) -> Tuple[int, ...]:
+    """values as a tuple of ints, each coerced as by as_int.
+
+    With least given, a tuple holding an entry below it is refused, with
+    "<name> must hold integers >= <least>, got <the tuple>".
+    """
     try:
-        return tuple(map(operator.index, values))
+        values = tuple(map(operator.index, values))
     except TypeError:
         raise ValueError("%s must hold integers, got %r"
                          % (name, values)) from None
+    if least is not None and min(values, default=least) < least:
+        raise ValueError("%s must hold integers >= %d, got %r"
+                         % (name, least, values))
+    return values
+
+
+def as_choice(name: str, value, choices: tuple):
+    """value if it is one of choices, else refused with
+    "<name> must be one of <choices>, got <value>"."""
+    if value not in choices:
+        raise ValueError("%s must be one of %r, got %r"
+                         % (name, choices, value))
+    return value
 
 
 class SignedIndex(tuple):
@@ -77,7 +102,8 @@ class SignedIndex(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         parts = as_ints("index", parts)
         if 0 in parts:
-            raise ValueError("index parts must be nonzero integers")
+            raise ValueError("index parts must be nonzero integers, got %r"
+                             % (parts,))
         return super().__new__(cls, parts)
 
     @property
@@ -241,9 +267,8 @@ def pi_expand_weighted(base: SignedIndex, coeff_base: int = 2,
     Coefficients of colliding indices accumulate.
     """
     coeff_base = as_int("coeff_base", coeff_base, 1)
-    global_sign = as_int("global_sign", global_sign)
-    if global_sign not in (1, -1):
-        raise ValueError("global_sign must be +1 or -1")
+    global_sign = as_choice("global_sign", as_int("global_sign", global_sign),
+                            (1, -1))
     out = FormalSum()
     for idx in pi_expand(base):
         out.add_term(idx, global_sign * coeff_base ** idx.depth())

@@ -63,12 +63,6 @@ def stuffle_product(f: FormalSum, g: FormalSum) -> FormalSum:
     return out
 
 
-def _check_cap(depth: int, depth_cap: int) -> None:
-    if depth > depth_cap:
-        raise ValueError(
-            "expansion depth %d exceeds the cap %d" % (depth, depth_cap))
-
-
 def _minus_two_expansion(count: int) -> FormalSum:
     """Weighted comma-or-merge expansion of ({-2})^count; the empty run
     contributes the unit with coefficient 1."""
@@ -111,9 +105,10 @@ def verify_middlestep_1(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     expansion with the single term 2 * (-(4(n-j)+2)).  Checked as an exact
     FormalSum identity.
     """
-    n, depth_cap = as_int("n", n, 1), as_int("depth_cap", depth_cap)
+    # the expansion depth 2n + 1 is at most depth_cap
+    depth_cap = as_int("depth_cap", depth_cap)
+    n = as_int("n", n, 1, (depth_cap - 1) // 2)
     depth = 2 * n + 1
-    _check_cap(depth, depth_cap)
     multiplicity = 2 * n + 1
     lhs = _minus_two_expansion(depth) * multiplicity
     telescope = [(2 * j, 4 * (n - j) + 2) for j in range(n + 1)]
@@ -129,9 +124,10 @@ def verify_middlestep_2(n: int, depth_cap: int = DEPTH_CAP) -> dict:
     multiplicity here: summing over the -4 position already supplies the
     copies the product form generates.
     """
-    n, depth_cap = as_int("n", n, 1), as_int("depth_cap", depth_cap)
+    # the expansion depth 2n is at most depth_cap
+    depth_cap = as_int("depth_cap", depth_cap)
+    n = as_int("n", n, 1, depth_cap // 2)
     depth = 2 * n
-    _check_cap(depth, depth_cap)
     lhs = FormalSum()
     for position in range(depth):
         base = [-2] * depth

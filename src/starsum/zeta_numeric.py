@@ -74,7 +74,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_rational
 
 from . import exact_eval, families as fam
-from .index_core import SignedIndex, as_index, as_int, as_ints, \
+from .index_core import SignedIndex, as_choice, as_index, as_int, as_ints, \
     format_index, oplus, star_expand
 
 DEFAULT_TOL = 1e-6
@@ -117,16 +117,13 @@ class EvaluationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def bernoulli(k: int) -> Fraction:
-    """B_k for 0 <= k <= 80, with B_1 = -1/2."""
-    if not 0 <= k <= 80:
-        raise ValueError("B_%d outside table range 0..80" % k)
-    return Fraction(*mp.bernfrac(k))
+    """B_k for 0 <= k <= 80 (mpmath's bernfrac), with B_1 = -1/2."""
+    return Fraction(*mp.bernfrac(as_int("k", k, 0, 80)))
 
 
 def beta_coeff(n: int) -> Fraction:
-    """beta_n = (-1)^n (2 - 2^(2n)) B_(2n) / (2n)!"""
-    if not 0 <= 2 * n <= 80:
-        raise ValueError("beta_%d outside table range" % n)
+    """beta_n = (-1)^n (2 - 2^(2n)) B_(2n) / (2n)!, for 0 <= n <= 40."""
+    n = as_int("n", n, 0, 40)
     return (Fraction((-1) ** n) * (2 - 2 ** (2 * n))
             * bernoulli(2 * n) / factorial(2 * n))
 
@@ -410,15 +407,13 @@ def partial_sum_tail_bound(s, n: int) -> float:
     Bounds the inner sums by (1 + ln k)^(depth-1) and the outer tail by the
     integral of a decreasing majorant; n must sit beyond the majorant's hump.
     """
-    n = as_int("n", n)
     parts = as_index(s).parts
+    n = as_int("n", n, _tail_bound_min_n(len(parts)) if parts else None)
     if not parts:
         return 0.0
     _require_admissible(parts)
     rest_depth = len(parts) - 1
     lead = abs(parts[0])
-    if n < _tail_bound_min_n(len(parts)):
-        raise ValueError("n too small for the monotone tail bound")
     with mp.workdps(30):
         integrand = lambda x: x ** (-lead) * (1 + mp.log(x)) ** rest_depth
         bound = mp.quad(integrand, [n, mp.inf]) + integrand(mpf(n))
@@ -462,17 +457,16 @@ def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
     if not parts:
         return NumericValue(mpf(1), tol, "empty index", 0.0)
     _require_admissible(parts)
+    as_choice("method", method, ("chain", "expand" if star else "partial"))
     if method == "chain":
         value, error, note = _chain_eval(parts, int(star), 1, tol)
-    elif method == "partial" and not star:
+    elif method == "partial":
         value, error, note = _partial_eval(parts, tol)
-    elif method == "expand" and star:
+    else:
         terms = list(star_expand(SignedIndex(parts)))
         value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
         error = math.inf
         note = "star expansion over %d strict limits" % len(terms)
-    else:
-        raise ValueError("unknown method %r" % (method,))
     return NumericValue(value, tol, note, error)
 
 
@@ -694,11 +688,9 @@ def hoffman_symmetric_check(args, tol: float = DEFAULT_TOL) -> dict:
     """
     _check_tol(tol)
     parts = as_ints("args", args)
-    depth = len(parts)
-    if depth < 1 or depth > 4:
-        raise ValueError("permutation sum capped at 4 arguments")
+    depth = as_int("len(args)", len(parts), 1, 4)
     if any(v == 0 or v % 2 for v in parts):
-        raise ValueError("arguments must be even and nonzero")
+        raise ValueError("args must be even and nonzero, got %r" % (parts,))
     perms = list(itertools.permutations(parts))
     lhs = _limit_sum(zeta, [(SignedIndex(perm), 1) for perm in perms],
                      tol / (2 * len(perms)))
@@ -822,9 +814,8 @@ def verify_ittw_conj2(part: str, params: dict, tol: float = DEFAULT_TOL) -> dict
     n; a missing or an extra key is refused by name.
     """
     _check_tol(tol)
-    keys = {"i": ("m", "n"), "ii": ("n",), "iii": ("n",)}.get(part)
-    if keys is None:
-        raise ValueError("part must be 'i', 'ii' or 'iii'")
+    keys = {"i": ("m", "n"), "ii": ("n",), "iii": ("n",)}[
+        as_choice("part", part, ("i", "ii", "iii"))]
     missing = [key for key in keys if key not in params]
     extra = [key for key in params if key not in keys]
     if missing or extra:
@@ -871,24 +862,13 @@ def verify_theorem81(part: str, e_values, tol: float = DEFAULT_TOL) -> dict:
     almost any real has a fraction under the cap inside the window.
     """
     _check_tol(tol)
-    e = as_ints("e_values", e_values)
-    if any(v < 0 for v in e):
-        raise ValueError("run lengths must be nonnegative")
-    if part == "i":
-        if len(e) < 2 or len(e) % 2:
-            raise ValueError("part i needs an even number of runs, >= 2")
-        r = len(e) // 2
-        trailing = False
-    elif part == "ii":
-        if len(e) < 3 or len(e) % 2 == 0:
-            raise ValueError("part ii needs an odd number of runs, >= 3 "
-                             "(r >= 1)")
-        r = (len(e) - 1) // 2
-        trailing = True
-    else:
-        raise ValueError("part must be 'i' or 'ii'")
-    if len(e) > 4:
-        raise ValueError("permutation sum capped at 4 runs")
+    e = as_ints("e_values", e_values, 0)
+    trailing = as_choice("part", part, ("i", "ii")) == "ii"
+    runs = as_int("len(e_values)", len(e), 2 + trailing, 4)
+    if runs % 2 != trailing:
+        raise ValueError("part %s needs an %s number of runs, got %d"
+                         % (part, ("even", "odd")[trailing], runs))
+    r = runs // 2
     m = sum(e)
     power = 4 * r + 2 * m + (2 if trailing else 0)
     perms = list(itertools.permutations(e))

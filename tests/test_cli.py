@@ -107,7 +107,7 @@ class TestVerify:
     def test_invalid_spec_is_a_usage_error(self, capsys):
         for argv, message in (
                 (("--family", "c21", "--c", "2", "--n-max", "3"),
-                 "every c_j must be >= 3"),
+                 "error: c must hold integers >= 3, got (2,)\n"),
                 (("--family", "two-one", "--a", "1", "--n-max", "0"),
                  "--n-max must be >= 1"),
                 (("--family", "two-one", "--a", "1,x", "--n-max", "3"),

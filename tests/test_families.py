@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import time
 from math import comb
 from pathlib import Path
@@ -124,37 +125,70 @@ class TestSpecValidation:
             "family": C212, "a": [1], "b": [0], "c": [4], "t": 2, "r": 1,
         }
 
-    @pytest.mark.parametrize("family,kwargs,message", [
-        (TWO_ONE, dict(a=(0, 1)), "leading 2-run must be nonempty"),
-        (TWO_ONE, dict(a=()), "needs r >= 1 with len"),
-        (TWO_ONE, dict(a=(1,), b=(1,)), "parameter b is not used"),
-        (TWO_ONE, dict(a=(1,), t=1), "parameter t is not used"),
-        (TWO_ONE_TWO, dict(a=(1, 0)), "trailing 2-run must be nonempty"),
-        (C21, dict(a=(0,), b=(0,), c=(2,)), "every c_j must be >= 3"),
-        (C21, dict(a=(0,), b=(0,), c=(3,), t=1), "parameter t is not used"),
-        (C212, dict(a=(0,), b=(0,), c=(3,)), "trailing 2-run must be nonempty"),
+    # (family, spec fields, the constraint broken, the full refusal); the
+    # constraint names the case, and a spec's entry floors are the one
+    # rule's (as_ints, as_int), which names the argument and its value
+    SPEC_REFUSALS = [
+        (TWO_ONE, dict(a=(0, 1)), "leading 2-run must be nonempty",
+         "TWO_ONE spec invalid: leading 2-run must be nonempty (a_1 >= 1)"),
+        (TWO_ONE, dict(a=()), "needs r >= 1 with len",
+         "TWO_ONE spec invalid: needs r >= 1 with len(a) == r"),
+        (TWO_ONE, dict(a=(1,), b=(1,)), "parameter b is not used",
+         "TWO_ONE spec invalid: parameter b is not used by this family, "
+         "got (1,)"),
+        (TWO_ONE, dict(a=(1,), t=1), "parameter t is not used",
+         "TWO_ONE spec invalid: parameter t is not used by this family, "
+         "got 1"),
+        (TWO_ONE_TWO, dict(a=(1, 0)), "trailing 2-run must be nonempty",
+         "TWO_ONE_TWO spec invalid: trailing 2-run must be nonempty "
+         "(a_{r+1} >= 1)"),
+        (C21, dict(a=(0,), b=(0,), c=(2,)), "every c_j must be >= 3",
+         "c must hold integers >= 3, got (2,)"),
+        (C21, dict(a=(0,), b=(0,), c=(3,), t=1), "parameter t is not used",
+         "C21 spec invalid: parameter t is not used by this family, got 1"),
+        (C212, dict(a=(0,), b=(0,), c=(3,)), "trailing 2-run must be nonempty",
+         "C212 spec invalid: trailing 2-run must be nonempty (t >= 1)"),
         (ONE_C21, dict(a=(0, 0), b=(0,), c=(3,), t=2),
-         "parameter t is not used"),
+         "parameter t is not used",
+         "ONE_C21 spec invalid: parameter t is not used by this family, "
+         "got 2"),
         (ONE_C212, dict(a=(0, 0), b=(0,), c=(3,)),
-         "trailing 2-run must be nonempty"),
-        (TWO_ONE_C2, dict(a=(0,), b=(0,), c=(1,)), "every c_j must be >= 3"),
+         "trailing 2-run must be nonempty",
+         "ONE_C212 spec invalid: trailing 2-run must be nonempty (t >= 1)"),
+        (TWO_ONE_C2, dict(a=(0,), b=(0,), c=(1,)), "every c_j must be >= 3",
+         "c must hold integers >= 3, got (1,)"),
         (C2_TWO_ONE_C2, dict(a=(0,), b=(0,), c=(3,)),
-         "needs r >= 0 with len"),
-        (ONES_C, dict(), "empty spec"),
-        (ONES_C, dict(a=(1,), c=(0,)), "every c_j must be >= 1"),
-        (ONES_C, dict(a=(1,), c=(3,), b=(1,)), "parameter b is not used"),
-        (TWO_ONE, dict(a=(1, -1)), "a entries must be nonnegative"),
-        (C21, dict(a=(0,), b=(-2,), c=(3,)), "b entries must be nonnegative"),
-        (C212, dict(a=(0,), b=(0,), c=(3,), t=-1), "t must be nonnegative"),
-    ])
+         "needs r >= 0 with len",
+         "C2_TWO_ONE_C2 spec invalid: needs r >= 0 with len(a) == r and "
+         "len(b) == len(c) == r + 1"),
+        (ONES_C, dict(), "empty spec",
+         "ONES_C spec invalid: empty spec; needs r >= 1 or t >= 1"),
+        (ONES_C, dict(a=(1,), c=(0,)), "every c_j must be >= 1",
+         "c must hold integers >= 1, got (0,)"),
+        (ONES_C, dict(a=(1,), c=(3,), b=(1,)), "parameter b is not used",
+         "ONES_C spec invalid: parameter b is not used by this family, "
+         "got (1,)"),
+        (TWO_ONE, dict(a=(1, -1)), "a entries must be nonnegative",
+         "a must hold integers >= 0, got (1, -1)"),
+        (C21, dict(a=(0,), b=(-2,), c=(3,)), "b entries must be nonnegative",
+         "b must hold integers >= 0, got (-2,)"),
+        (C212, dict(a=(0,), b=(0,), c=(3,), t=-1), "t must be nonnegative",
+         "t must be >= 0, got -1"),
+    ]
+
+    @pytest.mark.parametrize("family,kwargs,message", [
+        pytest.param(family, kwargs, message,
+                     id="%s-kwargs%d-%s" % (family, row, constraint))
+        for row, (family, kwargs, constraint, message)
+        in enumerate(SPEC_REFUSALS)])
     def test_rejections_name_the_constraint(self, family, kwargs, message):
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             FamilySpec(family, **kwargs)
-        assert message in str(err.value)
-        assert family in str(err.value)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
+        with pytest.raises(ValueError, match=r"^family must be one of "
+                           r"\('TWO_ONE', .*, 'ONES_C'\), "
+                           r"got 'TWO_ONE_THREE'$"):
             FamilySpec("TWO_ONE_THREE", a=(1,))
 
     def test_explicit_r_must_match_lengths(self):
@@ -841,7 +875,8 @@ class TestEnumerateSpecs:
         assert [s.t for s in specs] == [1, 2]
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
+        with pytest.raises(ValueError, match=r"^family must be one of "
+                           r"\('TWO_ONE', .*, 'ONES_C'\), got 'NOPE'$"):
             list(enumerate_specs("NOPE", r_values=(1,)))
 
     @pytest.mark.parametrize("pools, message", [
@@ -1019,23 +1054,38 @@ class TestKernelIdentities:
                 for n in range(1, 13))
             assert failed == 240, variant
 
+    # (variant, kernel fields, the rule broken, the full refusal); the rule
+    # names the case
+    LEMMA31_REFUSALS = [
+        ("v", dict(kind="A"), "variant must be one of",
+         "variant must be one of ('i', 'ii', 'iii', 'iv'), got 'v'"),
+        ("i", dict(kind="B"), "uses kernel kind",
+         "variant 'i' uses kernel kind 'A', got 'B'"),
+        ("i", dict(kind="A", c=0), "need c >= 1", "c must be >= 1, got 0"),
+        ("ii", dict(m=1, kind="B", a=1), "need m = 2",
+         "m must be one of (2,), got 1"),
+        ("ii", dict(m=2, kind="B", a=0), "need a >= 1",
+         "a must be >= 1, got 0"),
+        ("iv", dict(m=2, kind="B", a=1), "uses kernel kind",
+         "variant 'iv' uses kernel kind 'A', got 'B'"),
+        ("iv", dict(m=4, kind="A", a=1), "need m = 2",
+         "m must be one of (2,), got 4"),
+    ]
+
     @pytest.mark.parametrize("variant,kp_kwargs,message", [
-        ("v", dict(kind="A"), "variant must be one of"),
-        ("i", dict(kind="B"), "uses kernel kind"),
-        ("i", dict(kind="A", c=0), "need c >= 1"),
-        ("ii", dict(m=1, kind="B", a=1), "need m = 2"),
-        ("ii", dict(m=2, kind="B", a=0), "need a >= 1"),
-        ("iv", dict(m=2, kind="B", a=1), "uses kernel kind"),
-        ("iv", dict(m=4, kind="A", a=1), "need m = 2"),
-    ])
+        pytest.param(variant, kp_kwargs, message,
+                     id="%s-kp_kwargs%d-%s" % (variant, row, rule))
+        for row, (variant, kp_kwargs, rule, message)
+        in enumerate(LEMMA31_REFUSALS)])
     def test_rejections(self, variant, kp_kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             check_lemma31(variant, KernelParams(**kp_kwargs), 4)
 
     def test_kernel_params_validation(self):
         with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
             KernelParams(m=0)
-        with pytest.raises(ValueError, match="kernel kind"):
+        with pytest.raises(ValueError, match=r"^kind must be one of "
+                                             r"\('A', 'B'\), got 'C'$"):
             KernelParams(kind="C")
         with pytest.raises(ValueError, match="^a must be >= 0, got -1$"):
             KernelParams(a=-1)

@@ -1,8 +1,10 @@
 """Data-model tests: signed indices, formal sums, expansions, and the
-integer floors every public entry reads from as_int."""
+argument rules every public entry reads from index_core."""
 
+import ast
 import contextlib
 import io
+import pathlib
 import pickle
 import re
 
@@ -11,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from starsum import exact_eval as ee
 from starsum import families as fam
+from starsum import index_core
 from starsum import zeta_numeric as zn
 from starsum.cli import main
 from starsum.index_core import (
@@ -389,3 +392,201 @@ def test_as_int_floor():
     # an integer check comes before the floor
     with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
         as_int("n", 2.5, 3)
+
+
+_T81 = zn.verify_theorem81
+_LEMMA31 = fam.check_lemma31
+_KP = fam.KernelParams
+
+# (call with the value set, a refused value, its full refusal, the nearest
+# accepted value), one row per refusal site that is not a plain floor
+# (FLOORS above): entry floors, caps, relations, named choices and the rules
+# that fit none of them
+REFUSALS = [
+    # entry floors
+    pytest.param(lambda v: fam.FamilySpec(fam.TWO_ONE_C2, a=(1,), b=(0,),
+                                          c=(3,), t=v),
+                 -1, "t must be >= 0, got -1", 0, id="FamilySpec-t"),
+    pytest.param(lambda v: fam.FamilySpec(fam.TWO_ONE, a=(1, v)),
+                 -1, "a must hold integers >= 0, got (1, -1)", 0,
+                 id="FamilySpec-a"),
+    pytest.param(lambda v: fam.FamilySpec(fam.C21, a=(0,), b=(v,), c=(3,)),
+                 -2, "b must hold integers >= 0, got (-2,)", 0,
+                 id="FamilySpec-b"),
+    pytest.param(lambda v: fam.FamilySpec(fam.C21, a=(0,), b=(0,), c=(v,)),
+                 2, "c must hold integers >= 3, got (2,)", 3,
+                 id="FamilySpec-c"),
+    pytest.param(lambda v: fam.FamilySpec(fam.ONES_C, a=(1,), c=(v,)),
+                 0, "c must hold integers >= 1, got (0,)", 1,
+                 id="FamilySpec-c-ones"),
+    pytest.param(lambda v: _T81("i", (v, 0)),
+                 -1, "e_values must hold integers >= 0, got (-1, 0)", 0,
+                 id="verify_theorem81-runs"),
+    pytest.param(lambda v: zn.partial_sum_tail_bound((2, 1), v),
+                 511, "n must be >= 512, got 511", 512,
+                 id="partial_sum_tail_bound"),
+    pytest.param(lambda v: _LEMMA31("ii", _KP(m=2, kind="B", a=v), 4),
+                 0, "a must be >= 1, got 0", 1, id="check_lemma31-a"),
+    pytest.param(lambda v: _LEMMA31("i", _KP(kind="A", c=v), 4),
+                 0, "c must be >= 1, got 0", 1, id="check_lemma31-c"),
+    # caps, and the floors that come with them
+    pytest.param(zn.bernoulli, 81, "k must be <= 80, got 81", 80,
+                 id="bernoulli-cap"),
+    pytest.param(zn.bernoulli, -1, "k must be >= 0, got -1", 0,
+                 id="bernoulli-floor"),
+    pytest.param(zn.bernoulli, 2.5, "k must be an integer, got 2.5", 2,
+                 id="bernoulli-integer"),
+    pytest.param(zn.beta_coeff, 41, "n must be <= 40, got 41", 40,
+                 id="beta_coeff-cap"),
+    pytest.param(zn.beta_coeff, -1, "n must be >= 0, got -1", 0,
+                 id="beta_coeff-floor"),
+    pytest.param(zn.beta_coeff, 1.5, "n must be an integer, got 1.5", 1,
+                 id="beta_coeff-integer"),
+    pytest.param(lambda v: ee.mhs_oracle(v, (2,)),
+                 65, "n must be <= 64, got 65", 64, id="oracle-n"),
+    pytest.param(lambda v: ee.mhs_star_oracle(4, (1,) * v),
+                 6, "len(s) must be <= 5, got 6", 5, id="oracle-depth"),
+    pytest.param(lambda v: verify_middlestep_1(v, depth_cap=5),
+                 3, "n must be <= 2, got 3", 2, id="verify_middlestep_1-cap"),
+    pytest.param(lambda v: verify_middlestep_2(v, depth_cap=5),
+                 3, "n must be <= 2, got 3", 2, id="verify_middlestep_2-cap"),
+    pytest.param(lambda v: zn.hoffman_symmetric_check((2,) * v),
+                 5, "len(args) must be <= 4, got 5", 4,
+                 id="hoffman_symmetric_check-cap"),
+    pytest.param(lambda v: zn.hoffman_symmetric_check((2,) * v),
+                 0, "len(args) must be >= 1, got 0", 1,
+                 id="hoffman_symmetric_check-floor"),
+    pytest.param(lambda v: _T81("i", (0,) * v),
+                 5, "len(e_values) must be <= 4, got 5", 4,
+                 id="verify_theorem81-cap"),
+    pytest.param(lambda v: _T81("ii", (0,) * v),
+                 2, "len(e_values) must be >= 3, got 2", 3,
+                 id="verify_theorem81-floor"),
+    # relations: a floor or cap read from an argument already checked
+    pytest.param(lambda v: fam.check_tail_weight_sum(v, 3),
+                 3, "l must be <= 2, got 3", 2, id="check_tail_weight_sum-l"),
+    pytest.param(lambda v: fam.check_tail_weight_sum(v, 3),
+                 -1, "l must be >= 0, got -1", 0,
+                 id="check_tail_weight_sum-l-floor"),
+    pytest.param(lambda v: fam.check_tail_weight_sum(0, v),
+                 0, "n must be >= 1, got 0", 1, id="check_tail_weight_sum-n"),
+    pytest.param(lambda v: fam.check_geometric_sum(1, v, 3),
+                 3, "k must be <= 2, got 3", 2, id="check_geometric_sum-k"),
+    pytest.param(lambda v: fam.check_geometric_sum(1, v, 3),
+                 0, "k must be >= 1, got 0", 1,
+                 id="check_geometric_sum-k-floor"),
+    pytest.param(lambda v: fam.check_geometric_sum(1, 1, v),
+                 1, "n must be >= 2, got 1", 2, id="check_geometric_sum-n"),
+    # named choices
+    pytest.param(lambda v: ee.pi_companion_sum((2, 1), 2, 1, v, 3),
+                 "huge", "companion must be one of ('big', 'small'), "
+                 "got 'huge'", "small", id="pi_companion_sum-companion"),
+    pytest.param(lambda v: ee.pi_companion_sum((2, 1), 2, v, "big", 3),
+                 2, "global_sign must be one of (1, -1), got 2", 1,
+                 id="pi_companion_sum-global_sign"),
+    pytest.param(lambda v: pi_expand_weighted(SignedIndex((2,)), 2, v),
+                 -2, "global_sign must be one of (1, -1), got -2", -1,
+                 id="pi_expand_weighted-global_sign"),
+    pytest.param(lambda v: _KP(kind=v), "C",
+                 "kind must be one of ('A', 'B'), got 'C'", "B",
+                 id="KernelParams-kind"),
+    pytest.param(lambda v: _LEMMA31(v, _KP(kind="A"), 4), "v",
+                 "variant must be one of ('i', 'ii', 'iii', 'iv'), got 'v'",
+                 "i", id="check_lemma31-variant"),
+    pytest.param(lambda v: _LEMMA31("ii", _KP(m=v, kind="B", a=1), 4),
+                 3, "m must be one of (2,), got 3", 2, id="check_lemma31-m"),
+    pytest.param(fam.family_row, "TWO_ONE_THREE",
+                 "family must be one of %r, got 'TWO_ONE_THREE'"
+                 % (fam.FAMILIES,), "TWO_ONE", id="family_row"),
+    pytest.param(lambda v: zn.zeta((2,), method=v), "expand",
+                 "method must be one of ('chain', 'partial'), got 'expand'",
+                 "chain", id="zeta-method"),
+    pytest.param(lambda v: zn.zeta_star((2,), method=v), "partial",
+                 "method must be one of ('chain', 'expand'), got 'partial'",
+                 "expand", id="zeta_star-method"),
+    pytest.param(lambda v: zn.verify_ittw_conj2(v, {"n": 1}), "iv",
+                 "part must be one of ('i', 'ii', 'iii'), got 'iv'", "iii",
+                 id="verify_ittw_conj2-part"),
+    pytest.param(lambda v: _T81(v, (0, 0)), "iii",
+                 "part must be one of ('i', 'ii'), got 'iii'", "i",
+                 id="verify_theorem81-part"),
+    # enumerate_specs refuses a pool value no family takes before any spec
+    pytest.param(lambda v: list(fam.enumerate_specs(
+                     fam.TWO_ONE, r_values=(2,), a_values=(v, 1))),
+                 -1, "a_values must hold integers >= 0, got (-1, 1)", 0,
+                 id="enumerate_specs-a"),
+    pytest.param(lambda v: list(fam.enumerate_specs(
+                     fam.C21, r_values=(1,), b_values=(v,))),
+                 -1, "b_values must hold integers >= 0, got (-1,)", 0,
+                 id="enumerate_specs-b"),
+    pytest.param(lambda v: list(fam.enumerate_specs(
+                     fam.ONES_C, r_values=(1,), a_values=(1,),
+                     c_values=(v,))),
+                 0, "c_values must hold integers >= 1, got (0,)", 1,
+                 id="enumerate_specs-c"),
+    pytest.param(lambda v: list(fam.enumerate_specs(
+                     fam.TWO_ONE_C2, r_values=(1,), t_values=(v,))),
+                 -1, "t_values must hold integers >= 0, got (-1,)", 0,
+                 id="enumerate_specs-t"),
+    pytest.param(lambda v: list(fam.enumerate_specs(
+                     fam.C21, r_values=(v,))),
+                 -1, "r_values must hold integers >= 0, got (-1,)", 0,
+                 id="enumerate_specs-r"),
+    # rules that fit no kind, each naming the value given
+    pytest.param(lambda v: SignedIndex((1, v)), 0,
+                 "index parts must be nonzero integers, got (1, 0)", 1,
+                 id="SignedIndex"),
+    pytest.param(lambda v: zn.hoffman_symmetric_check((v, 2)), 3,
+                 "args must be even and nonzero, got (3, 2)", 2,
+                 id="hoffman_symmetric_check-even"),
+    pytest.param(lambda v: _T81("i", (0,) * v), 3,
+                 "part i needs an even number of runs, got 3", 2,
+                 id="verify_theorem81-parity-i"),
+    pytest.param(lambda v: _T81("ii", (0,) * v), 4,
+                 "part ii needs an odd number of runs, got 4", 3,
+                 id="verify_theorem81-parity-ii"),
+    pytest.param(lambda v: fam.FamilySpec(fam.TWO_ONE, a=(1,), b=v), (1,),
+                 "TWO_ONE spec invalid: parameter b is not used by this "
+                 "family, got (1,)", (), id="FamilySpec-unused"),
+]
+
+
+@pytest.mark.parametrize("call, refused, message, accepted", REFUSALS)
+def test_refusals_name_the_callers_value(call, refused, message, accepted):
+    # one rule per kind (as_int, as_ints, as_choice), each naming the value
+    # the caller gave; the accepted value pins the other side of the line
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call(refused)
+    call(accepted)
+
+
+def test_no_hand_written_rule_comes_back():
+    # a membership refusal is as_choice's, and the wordings of the floor,
+    # cap and choice rules live in index_core only, so a rule written by
+    # hand beside them would show here
+    package = pathlib.Path(index_core.__file__).parent
+    membership_raises, wordings, choice_nodes = [], [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for def_ in ast.walk(tree)
+                   if isinstance(def_, ast.FunctionDef)
+                   and def_.name == "as_choice" for node in ast.walk(def_)}
+        choice_nodes += len(allowed)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.If) and id(node) not in allowed
+                    and any(isinstance(op, ast.NotIn)
+                            for test in ast.walk(node.test)
+                            if isinstance(test, ast.Compare)
+                            for op in test.ops)
+                    and any(isinstance(stmt, ast.Raise)
+                            for stmt in node.body)):
+                membership_raises.append((path.name, node.lineno))
+            if (path.name != "index_core.py"
+                    and isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and any(word in node.value for word in (
+                        "must be >=", "must be <=", "must be one of"))):
+                wordings.append((path.name, node.lineno))
+    assert choice_nodes
+    assert not membership_raises
+    assert not wordings

@@ -139,9 +139,10 @@ class TestMiddlesteps:
         assert lhs != rhs
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError, match="exceeds the cap"):
+        # the cap on the expansion depth, 2n + 1 or 2n, is a cap on n
+        with pytest.raises(ValueError, match="^n must be <= 4, got 5$"):
             verify_middlestep_1(5)
-        with pytest.raises(ValueError, match="exceeds the cap"):
+        with pytest.raises(ValueError, match="^n must be <= 4, got 5$"):
             verify_middlestep_2(5, depth_cap=DEPTH_CAP)
         assert verify_middlestep_1(4, depth_cap=9)["equal"]
 

@@ -91,11 +91,11 @@ class TestBernoulli:
         assert beta_coeff(2) == Fraction(7, 360)
 
     def test_table_bounds(self):
-        with pytest.raises(ValueError, match="outside table range"):
+        with pytest.raises(ValueError, match="^k must be <= 80, got 81$"):
             bernoulli(81)
-        with pytest.raises(ValueError, match="outside table range"):
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
             bernoulli(-1)
-        with pytest.raises(ValueError, match="outside table range"):
+        with pytest.raises(ValueError, match="^n must be <= 40, got 41$"):
             beta_coeff(41)
 
 
@@ -133,9 +133,11 @@ class TestAnchors:
         for tol in (math.inf, math.nan):
             with pytest.raises(ValueError, match="tol must be positive"):
                 zeta((2,), tol)
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match=r"^method must be one of "
+                           r"\('chain', 'partial'\), got 'newton'$"):
             zeta((2,), method="newton")
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match=r"^method must be one of "
+                           r"\('chain', 'partial'\), got 'mollified'$"):
             zeta((2,), method="mollified")
 
 
@@ -602,7 +604,7 @@ class TestExactBridge:
             mhs_float(-1, (2,))
 
     def test_tail_bound_guards_small_n(self):
-        with pytest.raises(ValueError, match="n too small"):
+        with pytest.raises(ValueError, match="^n must be >= 512, got 100$"):
             partial_sum_tail_bound((2, 1), 100)
 
     @pytest.mark.parametrize("n", ["600", 600.5, None])
@@ -843,11 +845,14 @@ class TestSymmetricSums:
         assert report["recognition_ok"] is False
 
     def test_argument_guards(self):
-        with pytest.raises(ValueError, match="even and nonzero"):
+        with pytest.raises(ValueError, match=r"^args must be even and "
+                                             r"nonzero, got \(3, 2\)$"):
             hoffman_symmetric_check((3, 2))
-        with pytest.raises(ValueError, match="even and nonzero"):
+        with pytest.raises(ValueError, match=r"^args must be even and "
+                                             r"nonzero, got \(2, 0\)$"):
             hoffman_symmetric_check((2, 0))
-        with pytest.raises(ValueError, match="capped at 4"):
+        with pytest.raises(ValueError,
+                           match=r"^len\(args\) must be <= 4, got 5$"):
             hoffman_symmetric_check((2, 2, 2, 2, 2))
         # int() would cut 2.9 to 2 and report "args": [2, 2]
         with pytest.raises(ValueError, match="^args must hold integers"):
@@ -889,7 +894,8 @@ class TestProductIdentities:
             assert report["within_tol"], report
 
     def test_part_guards(self):
-        with pytest.raises(ValueError, match="part must be"):
+        with pytest.raises(ValueError, match=r"^part must be one of "
+                           r"\('i', 'ii', 'iii'\), got 'iv'$"):
             verify_ittw_conj2("iv", {"n": 1})
         with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             verify_ittw_conj2("ii", {"n": 0})
@@ -1013,15 +1019,23 @@ class TestPermutedRunSums:
         assert "within_tol" not in report
 
     def test_shape_guards(self):
-        with pytest.raises(ValueError, match="even number of runs"):
+        with pytest.raises(ValueError, match="^part i needs an even number "
+                                             "of runs, got 3$"):
             verify_theorem81("i", (0, 0, 0))
-        with pytest.raises(ValueError, match="odd number of runs"):
+        with pytest.raises(ValueError, match="^part ii needs an odd number "
+                                             "of runs, got 4$"):
+            verify_theorem81("ii", (0, 0, 0, 0))
+        with pytest.raises(ValueError,
+                           match=r"^len\(e_values\) must be >= 3, got 2$"):
             verify_theorem81("ii", (0, 0))
-        with pytest.raises(ValueError, match="capped at 4 runs"):
+        with pytest.raises(ValueError,
+                           match=r"^len\(e_values\) must be <= 4, got 5$"):
             verify_theorem81("ii", (0, 0, 0, 0, 0))
-        with pytest.raises(ValueError, match="part must be"):
+        with pytest.raises(ValueError, match=r"^part must be one of "
+                           r"\('i', 'ii'\), got 'iii'$"):
             verify_theorem81("iii", (0, 0))
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^e_values must hold integers "
+                                             r">= 0, got \(-1, 0\)$"):
             verify_theorem81("i", (-1, 0))
         with pytest.raises(ValueError, match="^e_values must hold integers"):
             verify_theorem81("i", (0.5, 0))
