@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 
 from starsum import exact_eval
 from starsum import families as fam
-from starsum.stuffle import verify_middlestep_1, verify_middlestep_2
+from starsum.stuffle import DEPTH_CAP, verify_middlestep_1, verify_middlestep_2
 from starsum import zeta_numeric as zn
 from starsum.index_core import as_int, parse_index, pi_expand_weighted
 
@@ -284,23 +284,24 @@ def _suite_paper_examples(config: RunConfig) -> List[dict]:
     return items
 
 
-# suite -> (runner, default --n or None where --n does not apply, whether
-# --tol applies, whether --seed applies); a runner reads only its RunConfig,
-# so what it uses is what the report echoes
+# suite -> (runner, default --n or None where --n does not apply, largest
+# --n or None, whether --tol applies, whether --seed applies); a runner reads
+# only its RunConfig, so what it uses is what the report echoes
 SUITES = {
-    "ittw": (_suite_ittw, 1, True, False),
-    "lemma31": (_suite_lemma31, 3, False, True),
-    "middlestep": (_suite_middlestep, 2, False, False),
-    "paper-examples": (_suite_paper_examples, None, True, False),
+    "ittw": (_suite_ittw, 1, None, True, False),
+    "lemma31": (_suite_lemma31, 3, None, False, True),
+    # the largest n both checks take: depth 2n + 1 is at most DEPTH_CAP
+    "middlestep": (_suite_middlestep, 2, (DEPTH_CAP - 1) // 2, False, False),
+    "paper-examples": (_suite_paper_examples, None, None, True, False),
 }
 
 
 def _cmd_suite(args, stream) -> int:
-    runner, default_n, uses_tol, uses_seed = SUITES[args.suite]
+    runner, default_n, most_n, uses_tol, uses_seed = SUITES[args.suite]
     if args.n is not None and default_n is None:
         raise ValueError("--n does not apply to the %s suite" % args.suite)
     if args.n is not None:
-        as_int("--n", args.n, 1)
+        as_int("--n", args.n, 1, most_n)
     # a --tol that no tolerance reads is still refused when it is invalid
     zn._check_tol(args.tol)
     config = RunConfig("suite", tol=args.tol if uses_tol else None,

@@ -174,15 +174,18 @@ class FamilySpec:
 
     def __post_init__(self):
         row = family_row(self.family)
+        used = (row.prefix + row.block + row.suffix).lower()
+        # an unused slot takes no floor: _validate refuses it as unused
         for name, least in (("a", 0), ("b", 0), ("c", row.c_min)):
-            object.__setattr__(self, name,
-                               _int_tuple(name, getattr(self, name), least))
-        object.__setattr__(self, "t", as_int("t", self.t, 0))
+            object.__setattr__(self, name, _int_tuple(
+                name, getattr(self, name), least if name in used else None))
+        object.__setattr__(self, "t", as_int(
+            "t", self.t, 0 if "t" in used else None))
         if self.r is None:
             object.__setattr__(self, "r", row.infer_r(self.a, self.c))
         else:
             object.__setattr__(self, "r", as_int("r", self.r))
-        _validate(self, row)
+        _validate(self, row, used)
 
     def params(self) -> dict:
         return {
@@ -199,8 +202,7 @@ def _fail(spec: FamilySpec, message: str) -> None:
     raise ValueError("%s spec invalid: %s" % (spec.family, message))
 
 
-def _validate(spec: FamilySpec, row: Family) -> None:
-    used = (row.prefix + row.block + row.suffix).lower()
+def _validate(spec: FamilySpec, row: Family, used: str) -> None:
     for slot in "bct":
         value = getattr(spec, slot)
         if value and slot not in used:

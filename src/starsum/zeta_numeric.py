@@ -41,11 +41,11 @@ NumericValue.error carries.  clear_value_cache() empties the weight, level
 and row caches along with the value cache, which keeps at most
 _VALUE_CACHE_LIMIT values and evicts the oldest first.
 
-zeta and zeta_star are one evaluator, the chains (0, 1) and (1, 1).  Two
-independent cross-check paths are kept: zeta(method="partial"), a float
-partial sum with an explicit tail bound that only reaches loose tolerances,
-and zeta_star(method="expand"), which sums the strict limits of the
-contraction expansion.
+Every limit enters through _limit, which checks tol, reads the empty index
+as 1 and refuses a leading +1 before it calls its evaluator: a chain, or in
+the tests one of two independent cross-checks, _partial_eval (a float
+partial sum with an explicit tail bound, loose tolerances only) and
+_expand_eval (the strict limits of the contraction expansion, summed).
 
 recognize_rational reads a limit exactly as a Fraction and accepts its
 limit_denominator(RECOGNITION_DEN_CAP) only within the caller's window.  A
@@ -56,8 +56,8 @@ report, not a verdict: at a loose tol almost any real has a fraction under
 the cap inside the window.
 
 A tol that is not positive and finite is refused by one rule, _check_tol,
-naming the value the caller gave: zeta, zeta_star and every public verifier
-check their tol before deriving any share of it, and the CLI checks --tol.
+naming the value the caller gave: _limit and every public verifier check
+their tol before deriving any share of it, and the CLI checks --tol.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class NumericValue:
     estimate for it (a doubling check, not a proof) is at most tol, and
     method_note records the path taken.  error is that achieved estimate:
     the chain's doubling estimate plus its proven rounding bound, or the
-    partial sum's tail bound; inf where the path gives none (the expand
-    path, a value made by hand).
+    partial sum's tail bound; inf where the path gives none (_expand_eval,
+    a value made by hand).
     """
 
     value: object
@@ -108,7 +108,7 @@ class NumericValue:
 
 
 class EvaluationError(ArithmeticError):
-    """The chosen method's error estimate could not reach the requested
+    """The evaluator's error estimate could not reach the requested
     tolerance."""
 
 
@@ -439,56 +439,52 @@ def _check_tol(tol: float, name: str = "tol") -> None:
     """Refuse a tol that is not a positive finite number (0, negative,
     inf or nan), naming the value given, before any arithmetic reads it.
 
-    The package's one tolerance rule.  zeta and zeta_star (through _limit)
-    and every public verifier call it on the caller's tol before deriving
-    any share of it; _digits calls it on each share; recognize_rational
-    calls it on its window; and the CLI calls it on every --tol.
+    The package's one tolerance rule.  _limit (so every limit) and every
+    public verifier call it on the caller's tol before deriving any share
+    of it; _digits calls it on each share; recognize_rational calls it on
+    its window; and the CLI calls it on every --tol.
     """
     if not 0 < tol < math.inf:
         raise ValueError("%s must be positive and finite, got %r"
                          % (name, tol))
 
 
-def _limit(s, tol: float, method: str, star: bool) -> NumericValue:
-    """zeta (star False) or zeta_star (star True).  "chain" serves both,
-    "partial" only zeta and "expand" only zeta_star."""
+def _limit(s, tol: float, evaluate) -> NumericValue:
+    """The one entry of every limit: tol is checked, the empty index is 1
+    exactly and a leading +1 is refused before evaluate(parts, tol) ->
+    (value, error, note) is called on the index's parts."""
     _check_tol(tol)
     parts = as_index(s).parts
     if not parts:
         return NumericValue(mpf(1), tol, "empty index", 0.0)
     _require_admissible(parts)
-    as_choice("method", method, ("chain", "expand" if star else "partial"))
-    if method == "chain":
-        value, error, note = _chain_eval(parts, int(star), 1, tol)
-    elif method == "partial":
-        value, error, note = _partial_eval(parts, tol)
-    else:
-        terms = list(star_expand(SignedIndex(parts)))
-        value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
-        error = math.inf
-        note = "star expansion over %d strict limits" % len(terms)
+    value, error, note = evaluate(parts, tol)
     return NumericValue(value, tol, note, error)
 
 
-def zeta(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
-    """Limit of the strict-descent sums H_n(s) as n grows.
+def _expand_eval(parts: Tuple[int, ...],
+                 tol: float) -> Tuple[object, float, str]:
+    """zeta_star's cross-check: the strict limits of the contraction
+    expansion, summed; it gives no error estimate."""
+    terms = list(star_expand(parts))
+    value = _limit_sum(zeta, terms, tol / sum(abs(c) for _, c in terms))
+    return value, math.inf, "star expansion over %d strict limits" % len(terms)
+
+
+def zeta(s, tol: float = DEFAULT_TOL) -> NumericValue:
+    """Limit of the strict-descent sums H_n(s) as n grows: the (0, 1) chain.
 
     The index must be admissible (leading part != +1); the returned value
     has a doubling-based error estimate of at most tol (an estimate, not a
-    rigorous bound on |value - truth|), carried as its error field.  method
-    is "chain" or "partial".
+    rigorous bound on |value - truth|), carried as its error field.
     """
-    return _limit(s, tol, method, star=False)
+    return _limit(s, tol, lambda parts, tol: _chain_eval(parts, 0, 1, tol))
 
 
-def zeta_star(s, tol: float = DEFAULT_TOL, method: str = "chain") -> NumericValue:
-    """Limit of the weak-descent sums H*_n(s) as n grows.
-
-    method="expand" routes through the strict limits of the contraction
-    expansion instead of the native weak-descent chain; the two paths are
-    required to agree within their summed tolerances.
-    """
-    return _limit(s, tol, method, star=True)
+def zeta_star(s, tol: float = DEFAULT_TOL) -> NumericValue:
+    """Limit of the weak-descent sums H*_n(s) as n grows: the (1, 1) chain,
+    under the same contract as zeta."""
+    return _limit(s, tol, lambda parts, tol: _chain_eval(parts, 1, 1, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +589,7 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     strict step coeff_base.  The tolerances are split as if each image were
     a limit of its own, so the combined error budget stays at or below
     10*tol.  lhs_error and rhs_error are the errors the two sides achieved
-    (NumericValue.error and the chain's bound), each within its share.
+    (each a NumericValue.error), each within its share.
     """
     _check_tol(tol)
     form = fam.build_rhs(spec)
@@ -613,10 +609,10 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
     coeff_mass = c * (c + 1) ** slots
     tol_each = min(tol, 10.0 * tol / (1 + coeff_mass))
     lhs = zeta_star(lhs_idx, tol_each)
-    chain, chain_error, _ = _chain_eval(form.base.parts, 1, form.coeff_base,
-                                        coeff_mass * tol_each)
+    chain = _limit(form.base, coeff_mass * tol_each, lambda parts, tol:
+                   _chain_eval(parts, 1, form.coeff_base, tol))
     with mp.workdps(_digits(tol_each)):
-        rhs = form.sign * chain
+        rhs = form.sign * chain.value
     return {
         "family": spec.family,
         "params": spec.params(),
@@ -624,7 +620,7 @@ def verify_mzsv_family(spec: fam.FamilySpec, tol: float = DEFAULT_TOL) -> dict:
         "rhs_terms": 2 ** slots,
         **_compare(lhs.value, rhs, (1 + coeff_mass) * tol_each),
         "lhs_error": lhs.error,
-        "rhs_error": chain_error,
+        "rhs_error": chain.error,
     }
 
 

@@ -462,6 +462,9 @@ REFUSALS = [
     pytest.param(lambda v: _T81("ii", (0,) * v),
                  2, "len(e_values) must be >= 3, got 2", 3,
                  id="verify_theorem81-floor"),
+    pytest.param(lambda v: _cli("suite", "--suite", "middlestep", "--n",
+                                str(v)),
+                 5, "--n must be <= 4, got 5", 4, id="cli-suite-cap"),
     # relations: a floor or cap read from an argument already checked
     pytest.param(lambda v: fam.check_tail_weight_sum(v, 3),
                  3, "l must be <= 2, got 3", 2, id="check_tail_weight_sum-l"),
@@ -498,12 +501,6 @@ REFUSALS = [
     pytest.param(fam.family_row, "TWO_ONE_THREE",
                  "family must be one of %r, got 'TWO_ONE_THREE'"
                  % (fam.FAMILIES,), "TWO_ONE", id="family_row"),
-    pytest.param(lambda v: zn.zeta((2,), method=v), "expand",
-                 "method must be one of ('chain', 'partial'), got 'expand'",
-                 "chain", id="zeta-method"),
-    pytest.param(lambda v: zn.zeta_star((2,), method=v), "partial",
-                 "method must be one of ('chain', 'expand'), got 'partial'",
-                 "expand", id="zeta_star-method"),
     pytest.param(lambda v: zn.verify_ittw_conj2(v, {"n": 1}), "iv",
                  "part must be one of ('i', 'ii', 'iii'), got 'iv'", "iii",
                  id="verify_ittw_conj2-part"),
@@ -548,6 +545,13 @@ REFUSALS = [
     pytest.param(lambda v: fam.FamilySpec(fam.TWO_ONE, a=(1,), b=v), (1,),
                  "TWO_ONE spec invalid: parameter b is not used by this "
                  "family, got (1,)", (), id="FamilySpec-unused"),
+    # an unused slot is refused as unused, before any floor
+    pytest.param(lambda v: fam.FamilySpec(fam.TWO_ONE, a=(1,), c=v), (1,),
+                 "TWO_ONE spec invalid: parameter c is not used by this "
+                 "family, got (1,)", (), id="FamilySpec-unused-c"),
+    pytest.param(lambda v: fam.FamilySpec(fam.TWO_ONE, a=(1,), t=v), -1,
+                 "TWO_ONE spec invalid: parameter t is not used by this "
+                 "family, got -1", 0, id="FamilySpec-unused-t"),
 ]
 
 

@@ -133,12 +133,11 @@ class TestAnchors:
         for tol in (math.inf, math.nan):
             with pytest.raises(ValueError, match="tol must be positive"):
                 zeta((2,), tol)
-        with pytest.raises(ValueError, match=r"^method must be one of "
-                           r"\('chain', 'partial'\), got 'newton'$"):
-            zeta((2,), method="newton")
-        with pytest.raises(ValueError, match=r"^method must be one of "
-                           r"\('chain', 'partial'\), got 'mollified'$"):
-            zeta((2,), method="mollified")
+        # there is no method to choose: the empty index once took any
+        # method and returned 1
+        for evaluate in (zeta, zeta_star):
+            with pytest.raises(TypeError):
+                evaluate((), method="bogus")
 
 
 def _value_sample():
@@ -489,12 +488,13 @@ class TestClosedForms:
         assert evaluate(s, 1e-30).error == got.error
 
     def test_other_paths_estimates(self):
-        partial = zeta((3,), 1e-6, method="partial")
+        partial = zn._limit((3,), 1e-6, zn._partial_eval)
         assert partial.error == partial_sum_tail_bound((3,), 4096) + 1e-11
         assert abs(partial.value - mp.zeta(3)) <= partial.error <= 1e-6
         assert zeta(()).error == 0.0
         # no estimate known: the expand path and a value made by hand
-        assert zeta_star((3, 1), method="expand").error == math.inf
+        assert zn._limit((3, 1), DEFAULT_TOL,
+                         zn._expand_eval).error == math.inf
         assert NumericValue(mpf(1), 1e-6, "made by hand").error == math.inf
 
 
@@ -541,8 +541,8 @@ class TestPathConsistency:
             if sum(abs(p) for p in parts) > 8:
                 continue
             seen += 1
-            chain = zeta_star(parts, 1e-8, method="chain")
-            expand = zeta_star(parts, 1e-8, method="expand")
+            chain = zeta_star(parts, 1e-8)
+            expand = zn._limit(parts, 1e-8, zn._expand_eval)
             assert abs(chain.value - expand.value) <= 2e-8, parts
             assert "strict limits" in expand.method_note
 
@@ -562,14 +562,37 @@ class TestPathConsistency:
             clear_value_cache()
             cold = zeta_star(parts, 1e-30).value
             clear_value_cache()
-            expand = zeta_star(parts, 1e-30, method="expand")
+            expand = zn._limit(parts, 1e-30, zn._expand_eval)
             chain = zeta_star(parts, 1e-30)
             assert abs(chain.value - expand.value) <= 2e-30, parts
             assert chain.value._mpf_ == cold._mpf_, parts
 
+    def test_cross_checks_share_no_weak_chain(self, monkeypatch):
+        # the partial sum never reaches the chain, and the expansion only
+        # through strict (0, 1) chains, so the weak chain is only ever
+        # checked against strict ones
+        chain_eval, kinds = zn._chain_eval, []
+
+        def refused(parts, eq, lt, tol):
+            raise RuntimeError("chain reached")
+
+        def recorded(parts, eq, lt, tol):
+            kinds.append((eq, lt))
+            return chain_eval(parts, eq, lt, tol)
+        monkeypatch.setattr(zn, "_chain_eval", refused)
+        with pytest.raises(RuntimeError, match="chain reached"):
+            zeta((3,), 1e-6)
+        partial = zn._limit((3,), 1e-6, zn._partial_eval)
+        assert abs(partial.value - mp.zeta(3)) <= partial.error <= 1e-6
+        monkeypatch.setattr(zn, "_chain_eval", recorded)
+        for parts in ((2, 2), (3, 1), (-2, 3, -1)):
+            zn._limit(parts, 1e-8, zn._expand_eval)
+        # 2 + 2 + 4 comma-or-merge images
+        assert kinds == [(0, 1)] * 8
+
     def test_method_cross_checks(self):
         chain = zeta((3,), 1e-8)
-        partial = zeta((3,), 1e-6, method="partial")
+        partial = zn._limit((3,), 1e-6, zn._partial_eval)
         assert "tail-chain" in chain.method_note
         assert "partial sum" in partial.method_note
         assert abs(chain.value - partial.value) <= 2e-6
@@ -581,7 +604,7 @@ class TestPathConsistency:
         # that index once raised ValueError instead.
         for s, tol in (((2, 1), 1e-6), ((2,) + (1,) * 9, 1e-2)):
             with pytest.raises(EvaluationError, match="tail bound"):
-                zeta(s, tol, method="partial")
+                zn._limit(s, tol, zn._partial_eval)
 
 
 class TestExactBridge:
@@ -876,6 +899,31 @@ def test_only_against_pi_power_writes_recognition_ok():
     assert writes(tree) == writes(against)
 
 
+def test_every_limit_enters_through_limit():
+    # _limit holds the rules of every limit (tol, the empty index, a
+    # leading +1): a NumericValue built elsewhere, or a chain evaluated
+    # outside the three evaluators that hand it to _limit, would skip them
+    def named(node):
+        return (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+
+    package = pathlib.Path(zn.__file__).parent
+    builds, chains = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and named(node.func) == "NumericValue"):
+                    builds.add(where)
+                if named(node) == "_chain_eval":
+                    chains.add(where)
+    assert builds == {("zeta_numeric.py", "_limit")}
+    assert chains == {("zeta_numeric.py", name) for name in (
+        "zeta", "zeta_star", "verify_mzsv_family")}
+
+
 class TestProductIdentities:
     def test_pair_swap_products(self):
         for m in (0, 1):
@@ -1043,8 +1091,8 @@ class TestPermutedRunSums:
 
 def _shifted(evaluate):
     """evaluate with 1e-3 added to every value it returns."""
-    def shifted(s, tol=DEFAULT_TOL, method="chain"):
-        got = evaluate(s, tol, method)
+    def shifted(s, tol=DEFAULT_TOL):
+        got = evaluate(s, tol)
         return NumericValue(got.value + mpf("1e-3"), got.tol, got.method_note)
     return shifted
 
@@ -1052,9 +1100,9 @@ def _shifted(evaluate):
 class TestVerdictsCanFail:
     """A verdict that never comes out False shows nothing: with every strict
     (or weak) limit off by 1e-3, each check must report the miss.  The
-    verifiers and zeta_star's expand path look the evaluators up by module
-    name, so patching the module reaches them all.  The right side of a
-    family limit is one chain of its own, shifted by patching _chain_eval."""
+    verifiers and _expand_eval look the evaluators up by module name, so
+    patching the module reaches them all.  The right side of a family limit
+    is one chain of its own, shifted by patching _chain_eval."""
 
     @pytest.mark.parametrize("check", [
         lambda: check_three_n(1),
@@ -1102,9 +1150,9 @@ class TestVerdictsCanFail:
         assert verify_mzsv_family(spec)["within_tol"] is False
 
     def test_expand_path_reads_zeta_by_name(self, monkeypatch):
-        plain = zeta_star((2, 2), method="expand").value
+        plain = zn._limit((2, 2), DEFAULT_TOL, zn._expand_eval).value
         monkeypatch.setattr(zn, "zeta", _shifted(zn.zeta))
-        moved = zeta_star((2, 2), method="expand").value
+        moved = zn._limit((2, 2), DEFAULT_TOL, zn._expand_eval).value
         # (2,2) expands to the two unit terms (2,2) and (4)
         assert abs(moved - plain - mpf("2e-3")) < 1e-20
 
