@@ -37,6 +37,12 @@ weight that puts 1/k^e on its lcm power (``_term_weights``) and the kernel
 row.  Every stored rational these sums read is put on its scale by one
 checked rescaling, ``_on_scale``, once per H row and once per increment.
 
+A sweep that keeps no record of a passing cell (``families.verify_sweep``
+with failures_only) reads no rational: ``_companion_failures`` grows the
+integer lists of both sides of one identity once, to n_max over
+lcm(1..n_max), in a store of its own, by the recurrence the memo's lists
+grow by (``_recur``), and names the cells where the two sides differ.
+
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
 slower on large sweeps.
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from operator import mul
 from typing import Dict, List, Tuple
@@ -108,8 +114,9 @@ def rat_str(value) -> str:
 # T is a weak sum in which an equal step weighs 1 and a strict step weighs c:
 # term(a,k) * term(b,k) == term(a (+) b, k), so a run of equal indices is one
 # merged entry, and each entry carries one factor c.  For c = 1 this is H*,
-# so the companion pass shares the mhs_star lists.  Sweep drivers share work
-# across cells only through these lists.
+# so the companion pass shares the mhs_star lists.  Cells whose records are
+# kept share work only through these lists; a failures-only sweep decides
+# its cells on integer lists of its own (_companion_failures, below).
 #
 # Growth to n runs on integers, the tail's list first (_grow recurses on
 # it).  With scale = lcm(1..n) and w = weight(s), N_k = L_k(s) * scale^w,
@@ -121,11 +128,13 @@ def rat_str(value) -> str:
 #
 # with M the tail's integers over scale^weight(tail) (M == 1 for an empty
 # tail, so its bracket is lt).  For lt = 1 the bracket is M_k (weak) or
-# M_{k-1} (strict), a slice of the tail's integers.  The value a growth
-# starts from and the tail's values it reads are put on the scale by the
-# one checked rescaling (_on_scale), and each new value is stored as the one
-# normalized rational N_k / scale^w; an unchanged value is the previous
-# object itself.
+# M_{k-1} (strict), a slice of the tail's integers.  _recur is this step,
+# and both growers call it.  _grow reads the tail's integers from the
+# tail's own growth in the same call; only a value stored before the call
+# (the value a growth starts from, a tail value it did not grow) is put on
+# the scale by the one checked rescaling (_on_scale).  Each new value is
+# stored as the one normalized rational N_k / scale^w; an unchanged value
+# is the previous object itself.
 #
 # Memory bound: _ensure, the one entry to the lists, returns a list long
 # enough at once (a hit); a call that will grow drops every list first once
@@ -147,7 +156,7 @@ def clear_memo() -> None:
     global _stored_values, _drops, _hits, _grown
     _lists.clear()
     _stored_values = _drops = _hits = _grown = 0
-    for cache in (_h_row, _kernel_sum, _term_weights):
+    for cache in (_h_row, _kernel_sum, _term_weights, _step_weights):
         cache.cache_clear()
 
 
@@ -201,46 +210,62 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
         _lists.clear()
         _stored_values = 0
         _drops += 1
-    return _grow(parts, eq, lt, n)
+    _grow(parts, eq, lt, n, n)
+    return _lists[(parts, eq, lt)]
 
 
-def _grow(parts: tuple, eq: int, lt: int, n: int) -> List:
-    """Grow the list of a nonempty suffix to L_0..L_n: the tail's list to n
-    first, then this one from its stored length, on integers over
-    lcm(1..n)^weight (see the memo comment)."""
+def _recur(weight, eq: int, lt: int, start: int, inner, lo: int,
+           n: int) -> List[int]:
+    """N_lo..N_n of a list from N_lo = start, the step weight weight(k) of
+    its first part (_step_weight) and the tail's integers inner = M_lo..M_n
+    (None for the empty tail): the recurrence of the memo comment, written
+    here once for both growers.  A zero bracket reads no weight, and its
+    value is the previous integer itself."""
+    if inner is None:
+        # L(()) == 1, so the bracket is eq + (lt - eq) == lt
+        brackets = itertools.repeat(lt)
+    elif lt == 1:
+        brackets = inner[1:] if eq else inner[:-1]
+    else:
+        brackets = [eq * now + (lt - eq) * before
+                    for before, now in zip(inner, inner[1:])]
+    out = [start]
+    for k, bracket in zip(range(lo + 1, n + 1), brackets):
+        out.append(out[-1] + weight(k) * bracket if bracket else out[-1])
+    return out
+
+
+def _grow(parts: tuple, eq: int, lt: int, n: int, lo: int) -> List[int]:
+    """Grow the list of a nonempty suffix to L_0..L_n, the tail's list to n
+    first, and return N_lo..N_n, its values lo..n over lcm(1..n)^weight
+    (see the memo comment).  A value stored before the call is put on that
+    scale by _on_scale; a value grown here is the integer it was grown
+    from, and is stored as one rational."""
     global _stored_values, _grown
     vals = _lists.get((parts, eq, lt))
-    if vals is not None and len(vals) > n:
-        return vals
     if vals is None:
         vals = _lists[(parts, eq, lt)] = [_ZERO]
         _stored_values += 1
-    head, tail, lo = parts[0], parts[1:], len(vals) - 1
     scale = _lcm_to(n)
-    tail_den = scale ** sum(map(abs, tail))  # 1 for the empty tail
-    den = tail_den * scale ** abs(head)
-    if not tail:
-        # L(()) == 1, so the bracket is eq + (lt - eq) == lt
-        brackets = itertools.repeat(lt)
-    else:
-        tail_vals = _grow(tail, eq, lt, n)
-        inner = [_on_scale(tail_vals[k], tail_den, "list value L_%d%s", k,
-                           tail) for k in range(lo, n + 1)]
-        if lt == 1:
-            brackets = inner[1:] if eq else inner[:-1]
-        else:
-            brackets = [eq * now + (lt - eq) * before
-                        for before, now in zip(inner, inner[1:])]
-    total = _on_scale(vals[lo], den, "list value L_%d%s", lo, parts)
-    for k, bracket in zip(range(lo + 1, n + 1), brackets):
-        if bracket:
-            total += _step_weight(scale, head, k) * bracket
-            vals.append(_Q(total, den))
-        else:
-            vals.append(vals[k - 1])
-    _stored_values += n - lo
+    den = scale ** sum(map(abs, parts))
+    last = len(vals) - 1
+    if last >= n:
+        # a tail stored far enough: nothing grows
+        return [_on_scale(vals[k], den, "list value L_%d%s", k, parts)
+                for k in range(lo, n + 1)]
+    inner = _grow(parts[1:], eq, lt, n, last) if parts[1:] else None
+    start = _on_scale(vals[last], den, "list value L_%d%s", last, parts)
+    grown = _recur(partial(_step_weight, scale, parts[0]), eq, lt, start,
+                   inner, last, n)
+    for before, now in zip(grown, grown[1:]):
+        vals.append(vals[-1] if now is before else _Q(now, den))
+    _stored_values += n - last
     _grown += 1
-    return vals
+    if lo >= last:
+        return grown[lo - last:]
+    # a tail stored past its caller's start
+    return [_on_scale(vals[k], den, "list value L_%d%s", k, parts)
+            for k in range(lo, last)] + grown
 
 
 def _h_value(n: int, s, eq: int):
@@ -263,13 +288,15 @@ def mhs_star(n: int, s) -> "rational":
     return _h_value(n, s, 1)
 
 
-# Sized from the traffic, like _kernel_sum below.  Distinct rows and hits:
-# the c2 grid 120 and 18,129, a perfbench kernels pass 40 and 6,020; the
-# companion pass reads (B, 1..2, n), so c1 100 and 581,750 and a sweep pass
-# 100 and 5,650 (n <= 50).  A deep verify reads its 200 rows (B, m, n) once
-# each: no bound gives it hits, so the bound is the least power of two
-# that holds c2's 120, and keeps as few of deep's rows as that allows.  A
-# missed row costs one multiply and one exact division per entry.
+# Sized from the traffic, like _kernel_sum below.  Distinct rows and hits,
+# measured in one process: the c2 grid 168 and 25,956 (it reads a row's
+# uses together, so it misses each row once), a perfbench kernels pass 40
+# and 6,020; the companion pass and the integer verdicts read (B, 1..2, n),
+# one row per cell, so c1 100 and 581,750 and a sweep pass 100 and 5,650
+# (n <= 50).  A deep verify reads its 200 rows (B, m, n) once each: no
+# bound gives it hits, so the bound is the least power of two that holds
+# c1's 100, and keeps as few of deep's rows as that allows.  A missed row
+# costs one multiply and one exact division per entry.
 @lru_cache(maxsize=128)
 def _kernel_row(kind: str, m: int, n: int) -> Tuple[int, ...]:
     """K[k] = (-1)^k C(mn, n-k) for k = 0..n ("A"), or its unsigned
@@ -417,6 +444,63 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
         total += row[k] * _on_scale(tvals[k] - tvals[k - 1], denom,
                                     "increment dT(%d)", k)
     return _Q(global_sign * total, denom * row[0])
+
+
+# ---------------------------------------------------------------------------
+# integer verdicts: every cell of one identity in one pass, no rational
+#
+# Over a fixed scale = lcm(1..n_max), H*_n(lhs) == pi_companion_sum(base,
+# coeff_base, sign, companion, n) reads, with the C(mn, .) row of
+# pi_companion_sum and N_H, N_T the integer lists of both sides,
+#
+#     N_H(n) * scale^weight(base) * C(mn, n)
+#         == sign * scale^weight(lhs) * sum_{k<=n} C(mn, n-k) * dN_T(k).
+#
+# The lists grow once to n_max in a store of the call's own, not the memo.
+# ---------------------------------------------------------------------------
+
+# Sized from the traffic: a sweep reads one row per distinct part at its
+# n_max, and c1's left sides and bases hold 14 distinct parts.
+@lru_cache(maxsize=64)
+def _step_weights(part: int, n: int) -> Tuple[int, ...]:
+    """_step_weight(lcm(1..n), part, k) at index k = 1..n (index 0 is 0)."""
+    scale = _lcm_to(n)
+    return (0,) + tuple(_step_weight(scale, part, k) for k in range(1, n + 1))
+
+
+def _grow_ints(parts: tuple, eq: int, lt: int, n: int,
+               store: dict) -> List[int]:
+    """N_0..N_n of a nonempty suffix over lcm(1..n)^weight, the tail's list
+    first, each list grown once in store by the memo's recurrence."""
+    ints = store.get((parts, eq, lt))
+    if ints is None:
+        inner = _grow_ints(parts[1:], eq, lt, n, store) if parts[1:] else None
+        weight = _step_weights(parts[0], n).__getitem__
+        ints = store[(parts, eq, lt)] = _recur(weight, eq, lt, 0, inner, 0, n)
+    return ints
+
+
+def _companion_failures(lhs, base, coeff_base: int, global_sign: int,
+                        companion: str, n_max: int) -> List[int]:
+    """The n in 1..n_max at which H*_n(lhs) differs from
+    pi_companion_sum(base, coeff_base, global_sign, companion, n), decided
+    by the integer equality above.  Both indices are nonempty SignedIndex
+    objects and the arguments are as pi_companion_sum takes them, so the
+    sweep that calls this forms rationals only for the cells it names."""
+    store: dict = {}
+    h = _grow_ints(lhs.parts, 1, 1, n_max, store)
+    t = _grow_ints(base.parts, 1, coeff_base, n_max, store)
+    dt = [now - before for before, now in zip(t, t[1:])]  # dN_T(1..n_max)
+    scale = _lcm_to(n_max)
+    left, right = scale ** base.weight(), global_sign * scale ** lhs.weight()
+    m = 2 if companion == "big" else 1
+    failed = []
+    for n in range(1, n_max + 1):
+        row = _kernel_row("B", m, n)
+        if h[n] * left * row[0] != right * sum(
+                map(mul, itertools.islice(row, 1, None), dt)):
+            failed.append(n)
+    return failed
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ one of the two damped companion sums.  This module constructs both sides
 from a parameter tuple and compares them as exact rationals one cell
 (spec, n) at a time.  One per-spec generator, _cells, builds both sides
 once and yields every cell's two values; verify_instance, verify_sweep and
-the CLI's verify read their cells from it, and _cell_item is the one record
-of a cell.  A sweep checks its specs in shares, one per usable core: the
+the CLI's verify read from it every cell whose record they keep, and
+_cell_item is the one record of a cell.  A failures-only sweep keeps no
+record of a passing cell, so it decides a spec's cells by one integer pass
+(exact_eval._companion_failures) and reads from _cells only the cells that
+pass names.  A sweep checks its specs in shares, one per usable core: the
 caller checks the first, each other share runs in a forked child with a
 memo of its own (a share of the memo limit), and the records are merged
 back in enumeration order (verify_sweep); there is no option to set.  The
@@ -40,6 +43,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import exact_eval
 from .exact_eval import (
+    _companion_failures,
     _kernel_power,
     _kernel_sum,
     _lcm_to,
@@ -324,7 +328,7 @@ def _cells(spec: FamilySpec, ns: Iterable[int]) -> Iterator[tuple]:
 
     Both sides are built once; each cell is one mhs_star call and one
     pi_companion_sum call.  verify_instance, verify_sweep and the CLI's
-    verify read every cell from here.
+    verify read every cell whose record they keep from here.
     """
     lhs = build_lhs(spec)
     form = build_rhs(spec)
@@ -411,12 +415,15 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     """Verify every (spec, n) cell of a parameter grid, in enumeration order.
 
     param_ranges maps any of "r", "a", "b", "c", "t" to value pools (see
-    enumerate_specs).  Each cell is one _cells comparison, and its record in
-    results is the item `starsum verify` prints for it without elapsed_ms:
-    {params, n, lhs, rhs, equal}, the sides as "p/q" (_cell_item).  With
-    failures_only the records of passing cells are omitted (the summary
-    still counts them), which is how the full acceptance grid stays within
-    memory.
+    enumerate_specs).  A cell's record in results is the item `starsum
+    verify` prints for it without elapsed_ms: {params, n, lhs, rhs, equal},
+    the sides as "p/q" (_cell_item), and each such cell is one _cells
+    comparison.  With failures_only the records of passing cells are
+    omitted (the summary still counts them), which is how the full
+    acceptance grid stays within memory; a spec's cells are then decided by
+    one integer pass (exact_eval._companion_failures), and only the cells
+    it fails are formed as rationals.  If their rationals are equal, the
+    two engines disagree, and ArithmeticError names the spec and n.
 
     The specs are checked in shares, one per usable core (_usable_cores:
     the affinity, capped by a cgroup CPU quota) and at most one per spec,
@@ -427,8 +434,10 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     share count.  Each process grows its own memo: a child starts from the
     caller's memo as it stood at the fork, holds at most 1/shares of
     exact_eval's limit, and what it grows goes with it, so the memos of a
-    sweep hold under about twice the limit on any number of cores.  There
-    is no option: with one usable core or one spec no child is started.
+    sweep hold under about twice the limit on any number of cores.  Only
+    cells formed as rationals grow the memo, so with failures_only the
+    limit bounds the failing cells alone.  There is no option: with one
+    usable core or one spec no child is started.
     A child's exception is raised again here, a child that ends without a
     reply raises RuntimeError naming it, and every child has ended and been
     joined when this returns or raises.
@@ -526,14 +535,25 @@ def _shares(specs: int) -> List[List[int]]:
 def _check_share(specs: List[FamilySpec], positions: Iterable[int],
                  ns: range, failures_only: bool) -> Tuple[int, dict]:
     """The cells passed and {position: records} of the specs at positions;
-    a spec all of whose records are left out has no entry."""
+    a spec all of whose records are left out has no entry.  With
+    failures_only the integer pass decides the cells, and a cell it fails
+    whose rationals are equal raises ArithmeticError; the memo, and so the
+    per-child limit, holds only the lists of cells formed as rationals."""
     passed, records = 0, {}
     for i in positions:
-        for cell in _cells(specs[i], ns):
+        spec, kept = specs[i], ns
+        if failures_only:
+            kept = _companion_failures(build_lhs(spec), *build_rhs(spec),
+                                       ns[-1])
+            passed += len(ns) - len(kept)
+        for cell in _cells(spec, kept):
             ok = cell[1] == cell[2]
+            if ok and failures_only:
+                raise ArithmeticError(
+                    "%r at n = %d: the integer pass fails the cell, its "
+                    "rationals are equal" % (spec.params(), cell[0]))
             passed += ok
-            if not (ok and failures_only):
-                records.setdefault(i, []).append(_cell_item(specs[i], cell))
+            records.setdefault(i, []).append(_cell_item(spec, cell))
     return passed, records
 
 
@@ -542,7 +562,8 @@ def _share_child(writer, shares: int, *share) -> None:
     sent to the caller.  The child's memo holds at most 1/shares of
     exact_eval's limit, the values it started with included, so that a
     sweep's memos hold under about twice the limit whatever the number of
-    shares."""
+    shares.  The limit matters only for cells formed as rationals: a
+    failures-only sweep's integer lists live in one pass's own store."""
     exact_eval._MEMO_LIMIT //= shares
     try:
         reply = _check_share(*share)

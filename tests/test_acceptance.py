@@ -1,12 +1,14 @@
 """Acceptance checklist: eight independent criteria, one test function each.
 
-Criterion 1 sweeps roughly 580k exact cells and dominates the runtime of the
-whole suite.  verify_sweep spreads each grid's specs over every usable core.
-With the pure-Python fractions backend and mpmath's pure-Python backend, on
-a 2-core VM with Python 3.11, the whole suite took 128 s, 103 s of it in
-criterion 1, against 206 s and 169 s with one core's sweep, run one after
-the other (each side needs the whole machine).  Criterion 1 alone, run
-alternately, took 103-107 s against 169-184 s.  Criterion 2 took 0.52 s
+Criterion 1 sweeps roughly 580k exact cells, the slowest test of the suite.
+Its sweeps keep no record of a passing cell, so verify_sweep decides each
+spec's cells by one integer pass and forms no rational for a passing cell,
+and it spreads each grid's specs over every usable core.  With the
+pure-Python fractions backend and mpmath's pure-Python backend, on a 2-core
+VM with Python 3.11, criterion 1 took 6.4 and 8.9 s against 88.9 and
+79.1 s when every cell was compared as two rationals, and the whole suite
+43.9 and 33.4 s against 105.8 and 105.0 s, run one after the other,
+alternating (each side needs the whole machine).  Criterion 2 took 0.52 s
 (median of seven cold runs).  The machine's speed drifts, so compare only
 times taken side by side.  Setting
 STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the

@@ -728,11 +728,12 @@ def test_cli_has_no_tolerance_rule_of_its_own():
 
 def test_only_exact_eval_names_ensure():
     # every reader of the memo's lists sits in exact_eval, and only it
-    # grows them, so the list recurrence can be replaced in one module
+    # grows them or the integer lists of a sweep's verdicts, so the list
+    # recurrence can be replaced in one module
     package = pathlib.Path(ee.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 1
     for path in modules:
-        for name in ("_ensure", "_grow"):
+        for name in ("_ensure", "_grow", "_grow_ints"):
             assert (name in _names(path)) == (path.name == "exact_eval.py"), \
                 (name, path.name)

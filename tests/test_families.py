@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsum.exact_eval import (
+    _companion_failures,
     _ensure,
     _lcm_to,
     clear_memo,
@@ -33,7 +34,7 @@ from starsum.exact_eval import (
     pi_companion_sum,
     rational,
 )
-from starsum import families
+from starsum import exact_eval, families
 from starsum.families import (
     _rhs_form,
     BIG,
@@ -591,6 +592,90 @@ class TestSweepShares:
         assert families._usable_cores() == cores
         assert len(families._shares(100)) == cores
         assert len(families._shares(5)) == min(cores, 5)
+
+
+class TestIntegerVerdicts:
+    """A failures-only sweep decides its cells by exact_eval's integer pass
+    and forms rationals only for the cells that pass names as failing."""
+
+    N_MAX = 30
+    # a small grid of each family: the paper-example grid where the table
+    # has one; big and small companions, bases with negative entries
+    GRIDS = {row.family: row.examples or dict(r=(0, 1), a=(0, 1), b=(0,),
+                                              c=(1, 3), t=(0, 1))
+             for row in families.FAMILY_TABLE}
+    # negative controls: each turns every cell of every grid into a failure
+    WRONG = {"coeff_base": lambda form: form._replace(
+                 coeff_base=form.coeff_base + 1),
+             "sign": lambda form: form._replace(sign=-form.sign)}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_verdicts_match_the_rationals(self, family):
+        specs = list(families._grid_specs(family, self.GRIDS[family]))
+        assert specs
+        partial = 0
+        for spec in specs:
+            lhs, form = build_lhs(spec), build_rhs(spec)
+            # the left side reversed fails from n = 2 on, unless it is a
+            # palindrome (H*_1 is 1 for every index)
+            cases = [(lhs, form), (SignedIndex(lhs.parts[::-1]), form)]
+            cases += [(lhs, wrong(form)) for wrong in self.WRONG.values()]
+            for left, right in cases:
+                expect = [n for n in range(1, self.N_MAX + 1)
+                          if mhs_star(n, left) != pi_companion_sum(*right, n)]
+                assert _companion_failures(left, *right, self.N_MAX) \
+                    == expect, (spec, left, right)
+                partial += 0 < len(expect) < self.N_MAX
+        assert partial
+        reports = [verify_sweep(family, self.GRIDS[family], self.N_MAX,
+                                failures_only=flag) for flag in (False, True)]
+        cells = self.N_MAX * len(specs)
+        assert reports[1]["summary"] == reports[0]["summary"] == {
+            "cells": cells, "passed": cells, "failed": 0}
+        assert reports[1]["results"] == []
+
+    @pytest.mark.parametrize("wrong", WRONG)
+    def test_wrong_form_fails_every_cell(self, monkeypatch, wrong):
+        # every failing record of the integer path is the record the
+        # rational path keeps for that cell
+        rhs = families.build_rhs
+        monkeypatch.setattr(families, "build_rhs",
+                            lambda spec: self.WRONG[wrong](rhs(spec)))
+        for family, grid in self.GRIDS.items():
+            kept, rational_path = (
+                verify_sweep(family, grid, self.N_MAX, failures_only=flag)
+                for flag in (True, False))
+            cells = self.N_MAX * kept["specs"]
+            assert kept["summary"] == {"cells": cells, "passed": 0,
+                                       "failed": cells}, family
+            assert kept == rational_path
+            assert not any(item["equal"] for item in kept["results"])
+
+    def test_an_engine_disagreement_is_raised(self, monkeypatch):
+        # the integer pass says cell 3 fails, the rationals say it passes
+        monkeypatch.setattr(families, "_companion_failures",
+                            lambda *args: [3])
+        spec = FamilySpec(C21, a=(1,), b=(0,), c=(4,))
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "%r at n = 3: the integer pass" % spec.params())):
+            verify_sweep(C21, dict(r=(1,), a=(1,), b=(0,), c=(4,)), 5,
+                         failures_only=True)
+
+    def test_the_oracles_never_reach_the_integer_pass(self, monkeypatch):
+        spec = SAMPLE_SPECS[7]
+        n, parts = 9, build_lhs(spec).parts[:4]
+        expected = (rhs_value_expanded(spec, n),
+                    [exact_eval._oracle(n, parts, 1, lt) for lt in (1, 2)])
+
+        def refuse(*args):
+            raise AssertionError("the integer pass was reached")
+
+        clear_memo()
+        for name in ("_companion_failures", "_grow_ints", "_step_weights"):
+            monkeypatch.setattr(exact_eval, name, refuse)
+        assert (rhs_value_expanded(spec, n),
+                [exact_eval._oracle(n, parts, 1, lt) for lt in (1, 2)]) \
+            == expected
 
 
 class TestCompanionDenominator:
