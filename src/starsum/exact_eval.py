@@ -38,10 +38,13 @@ row.  Every stored rational these sums read is put on its scale by one
 checked rescaling, ``_on_scale``, once per H row and once per increment.
 
 A sweep that keeps no record of a passing cell (``families.verify_sweep``
-with failures_only) reads no rational: ``_companion_failures`` grows the
-integer lists of both sides of one identity once, to n_max over
-lcm(1..n_max), in a store of its own, by the recurrence the memo's lists
-grow by (``_recur``), and names the cells where the two sides differ.
+with failures_only) reads no rational: ``_companion_failures`` reads the
+integer lists of both sides of one identity, to n_max over lcm(1..n_max),
+from one cache that every spec of the sweep shares (``_grow_ints``), grown
+by the recurrence the memo's lists grow by (``_recur``).  It divides both
+sides by their common power of lcm(1..n_max), which leaves none because
+the right side keeps the left side's weight, and names the cells where the
+two sides differ.
 
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
@@ -52,10 +55,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from starsum.index_core import as_choice, as_index, as_int
 
@@ -116,7 +119,7 @@ def rat_str(value) -> str:
 # merged entry, and each entry carries one factor c.  For c = 1 this is H*,
 # so the companion pass shares the mhs_star lists.  Cells whose records are
 # kept share work only through these lists; a failures-only sweep decides
-# its cells on integer lists of its own (_companion_failures, below).
+# its cells on integer lists cached apart from them (_grow_ints, below).
 #
 # Growth to n runs on integers, the tail's list first (_grow recurses on
 # it).  With scale = lcm(1..n) and w = weight(s), N_k = L_k(s) * scale^w,
@@ -151,12 +154,14 @@ _MEMO_LIMIT = 600_000
 def clear_memo() -> None:
     """Empty this process's memo: the lists, their counts and the caches
     read off them (the H rows and the kernel sums, and the weight rows
-    beside them).  A sweep's children (families.verify_sweep) each hold a
-    memo of their own, which ends with them."""
+    beside them), and the integer lists of a failures-only sweep.  A
+    sweep's children (families.verify_sweep) each hold a memo of their
+    own, which ends with them."""
     global _stored_values, _drops, _hits, _grown
     _lists.clear()
     _stored_values = _drops = _hits = _grown = 0
-    for cache in (_h_row, _kernel_sum, _term_weights, _step_weights):
+    for cache in (_h_row, _kernel_sum, _term_weights, _step_weights,
+                  _grow_ints):
         cache.cache_clear()
 
 
@@ -214,25 +219,22 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
     return _lists[(parts, eq, lt)]
 
 
-def _recur(weight, eq: int, lt: int, start: int, inner, lo: int,
-           n: int) -> List[int]:
-    """N_lo..N_n of a list from N_lo = start, the step weight weight(k) of
-    its first part (_step_weight) and the tail's integers inner = M_lo..M_n
-    (None for the empty tail): the recurrence of the memo comment, written
-    here once for both growers.  A zero bracket reads no weight, and its
-    value is the previous integer itself."""
+def _recur(weights, eq: int, lt: int, start: int, inner) -> Iterator[int]:
+    """N_lo..N_n of a list from N_lo = start, the step weights of its first
+    part at k = lo+1..n (_step_weight) and the tail's integers inner =
+    M_lo..M_n (None for the empty tail): the recurrence of the memo comment,
+    written here once for both growers, as one running sum of weight *
+    bracket."""
     if inner is None:
         # L(()) == 1, so the bracket is eq + (lt - eq) == lt
         brackets = itertools.repeat(lt)
     elif lt == 1:
-        brackets = inner[1:] if eq else inner[:-1]
+        # M_k (weak) or M_{k-1} (strict); map stops at the last weight
+        brackets = itertools.islice(inner, 1, None) if eq else inner
     else:
         brackets = [eq * now + (lt - eq) * before
                     for before, now in zip(inner, inner[1:])]
-    out = [start]
-    for k, bracket in zip(range(lo + 1, n + 1), brackets):
-        out.append(out[-1] + weight(k) * bracket if bracket else out[-1])
-    return out
+    return itertools.accumulate(map(mul, weights, brackets), initial=start)
 
 
 def _grow(parts: tuple, eq: int, lt: int, n: int, lo: int) -> List[int]:
@@ -255,10 +257,11 @@ def _grow(parts: tuple, eq: int, lt: int, n: int, lo: int) -> List[int]:
                 for k in range(lo, n + 1)]
     inner = _grow(parts[1:], eq, lt, n, last) if parts[1:] else None
     start = _on_scale(vals[last], den, "list value L_%d%s", last, parts)
-    grown = _recur(partial(_step_weight, scale, parts[0]), eq, lt, start,
-                   inner, last, n)
+    grown = list(_recur([_step_weight(scale, parts[0], k)
+                         for k in range(last + 1, n + 1)],
+                        eq, lt, start, inner))
     for before, now in zip(grown, grown[1:]):
-        vals.append(vals[-1] if now is before else _Q(now, den))
+        vals.append(vals[-1] if now == before else _Q(now, den))
     _stored_values += n - last
     _grown += 1
     if lo >= last:
@@ -456,28 +459,39 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
 #     N_H(n) * scale^weight(base) * C(mn, n)
 #         == sign * scale^weight(lhs) * sum_{k<=n} C(mn, n-k) * dN_T(k).
 #
-# The lists grow once to n_max in a store of the call's own, not the memo.
+# Both sides are divided by scale^min(weight(lhs), weight(base)) before the
+# loop.  A family's right side is the walk of its left side, which keeps
+# the weight (families._rhs_form), so both powers left are 1 and a cell is
+# N_H(n) * C(mn, n) * sign == sum_{k<=n} C(mn, n-k) * dN_T(k).  The lists
+# are not the memo's: one cache of integer lists (_grow_ints), keyed by
+# (suffix, eq, lt, n_max), serves every spec of a sweep, so a tail that
+# several left sides or bases end in grows once while it is cached.
 # ---------------------------------------------------------------------------
 
 # Sized from the traffic: a sweep reads one row per distinct part at its
 # n_max, and c1's left sides and bases hold 14 distinct parts.
 @lru_cache(maxsize=64)
 def _step_weights(part: int, n: int) -> Tuple[int, ...]:
-    """_step_weight(lcm(1..n), part, k) at index k = 1..n (index 0 is 0)."""
+    """_step_weight(lcm(1..n), part, k) for k = 1..n."""
     scale = _lcm_to(n)
-    return (0,) + tuple(_step_weight(scale, part, k) for k in range(1, n + 1))
+    return tuple(_step_weight(scale, part, k) for k in range(1, n + 1))
 
 
-def _grow_ints(parts: tuple, eq: int, lt: int, n: int,
-               store: dict) -> List[int]:
+# Sized from the traffic, like _kernel_sum above.  A sweep's specs share
+# tails (its left sides differ in few parts, and _check_share visits them
+# in the order of their left sides read back to front), so most lists are
+# read again within a few specs.  Lists a store per spec would grow, and
+# distinct keys, in one process: a perfbench sweep pass (seed 5) 1,494 and
+# 392, missing 420 at this bound; c1 197,474 and 25,264, missing 31,064
+# here (148,293 unsorted) against 25,305 at 16,384.  The bound holds c1 at
+# 26.4 MB peak RSS in one process, where 16,384 lists held 244 MB and
+# 4,096 visited unsorted 91 MB.
+@lru_cache(maxsize=64)
+def _grow_ints(parts: tuple, eq: int, lt: int, n: int) -> Tuple[int, ...]:
     """N_0..N_n of a nonempty suffix over lcm(1..n)^weight, the tail's list
-    first, each list grown once in store by the memo's recurrence."""
-    ints = store.get((parts, eq, lt))
-    if ints is None:
-        inner = _grow_ints(parts[1:], eq, lt, n, store) if parts[1:] else None
-        weight = _step_weights(parts[0], n).__getitem__
-        ints = store[(parts, eq, lt)] = _recur(weight, eq, lt, 0, inner, 0, n)
-    return ints
+    first, by the memo's recurrence; a list is grown once while cached."""
+    inner = _grow_ints(parts[1:], eq, lt, n) if parts[1:] else None
+    return tuple(_recur(_step_weights(parts[0], n), eq, lt, 0, inner))
 
 
 def _companion_failures(lhs, base, coeff_base: int, global_sign: int,
@@ -487,17 +501,18 @@ def _companion_failures(lhs, base, coeff_base: int, global_sign: int,
     by the integer equality above.  Both indices are nonempty SignedIndex
     objects and the arguments are as pi_companion_sum takes them, so the
     sweep that calls this forms rationals only for the cells it names."""
-    store: dict = {}
-    h = _grow_ints(lhs.parts, 1, 1, n_max, store)
-    t = _grow_ints(base.parts, 1, coeff_base, n_max, store)
+    h = _grow_ints(lhs.parts, 1, 1, n_max)
+    t = _grow_ints(base.parts, 1, coeff_base, n_max)
     dt = [now - before for before, now in zip(t, t[1:])]  # dN_T(1..n_max)
     scale = _lcm_to(n_max)
-    left, right = scale ** base.weight(), global_sign * scale ** lhs.weight()
+    low = min(lhs.weight(), base.weight())
+    left = global_sign * scale ** (base.weight() - low)
+    right = scale ** (lhs.weight() - low)
     m = 2 if companion == "big" else 1
     failed = []
     for n in range(1, n_max + 1):
         row = _kernel_row("B", m, n)
-        if h[n] * left * row[0] != right * sum(
+        if h[n] * row[0] * left != right * sum(
                 map(mul, itertools.islice(row, 1, None), dt)):
             failed.append(n)
     return failed

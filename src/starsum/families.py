@@ -422,8 +422,10 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     omitted (the summary still counts them), which is how the full
     acceptance grid stays within memory; a spec's cells are then decided by
     one integer pass (exact_eval._companion_failures), and only the cells
-    it fails are formed as rationals.  If their rationals are equal, the
-    two engines disagree, and ArithmeticError names the spec and n.
+    it fails are formed as rationals.  Its integer lists sit in one bounded
+    cache that the specs of each process share, read in the order
+    _check_share visits them.  If their rationals are equal, the two
+    engines disagree, and ArithmeticError names the spec and n.
 
     The specs are checked in shares, one per usable core (_usable_cores:
     the affinity, capped by a cgroup CPU quota) and at most one per spec,
@@ -535,16 +537,20 @@ def _shares(specs: int) -> List[List[int]]:
 def _check_share(specs: List[FamilySpec], positions: Iterable[int],
                  ns: range, failures_only: bool) -> Tuple[int, dict]:
     """The cells passed and {position: records} of the specs at positions;
-    a spec all of whose records are left out has no entry.  With
-    failures_only the integer pass decides the cells, and a cell it fails
-    whose rationals are equal raises ArithmeticError; the memo, and so the
-    per-child limit, holds only the lists of cells formed as rationals."""
+    a spec all of whose records are left out has no entry.  The specs are
+    visited in the order of their left sides read back to front, so that
+    specs ending in the same tail come one after another and read its
+    lists while they are cached; the records are keyed by position, so the
+    order does not reach the result.  With failures_only the integer pass
+    decides the cells, and a cell it fails whose rationals are equal raises
+    ArithmeticError; the memo, and so the per-child limit, holds only the
+    lists of cells formed as rationals."""
     passed, records = 0, {}
-    for i in positions:
+    lhs = {i: build_lhs(specs[i]) for i in positions}
+    for i in sorted(lhs, key=lambda i: lhs[i].parts[::-1]):
         spec, kept = specs[i], ns
         if failures_only:
-            kept = _companion_failures(build_lhs(spec), *build_rhs(spec),
-                                       ns[-1])
+            kept = _companion_failures(lhs[i], *build_rhs(spec), ns[-1])
             passed += len(ns) - len(kept)
         for cell in _cells(spec, kept):
             ok = cell[1] == cell[2]
@@ -563,7 +569,8 @@ def _share_child(writer, shares: int, *share) -> None:
     exact_eval's limit, the values it started with included, so that a
     sweep's memos hold under about twice the limit whatever the number of
     shares.  The limit matters only for cells formed as rationals: a
-    failures-only sweep's integer lists live in one pass's own store."""
+    failures-only sweep's integer lists sit in exact_eval's bounded cache
+    of them, apart from the memo."""
     exact_eval._MEMO_LIMIT //= shares
     try:
         reply = _check_share(*share)

@@ -1,14 +1,16 @@
 """Acceptance checklist: eight independent criteria, one test function each.
 
-Criterion 1 sweeps roughly 580k exact cells, the slowest test of the suite.
-Its sweeps keep no record of a passing cell, so verify_sweep decides each
-spec's cells by one integer pass and forms no rational for a passing cell,
-and it spreads each grid's specs over every usable core.  With the
-pure-Python fractions backend and mpmath's pure-Python backend, on a 2-core
-VM with Python 3.11, criterion 1 took 6.4 and 8.9 s against 88.9 and
-79.1 s when every cell was compared as two rationals, and the whole suite
-43.9 and 33.4 s against 105.8 and 105.0 s, run one after the other,
-alternating (each side needs the whole machine).  Criterion 2 took 0.52 s
+Criterion 1 sweeps roughly 580k exact cells, one of the slowest tests of
+the suite.  Its sweeps keep no record of a passing cell, so verify_sweep
+decides each spec's cells by one integer pass, on integer lists its specs
+share, and forms no rational for a passing cell, and it spreads each grid's
+specs over every usable core.  With the pure-Python fractions backend and
+mpmath's pure-Python backend, on a 2-core VM with Python 3.11, criterion 1
+took 5.4 and 4.8 s against 11.4 and 13.0 s when each spec grew its own
+lists, and the whole suite 41.4 and 42.1 s against 51.5 and 51.7 s, run
+one after the other, alternating (each side needs the whole machine).
+Before the integer pass, when every cell was compared as two rationals,
+criterion 1 took 79 to 89 s.  Criterion 2 took 0.52 s
 (median of seven cold runs).  The machine's speed drifts, so compare only
 times taken side by side.  Setting
 STARSUM_NIGHTLY=1 additionally re-runs the two pair-run families at the

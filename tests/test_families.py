@@ -319,6 +319,18 @@ class TestCompositionRule:
     def test_both_units_hold_for_every_composition(self):
         assert self._failed_cells() == 0
 
+    def test_the_walk_keeps_the_weight(self):
+        # the integer verdicts divide both sides by one power of
+        # lcm(1..n_max), which leaves none only because of this
+        count = 0
+        for parts in _compositions(10):
+            for unit in (2, 1):
+                assert _rhs_form(parts, unit).base.weight() == sum(parts), \
+                    (parts, unit)
+                count += 1
+        # 1,023 compositions, two units
+        assert count == 2046
+
     @pytest.mark.parametrize("perturb", [
         lambda form: form._replace(coeff_base=3),
         lambda form: form._replace(sign=-form.sign),
@@ -634,6 +646,25 @@ class TestIntegerVerdicts:
             "cells": cells, "passed": cells, "failed": 0}
         assert reports[1]["results"] == []
 
+    @pytest.mark.parametrize("lhs, base", [
+        ((2, 1), (3, 2)), ((2, 2, 1), (3,)), ((3, 1, 1), (2, -1, 4)),
+        ((1,), (-2, 1, 1)),
+    ])
+    def test_a_base_of_another_weight(self, lhs, base):
+        # no family spec has one, so the power of lcm(1..n_max) left on one
+        # side is exercised here alone; cell 1 agrees wherever the right
+        # side at n = 1, sign * coeff_base * sgn(merged base) / m, is 1
+        lhs, base = SignedIndex(lhs), SignedIndex(base)
+        assert lhs.weight() != base.weight()
+        agreed = 0
+        for form in [(2, 1, BIG), (1, 1, SMALL), (2, -1, BIG), (3, 1, SMALL)]:
+            expect = [n for n in range(1, self.N_MAX + 1)
+                      if mhs_star(n, lhs) != pi_companion_sum(base, *form, n)]
+            assert _companion_failures(lhs, base, *form, self.N_MAX) \
+                == expect, form
+            agreed += self.N_MAX - len(expect)
+        assert agreed == (2 if min(base.parts) > 0 else 1)
+
     @pytest.mark.parametrize("wrong", WRONG)
     def test_wrong_form_fails_every_cell(self, monkeypatch, wrong):
         # every failing record of the integer path is the record the
@@ -650,6 +681,61 @@ class TestIntegerVerdicts:
                                        "failed": cells}, family
             assert kept == rational_path
             assert not any(item["equal"] for item in kept["results"])
+
+    # TWO_ONE_TWO's example grid, and TWO_ONE's c1 grid
+    @pytest.mark.parametrize("family, grid", [
+        (TWO_ONE_TWO, None), (TWO_ONE, dict(r=(1, 2, 3), a=(0, 1, 2)))],
+        ids=["example", "c1"])
+    def test_a_cold_sweep_grows_each_list_once(self, monkeypatch, family,
+                                               grid):
+        # one share, so every list is grown in this process.  The specs
+        # come in the order of their left sides read back to front, so each
+        # tail is read again while it is still cached: the c1 grid has more
+        # distinct lists than the cache holds and still grows each once.
+        TestSweepShares.use_cores(monkeypatch, 1)
+        grid = grid or self.GRIDS[family]
+        keys, per_spec = set(), 0
+        for spec in families._grid_specs(family, grid):
+            form = build_rhs(spec)
+            own = {(parts[i:], lt)
+                   for parts, lt in ((build_lhs(spec).parts, 1),
+                                     (form.base.parts, form.coeff_base))
+                   for i in range(len(parts))}
+            keys |= own
+            per_spec += len(own)
+        clear_memo()
+        verify_sweep(family, grid, self.N_MAX, failures_only=True)
+        info = exact_eval._grow_ints.cache_info()
+        assert info.misses == len(keys) < per_spec
+        assert info.currsize == min(len(keys), 64)
+        clear_memo()
+        assert exact_eval._grow_ints.cache_info().currsize == 0
+
+    def test_a_warm_cache_gives_the_cold_verdicts(self):
+        # n is part of a list's key: lists grown to 30 are not read at 20
+        cases = []
+        for family in (C21, ONES_C):
+            for spec in families._grid_specs(family, self.GRIDS[family]):
+                lhs, form = build_lhs(spec), build_rhs(spec)
+                cases += [(lhs, form)]
+                cases += [(lhs, wrong(form)) for wrong in self.WRONG.values()]
+
+        def verdicts(n_max):
+            return [_companion_failures(lhs, *form, n_max)
+                    for lhs, form in cases]
+
+        cold = {}
+        for n_max in (30, 20):
+            clear_memo()
+            cold[n_max] = verdicts(n_max)
+        assert cold[20] == [[n for n in verdict if n <= 20]
+                            for verdict in cold[30]]
+        clear_memo()
+        assert [verdicts(30), verdicts(20)] == [cold[30], cold[20]]
+        for n_max in (30, 20):
+            report = verify_sweep(C21, self.GRIDS[C21], n_max,
+                                  failures_only=True)
+            assert report["summary"]["failed"] == 0
 
     def test_an_engine_disagreement_is_raised(self, monkeypatch):
         # the integer pass says cell 3 fails, the rationals say it passes
