@@ -15,7 +15,11 @@ recurrence, L_k(s) = L_{k-1}(s) + term(s_1,k) * (eq * L_k(tail) + (lt - eq) *
 L_{k-1}(tail)); the three kinds of list differ only in the weight eq of an
 equal step and lt of a strict step (table at the memo below).  A list
 grows by one recursion, its tail's list first, on integers over
-lcm(1..n)^weight, and stores one normalized rational per value.  There is
+lcm(1..n)^weight, and is stored as integers on its natural scale, L_k *
+lcm(1..k)^weight, each checked by one exact division as it is stored.  A
+rational is formed only when a reader asks for one: ``mhs`` and
+``mhs_star`` form the one value they return, and the companion pass the
+values it reads, each once.  There is
 also one brute-force oracle for every list kind, keyed by the same
 (eq, lt), that re-evaluates the defining sum by direct enumeration (no
 recursion, no caching) so the fast engine has something independent to be
@@ -34,8 +38,10 @@ list over lcm(1..n)^weight(base), the denominator its mathematics fixes
 (``_lcm_to`` caches lcm(1..n)).  A kernel sum is the dot product of three
 cached integer rows over k: H_{k-1} on lcm(1..n)^weight (``_h_row``), the
 weight that puts 1/k^e on its lcm power (``_term_weights``) and the kernel
-row.  Every stored rational these sums read is put on its scale by one
-checked rescaling, ``_on_scale``, once per H row and once per increment.
+row.  An H row is the list's stored integers lifted onto lcm(1..n)^weight,
+so the kernel sums form no rational; the one checked rescaling,
+``_on_scale``, checks each value as it is stored and each increment of the
+companion pass.
 
 A sweep that keeps no record of a passing cell (``families.verify_sweep``
 with failures_only) reads no rational: ``_companion_failures`` reads the
@@ -54,10 +60,11 @@ slower on large sweeps.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import is_, mul
 from typing import Dict, Iterator, List, Tuple
 
 from starsum.index_core import as_choice, as_index, as_int
@@ -102,8 +109,8 @@ def rat_str(value) -> str:
 # ---------------------------------------------------------------------------
 # memoized fast engine
 #
-# One growing list per (suffix, eq, lt): _lists[(parts, eq, lt)][k] == L_k,
-# where, with s = (s_1, tail) and L(()) == 1,
+# One growing list per (suffix, eq, lt), where, with s = (s_1, tail) and
+# L(()) == 1,
 #
 #     L_k(s) = L_{k-1}(s) + term(s_1, k) * (eq * L_k(tail)
 #                                           + (lt - eq) * L_{k-1}(tail)).
@@ -121,10 +128,11 @@ def rat_str(value) -> str:
 # kept share work only through these lists; a failures-only sweep decides
 # its cells on integer lists cached apart from them (_grow_ints, below).
 #
-# Growth to n runs on integers, the tail's list first (_grow recurses on
-# it).  With scale = lcm(1..n) and w = weight(s), N_k = L_k(s) * scale^w,
-# and term(s_1, k) * scale^|s_1| is the integer sgn(s_1)^k * (scale/k)^|s_1|
-# (_step_weight), so
+# A list is stored as integers on its natural scale: with w = weight(s),
+# _lists[(parts, eq, lt)][k] == N_k == L_k(s) * lcm(1..k)^w, and N_0 == 0.
+# Growth to n runs on integers over scale^w, scale = lcm(1..n), the tail's
+# list first (_grow recurses on it).  term(s_1, k) * scale^|s_1| is the
+# integer sgn(s_1)^k * (scale/k)^|s_1| (_step_weight), so over scale^w
 #
 #     N_k = N_{k-1} + sgn(s_1)^k (scale/k)^|s_1| (eq * M_k
 #                                                  + (lt - eq) * M_{k-1})
@@ -133,33 +141,43 @@ def rat_str(value) -> str:
 # tail, so its bracket is lt).  For lt = 1 the bracket is M_k (weak) or
 # M_{k-1} (strict), a slice of the tail's integers.  _recur is this step,
 # and both growers call it.  _grow reads the tail's integers from the
-# tail's own growth in the same call; only a value stored before the call
-# (the value a growth starts from, a tail value it did not grow) is put on
-# the scale by the one checked rescaling (_on_scale).  Each new value is
-# stored as the one normalized rational N_k / scale^w; an unchanged value
-# is the previous object itself.
+# tail's own growth in the same call; a value stored before the call (the
+# value a growth starts from, a tail value it did not grow) is lifted onto
+# scale^w by (scale/lcm(1..k))^w, one power per distinct lcm(1..k) in the
+# range (_lifts).  Each new value is stored divided by that same factor.
+# Every denominator of L_k divides lcm(1..k)^w, so the division is exact,
+# and it is the store check: a remainder raises ArithmeticError naming the
+# value (_on_scale, the one checked rescaling).
 #
-# Memory bound: _ensure, the one entry to the lists, returns a list long
-# enough at once (a hit); a call that will grow drops every list first once
-# more than _MEMO_LIMIT values are stored (the sum of the list lengths),
-# counts the drop, and hands growth to _grow, which alone stores lists.
-# Every reader of the lists is here.
+# A rational is formed only when a reader asks for one.  _ensure (L_0..L_n,
+# the companion pass) and mhs and mhs_star (L_n) form a value as
+# N_k / lcm(1..k)^w once, on its first read, and keep it in _formed beside
+# its integers; _h_row reads the integers themselves and forms none.
+#
+# Memory bound: _stored, the one entry to the lists, returns a list long
+# enough at once (a hit); a call that will grow drops every list and every
+# formed rational first once more than _MEMO_LIMIT values are stored (the
+# sum of the list lengths), counts the drop, and hands growth to _grow,
+# which alone stores lists.  Every reader of the lists is here.
 # ---------------------------------------------------------------------------
 
-_lists: Dict[Tuple[tuple, int, int], List] = {}
-_stored_values = _drops = _hits = _grown = 0
+_lists: Dict[Tuple[tuple, int, int], List[int]] = {}
+_formed: Dict[Tuple[tuple, int, int], List] = {}
+_stored_values = _drops = _hits = _grown = _rationals = 0
 _MEMO_LIMIT = 600_000
 
 
 def clear_memo() -> None:
-    """Empty this process's memo: the lists, their counts and the caches
-    read off them (the H rows and the kernel sums, and the weight rows
-    beside them), and the integer lists of a failures-only sweep.  A
-    sweep's children (families.verify_sweep) each hold a memo of their
-    own, which ends with them."""
-    global _stored_values, _drops, _hits, _grown
+    """Empty this process's memo: the integer lists, the rationals formed
+    from them, their counts and the caches read off them (the H rows and
+    the kernel sums, and the weight rows beside them), and the integer
+    lists of a failures-only sweep.  A sweep's children
+    (families.verify_sweep) each hold a memo of their own, which ends with
+    them."""
+    global _stored_values, _drops, _hits, _grown, _rationals
     _lists.clear()
-    _stored_values = _drops = _hits = _grown = 0
+    _formed.clear()
+    _stored_values = _drops = _hits = _grown = _rationals = 0
     for cache in (_h_row, _kernel_sum, _term_weights, _step_weights,
                   _grow_ints):
         cache.cache_clear()
@@ -167,13 +185,14 @@ def clear_memo() -> None:
 
 def memo_stats() -> dict:
     """The stored values, the H and T lists, the limit, and since the last
-    clear_memo() the drops by it, the lists grown and the hits (_ensure
-    calls that returned at once).  All of them count this process's memo
-    only, not that of a sweep's children."""
+    clear_memo() the drops by it, the lists grown, the hits (_stored calls
+    that returned at once) and the rationals formed from the lists (each
+    value at most once between drops).  All of them count this process's
+    memo only, not that of a sweep's children."""
     h_lists = sum(1 for _, _, lt in _lists if lt == 1)
     return {"stored_values": _stored_values, "h_lists": h_lists,
             "t_lists": len(_lists) - h_lists, "drops": _drops, "hits": _hits,
-            "grown": _grown, "limit": _MEMO_LIMIT}
+            "grown": _grown, "rationals": _rationals, "limit": _MEMO_LIMIT}
 
 
 # Sized from the traffic: deep asks for n = 1..200, sweeps and caps n <= 50.
@@ -189,23 +208,57 @@ def _step_weight(scale: int, part: int, k: int) -> int:
     return -weight if part < 0 and k % 2 else weight
 
 
-def _on_scale(value, den: int, what: str, *args) -> int:
-    """The integer N with value == N / den.  den is the scale the value's
-    mathematics fixes (a power of lcm(1..n)), so the premise that it is a
-    common denominator is checked, not assumed: if there is no such N, this
+def _on_scale(num: int, den: int, what: str, *args) -> int:
+    """The integer num / den, where the mathematics says den divides num:
+    a grown integer over lcm(1..n)^weight and the lift onto that scale from
+    lcm(1..k)^weight, or a scale lcm(1..n)^weight and the denominator of a
+    value over it.  The premise is checked, not assumed: if it fails, this
     raises ArithmeticError naming the refused value (what % args)."""
-    quotient, remainder = divmod(den, value.denominator)
+    quotient, remainder = divmod(num, den)
     if remainder:
         raise ArithmeticError("%s is not over lcm(1..n)^weight"
                               % (what % args))
-    return value.numerator * quotient
+    return quotient
 
 
-def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
-    """The cached list L_0..L_n of a nonempty suffix, grown by _grow if it
-    is shorter.  This is the memo's entry policy: a list long enough is a
-    hit, and a call that will grow drops every list first once more than
-    _MEMO_LIMIT values are stored."""
+# Sized from the traffic: _lifts asks for a power of two past its hi, and
+# hi <= 200 outside the far cells.
+@lru_cache(maxsize=16)
+def _lcm_steps(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The k in 2..n with lcm(1..k) == p * lcm(1..k-1), p > 1 (the powers k
+    of a prime p), and their p."""
+    ks, ps, low = [], [], 1
+    for k in range(2, n + 1):
+        high = lcm(low, k)
+        if high > low:
+            ks.append(k)
+            ps.append(high // low)
+            low = high
+    return tuple(ks), tuple(ps)
+
+
+def _lifts(lo: int, hi: int, n: int, weight: int) -> List[int]:
+    """(lcm(1..n)/lcm(1..k))^weight for k = lo..hi: the factor that lifts
+    N_k from its natural scale onto lcm(1..n)^weight.  It is one power at
+    k = hi, read down from there with one product by p^weight at each power
+    k of a prime p in lo+1..hi, where lcm(1..k-1) drops by p."""
+    ks, ps = _lcm_steps(1 << hi.bit_length())
+    lift = 1 if hi == n else (_lcm_to(n) // _lcm_to(hi)) ** weight
+    lifts, stop = [], hi + 1
+    for i in reversed(range(bisect_right(ks, lo), bisect_right(ks, hi))):
+        lifts += [lift] * (stop - ks[i])
+        lift *= ps[i] ** weight
+        stop = ks[i]
+    lifts += [lift] * (stop - lo)
+    lifts.reverse()
+    return lifts
+
+
+def _stored(parts: tuple, eq: int, lt: int, n: int) -> List[int]:
+    """The stored integers N_0..N_m (m >= n) of a nonempty suffix, grown by
+    _grow if the list is shorter.  This is the memo's entry policy: a list
+    long enough is a hit, and a call that will grow drops every list first
+    once more than _MEMO_LIMIT values are stored."""
     global _stored_values, _drops, _hits
     vals = _lists.get((parts, eq, lt))
     if vals is not None and len(vals) > n:
@@ -213,18 +266,52 @@ def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
         return vals
     if _stored_values > _MEMO_LIMIT:
         _lists.clear()
+        _formed.clear()
         _stored_values = 0
         _drops += 1
     _grow(parts, eq, lt, n, n)
     return _lists[(parts, eq, lt)]
 
 
+def _read(parts: tuple, eq: int, lt: int, n: int) -> List:
+    """The rationals formed so far from the list of a nonempty suffix, grown
+    through the memo's entry (_stored) if it is shorter: at least n + 1 of
+    them, None where a value is unread."""
+    _stored(parts, eq, lt, n)
+    formed = _formed.setdefault((parts, eq, lt), [])
+    if len(formed) <= n:
+        formed += [None] * (n + 1 - len(formed))
+    return formed
+
+
+def _form(key: Tuple[tuple, int, int], formed: List, ks) -> None:
+    """Form L_k of key's list for each k of ks, on its first read, as
+    N_k / lcm(1..k)^weight, and keep it in formed until the memo is
+    dropped."""
+    global _rationals
+    vals, weight = _lists[key], sum(map(abs, key[0]))
+    for k in ks:
+        formed[k] = _Q(vals[k], _lcm_to(k) ** weight)
+        _rationals += 1
+
+
+def _ensure(parts: tuple, eq: int, lt: int, n: int) -> List:
+    """The rationals L_0..L_n of a nonempty suffix's list (_read); each
+    value is formed once, on its first read, and later reads return the
+    same object."""
+    formed = _read(parts, eq, lt, n)
+    _form((parts, eq, lt), formed,
+          itertools.compress(range(n + 1), map(is_, formed[:n + 1],
+                                               itertools.repeat(None))))
+    return formed[:n + 1]
+
+
 def _recur(weights, eq: int, lt: int, start: int, inner) -> Iterator[int]:
     """N_lo..N_n of a list from N_lo = start, the step weights of its first
     part at k = lo+1..n (_step_weight) and the tail's integers inner =
-    M_lo..M_n (None for the empty tail): the recurrence of the memo comment,
-    written here once for both growers, as one running sum of weight *
-    bracket."""
+    M_lo..M_n (None for the empty tail), all over one scale: the recurrence
+    of the memo comment, written here once for both growers, as one running
+    sum of weight * bracket."""
     if inner is None:
         # L(()) == 1, so the bracket is eq + (lt - eq) == lt
         brackets = itertools.repeat(lt)
@@ -238,47 +325,57 @@ def _recur(weights, eq: int, lt: int, start: int, inner) -> Iterator[int]:
 
 
 def _grow(parts: tuple, eq: int, lt: int, n: int, lo: int) -> List[int]:
-    """Grow the list of a nonempty suffix to L_0..L_n, the tail's list to n
-    first, and return N_lo..N_n, its values lo..n over lcm(1..n)^weight
-    (see the memo comment).  A value stored before the call is put on that
-    scale by _on_scale; a value grown here is the integer it was grown
-    from, and is stored as one rational."""
+    """Grow the list of a nonempty suffix to N_0..N_n, the tail's list to n
+    first, and return its values lo..n over lcm(1..n)^weight (see the memo
+    comment).  A value stored before the call is lifted onto that scale; a
+    value grown here is the integer it was grown as, and is stored on its
+    natural scale by the checked division _on_scale."""
     global _stored_values, _grown
     vals = _lists.get((parts, eq, lt))
     if vals is None:
-        vals = _lists[(parts, eq, lt)] = [_ZERO]
+        vals = _lists[(parts, eq, lt)] = [0]
         _stored_values += 1
-    scale = _lcm_to(n)
-    den = scale ** sum(map(abs, parts))
+    weight = sum(map(abs, parts))
     last = len(vals) - 1
     if last >= n:
         # a tail stored far enough: nothing grows
-        return [_on_scale(vals[k], den, "list value L_%d%s", k, parts)
-                for k in range(lo, n + 1)]
+        return list(map(mul, vals[lo:n + 1], _lifts(lo, n, n, weight)))
+    scale = _lcm_to(n)
     inner = _grow(parts[1:], eq, lt, n, last) if parts[1:] else None
-    start = _on_scale(vals[last], den, "list value L_%d%s", last, parts)
+    start = vals[last] * (scale // _lcm_to(last)) ** weight
     grown = list(_recur([_step_weight(scale, parts[0], k)
                          for k in range(last + 1, n + 1)],
                         eq, lt, start, inner))
-    for before, now in zip(grown, grown[1:]):
-        vals.append(vals[-1] if now == before else _Q(now, den))
+    # all or nothing: a refused value leaves the list as it was; it is
+    # named by its k and its parts as a plain tuple (an index prints "3,1")
+    name = tuple(parts)
+    vals.extend([_on_scale(value, lift, "list value L_%d%r", k, name)
+                 for k, value, lift in zip(range(last + 1, n + 1),
+                                           grown[1:],
+                                           _lifts(last + 1, n, n, weight))])
     _stored_values += n - last
     _grown += 1
     if lo >= last:
         return grown[lo - last:]
     # a tail stored past its caller's start
-    return [_on_scale(vals[k], den, "list value L_%d%s", k, parts)
-            for k in range(lo, last)] + grown
+    return list(map(mul, vals[lo:last], _lifts(lo, last - 1, n, weight))) \
+        + grown
 
 
 def _h_value(n: int, s, eq: int):
+    """H_n(s) (eq = 0) or H*_n(s) (eq = 1) as a rational: the one value L_n
+    of its list, formed from its integer on the first read and kept, so a
+    cold call forms one rational."""
     n = as_int("n", n, 0)
     parts = as_index(s).parts
     if not parts:
         return _ONE
     if n == 0 or (n < len(parts) and not eq):
         return _ZERO
-    return _ensure(parts, eq, 1, n)[n]
+    formed = _read(parts, eq, 1, n)
+    if formed[n] is None:
+        _form((parts, eq, 1), formed, (n,))
+    return formed[n]
 
 
 def mhs(n: int, s) -> "rational":
@@ -340,15 +437,15 @@ def _kernel_power(x: Tuple[int, ...], expo: int) -> int:
 # comes near a bound filled with rows that large.
 @lru_cache(maxsize=1 << 11)
 def _h_row(x: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    """H_{k-1}(x) * lcm(1..n)^weight(x) for k = 1..n.  Only H_0..H_{n-1}
-    of the memo's list are read (it may be longer), and each is put on the
-    scale by _on_scale, so the premise that lcm(1..n)^weight(x) is a common
-    denominator is checked, not assumed."""
+    """H_{k-1}(x) * lcm(1..n)^weight(x) for k = 1..n: the memo's stored
+    integers N_0..N_{n-1} of the strict list (it may be longer), each lifted
+    from its natural scale lcm(1..k-1)^weight(x) by _lifts.  No rational is
+    formed; the premise that lcm(1..k)^weight(x) is a denominator of H_k(x)
+    was checked when the integer was stored."""
     if not x:
         return (1,) * n
-    scale = _lcm_to(n) ** sum(map(abs, x))
-    return tuple(_on_scale(h, scale, "list value H_%d%s", k, x)
-                 for k, h in enumerate(_ensure(x, 0, 1, n - 1)[:n]))
+    return tuple(map(mul, _stored(x, 0, 1, n - 1)[:n],
+                     _lifts(0, n - 1, n, sum(map(abs, x)))))
 
 
 # Sized from the traffic: distinct (expo, n) pairs are 80 in a perfbench
@@ -378,7 +475,7 @@ def _kernel_sum(x: Tuple[int, ...], expo: int, kind: str, m: int,
     Every denominator of H_{k-1}(x) divides lcm(1..n)^weight(x), and k^expo
     divides lcm(1..n)^expo, so each term is an integer over lcm(1..n)^p:
     the product of three cached integer rows at k, H_{k-1}(x) on
-    lcm(1..n)^weight(x) (_h_row, where _on_scale checks that premise),
+    lcm(1..n)^weight(x) (_h_row; the store checked that premise),
     the weight _term_weights(expo, n) and K_{n,k}.  N is their dot product.
     """
     return sum(map(mul, map(mul, _h_row(x, n), _term_weights(expo, n)),
@@ -444,8 +541,9 @@ def pi_companion_sum(base, coeff_base: int, global_sign: int, companion: str,
     denom = _lcm_to(n) ** base.weight()
     total = 0
     for k in range(1, n + 1):
-        total += row[k] * _on_scale(tvals[k] - tvals[k - 1], denom,
-                                    "increment dT(%d)", k)
+        step = tvals[k] - tvals[k - 1]
+        total += row[k] * (step.numerator * _on_scale(
+            denom, step.denominator, "increment dT(%d)", k))
     return _Q(global_sign * total, denom * row[0])
 
 

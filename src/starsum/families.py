@@ -552,6 +552,9 @@ def _check_share(specs: List[FamilySpec], positions: Iterable[int],
         if failures_only:
             kept = _companion_failures(lhs[i], *build_rhs(spec), ns[-1])
             passed += len(ns) - len(kept)
+            if not kept:
+                # no cell to form: _cells would build both sides for none
+                continue
         for cell in _cells(spec, kept):
             ok = cell[1] == cell[2]
             if ok and failures_only:

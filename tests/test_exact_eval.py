@@ -99,15 +99,26 @@ class TestOracleAgreement:
         try:
             assert [(ee.mhs_oracle(n, s), ee.mhs_star_oracle(n, s))
                     for n, s in cases] == expected
-            moved = []
+            outcomes = []
             for (n, s), value in zip(cases, engine):
-                # each case grows on a cold memo: the +1 puts a stored value
-                # over the lcm(1..n) of its own call, which a later call with
-                # a smaller n would refuse (ArithmeticError), not carry on
+                # each case grows on a cold memo.  The +1 gives a grown
+                # integer that its lift (lcm(1..n)/lcm(1..k))^w need not
+                # divide: the store refuses that value by name, and a value
+                # it stores (a lift of 1, as at n = 1) is moved
                 ee.clear_memo()
-                moved.append(ee.mhs(n, s) != value)
-            # every case with a nonzero sum moves
-            assert moved == [n >= len(s) for n, s in cases]
+                try:
+                    outcomes.append("moved" if ee.mhs(n, s) != value
+                                    else "kept")
+                except ArithmeticError as refusal:
+                    assert str(refusal).startswith("list value L_")
+                    assert str(refusal).endswith(
+                        " is not over lcm(1..n)^weight")
+                    outcomes.append("refused")
+            # every case with a nonzero sum moves or is refused, and every
+            # case that reads no list keeps its value
+            assert [outcome != "kept" for outcome in outcomes] == [
+                n >= len(s) for n, s in cases]
+            assert {"moved", "refused"} <= set(outcomes)
         finally:
             ee.clear_memo()
 
@@ -307,9 +318,10 @@ class TestValueDigest:
 
 
 class TestIntegerGrowth:
-    """The lists grow on integers over lcm(1..n)^weight: stored values are
-    put on that scale with a checked division, and each new value is stored
-    as one rational."""
+    """The lists are stored as integers on their natural scale,
+    N_k = L_k * lcm(1..k)^weight: growth lifts them onto lcm(1..n)^weight,
+    stores each new value by one checked division, and forms no rational;
+    a reader forms each value it reads as one rational, once."""
 
     KINDS = ((0, 1), (1, 1), (1, 2), (1, 3), (0, 2), (0, 3))
 
@@ -320,35 +332,55 @@ class TestIntegerGrowth:
 
     @staticmethod
     def plant(parts, n, shift):
-        # grow the strict list of parts to n, then shift its stored values
-        ee.mhs(n, parts)
-        vals = ee._lists[(parts, 0, 1)]
+        # grow the strict list of parts to n, reading no value, then shift
+        # its stored integers
+        vals = ee._stored(parts, 0, 1, n)
         vals[:] = [v + shift(k) for k, v in enumerate(vals)]
 
-    # a shift planted in the list's own last value, and in the values of a
-    # tail that the call does not grow
+    # the list stored before a fault is planted, and the list grown after
+    # it: the list itself grows on, or only a list over its stored tail
     PLANTED = pytest.mark.parametrize("planted,grown", [((2, 1), (2, 1)),
                                                         ((1,), (3, 1))])
 
     @PLANTED
-    def test_foreign_denominator_raises(self, planted, grown):
-        # k/97 is not over lcm(1..n)^weight for n < 97: the next growth
-        # refuses it instead of carrying it on
+    def test_foreign_denominator_raises(self, monkeypatch, planted, grown):
+        # a step weight off by one grows integers that their lift need not
+        # divide, that is values not over lcm(1..k)^weight: the store
+        # refuses the first such value by name instead of carrying it on,
+        # and keeps no value of the refused growth
+        stored_to, grown_to, named = {
+            (2, 1): (10, 16, r"L_11\(1,\)"),  # the tail (1,) grows on
+            (1,): (16, 12, r"L_2\(3, 1\)"),   # (1,) is read, not grown
+        }[planted]
         ee.clear_memo()
         try:
-            self.plant(planted, 10, lambda k: ee.rational(k, 97))
-            with pytest.raises(ArithmeticError, match="lcm"):
-                ee.mhs(12, grown)
+            ee._stored(planted, 0, 1, stored_to)
+            lengths = {key: len(vals) for key, vals in ee._lists.items()}
+            step_weight = ee._step_weight
+            monkeypatch.setattr(ee, "_step_weight", lambda scale, part, k:
+                                step_weight(scale, part, k) + 1)
+            with pytest.raises(ArithmeticError, match=r"^list value %s is "
+                               r"not over lcm\(1\.\.n\)\^weight$" % named):
+                ee.mhs(grown_to, grown)
+            for key, length in lengths.items():
+                assert len(ee._lists[key]) == length, key
+            assert (ee.memo_stats()["stored_values"]
+                    == sum(map(len, ee._lists.values())))
         finally:
             ee.clear_memo()
 
     @PLANTED
     def test_shift_inside_the_scale_moves_the_value(self, planted, grown):
-        # 1/(k+1) with k <= 10 is over lcm(1..12): growth takes it, and the
-        # value it gives is wrong, so the check is on the scale alone
+        # an integer shift of N_k moves L_k by 1/lcm(1..k)^weight, which is
+        # on the scale: growth takes it and carries it on, so the value it
+        # gives is wrong, and the check is on the scale alone
         ee.clear_memo()
         try:
-            self.plant(planted, 10, lambda k: ee.rational(1, k + 1))
+            self.plant(planted, 10, lambda k: 1)
+            weight = sum(map(abs, planted))
+            assert ee.mhs(10, planted) == (ee.mhs_oracle(10, planted)
+                                           + ee.rational(1, lcm(*range(
+                                               1, 11)) ** weight))
             assert ee.mhs(12, grown) != ee.mhs_oracle(12, grown)
         finally:
             ee.clear_memo()
@@ -393,10 +425,49 @@ class TestIntegerGrowth:
         finally:
             ee.clear_memo()
 
+    @pytest.mark.parametrize("pattern", ["one call", "stepped",
+                                         "interleaved"])
+    def test_stored_integers_are_on_their_natural_scale(self, pattern):
+        # every stored N_k is the oracle's L_k times lcm(1..k)^weight, an
+        # int, however the list and the lists beside it grew
+        rng = random.Random(3401)
+        pool = (-3, -2, -1, 1, 2, 3)
+        n = 14
+        try:
+            for case in range(18):
+                eq, lt = self.KINDS[case % len(self.KINDS)]
+                parts = tuple(rng.choice(pool)
+                              for _ in range(rng.randint(1, 4)))
+                keys = [parts] + [(head,) + parts[1:]
+                                  for head in rng.sample(pool, 2)]
+                ee.clear_memo()
+                if pattern == "one call":
+                    for key in keys:
+                        ee._stored(key, eq, lt, n)
+                elif pattern == "stepped":
+                    for m, key in itertools.product(range(n + 1), keys):
+                        ee._stored(key, eq, lt, m)
+                else:
+                    reached = dict.fromkeys(keys, 0)
+                    while any(m < n for m in reached.values()):
+                        key = rng.choice(keys)
+                        reached[key] = min(n,
+                                           reached[key] + rng.randint(1, 5))
+                        ee._stored(key, eq, lt, reached[key])
+                assert ee.memo_stats()["rationals"] == 0
+                for (key, key_eq, key_lt), vals in ee._lists.items():
+                    weight = sum(map(abs, key))
+                    assert all(type(v) is int for v in vals)
+                    assert vals == [ee._oracle(k, key, key_eq, key_lt)
+                                    * lcm(*range(1, k + 1)) ** weight
+                                    for k in range(len(vals))], key
+        finally:
+            ee.clear_memo()
+
     def test_one_rational_per_new_value(self, monkeypatch):
-        # growth forms each new value as one rational N/D and stores that
-        # object: a stored value made by rational arithmetic (a sum or a
-        # product of fractions) is not one of those made here
+        # growth forms no rational; a read forms each value it reads as
+        # one rational N_k / lcm(1..k)^weight, once, and a later read
+        # returns that object, whatever list read it first
         made = []
         make = ee._Q
 
@@ -408,20 +479,60 @@ class TestIntegerGrowth:
         rng = random.Random(5)
         try:
             ee.clear_memo()
+            cases = []
             for case in range(12):
                 eq, lt = self.KINDS[case % len(self.KINDS)]
                 parts = tuple(rng.choice((-3, -2, -1, 1, 2, 3))
                               for _ in range(rng.randint(1, 4)))
-                ee._ensure(parts, eq, lt, rng.randint(5, 30))
-            # every list starts with the one shared zero
-            new_values = ee.memo_stats()["stored_values"] - len(ee._lists)
-            assert 0 < len(made) <= new_values
+                cases.append((parts, eq, lt, rng.randint(5, 30)))
+                ee._stored(*cases[-1])
+            assert made == []
+            first = {}
+            for parts, eq, lt, n in cases:
+                before = len(made)
+                read = ee._ensure(parts, eq, lt, n)
+                new = [k for k in range(n + 1) if (parts, eq, lt, k)
+                       not in first]
+                assert len(made) - before == len(new)
+                for k in new:
+                    first[(parts, eq, lt, k)] = read[k]
+                assert all(read[k] is first[(parts, eq, lt, k)]
+                           for k in range(n + 1))
+            assert ee.memo_stats()["rationals"] == len(made) == len(first)
             ids = {id(value) for value in made}
-            for vals in ee._lists.values():
-                assert vals[0] is ee._ZERO
-                for before, value in zip(vals, vals[1:]):
-                    # an unchanged value is the previous object itself
-                    assert id(value) in ids or value is before
+            assert all(id(value) in ids for value in first.values())
+            # reading everything again forms nothing
+            for parts, eq, lt, n in cases:
+                ee._ensure(parts, eq, lt, n)
+                if lt == 1:
+                    ee._h_value(n, parts, eq)
+            assert ee.memo_stats()["rationals"] == len(made) == len(first)
+        finally:
+            ee.clear_memo()
+
+    @pytest.mark.parametrize("evaluate", [ee.mhs, ee.mhs_star])
+    def test_a_cold_call_forms_one_rational(self, monkeypatch, evaluate):
+        # mhs and mhs_star read the one value they return: on a cold memo
+        # a call grows its lists and forms exactly one rational, and the
+        # same call again forms none
+        made = []
+        make = ee._Q
+
+        def counting(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ee, "_Q", counting)
+        try:
+            for n, parts in ((1, (2,)), (12, (2, 1)), (30, (-3, 1, 2)),
+                             (25, (1, 1, 1, -1))):
+                ee.clear_memo()
+                made.clear()
+                value = evaluate(n, parts)
+                assert made == [value]
+                assert ee.memo_stats()["rationals"] == 1
+                assert evaluate(n, parts) is value
+                assert len(made) == 1
         finally:
             ee.clear_memo()
 
@@ -491,13 +602,16 @@ class TestMemo:
         ee.clear_memo()
         before = ee.memo_stats()
         assert set(before) == {"stored_values", "h_lists", "t_lists", "drops",
-                               "hits", "grown", "limit"}
+                               "hits", "grown", "rationals", "limit"}
         assert (before["stored_values"] == before["drops"] == before["hits"]
-                == before["grown"] == 0)
+                == before["grown"] == before["rationals"] == 0)
         ee.mhs(50, (2, 1))
         assert ee.memo_stats()["stored_values"] > 0
+        assert ee.memo_stats()["rationals"] == 1
         ee.clear_memo()
         assert ee.memo_stats()["stored_values"] == 0
+        assert ee.memo_stats()["rationals"] == 0
+        assert ee._formed == {}
 
     def test_clear_empties_the_caches_read_off_the_lists(self):
         # a caller that clears the memo to free memory must not keep the H

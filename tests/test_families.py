@@ -682,6 +682,38 @@ class TestIntegerVerdicts:
             assert kept == rational_path
             assert not any(item["equal"] for item in kept["results"])
 
+    @pytest.mark.parametrize("wrong", [None, "sign"])
+    def test_only_a_spec_with_failing_cells_reads_cells(self, monkeypatch,
+                                                        wrong):
+        # one share, so every spec is checked in this process: a spec whose
+        # integer pass fails no cell builds no side for _cells, and a spec
+        # whose every cell fails forms each of them there
+        TestSweepShares.use_cores(monkeypatch, 1)
+        if wrong:
+            rhs = families.build_rhs
+            monkeypatch.setattr(families, "build_rhs",
+                                lambda spec: self.WRONG[wrong](rhs(spec)))
+        read, cells = [], families._cells
+
+        def recording(spec, ns):
+            read.append((spec, list(ns)))
+            return cells(spec, ns)
+
+        monkeypatch.setattr(families, "_cells", recording)
+        family = TWO_ONE_TWO
+        specs = list(families._grid_specs(family, self.GRIDS[family]))
+        report = verify_sweep(family, self.GRIDS[family], self.N_MAX,
+                              failures_only=True)
+        failed = self.N_MAX * len(specs) if wrong else 0
+        assert report["summary"]["failed"] == failed
+        if wrong:
+            assert sorted(map(specs.index, (spec for spec, _ in read))) \
+                == list(range(len(specs)))
+            assert all(ns == list(range(1, self.N_MAX + 1))
+                       for _, ns in read)
+        else:
+            assert read == []
+
     # TWO_ONE_TWO's example grid, and TWO_ONE's c1 grid
     @pytest.mark.parametrize("family, grid", [
         (TWO_ONE_TWO, None), (TWO_ONE, dict(r=(1, 2, 3), a=(0, 1, 2)))],
@@ -1167,30 +1199,54 @@ class TestKernelIdentities:
         yield
         clear_memo()
 
-    @staticmethod
-    def shift_lists(monkeypatch, shift):
-        # the patched list reader returns a new list and leaves the memo's
-        # lists as they are
-        def shifted(parts, eq, lt, n):
-            return [h + shift(k)
-                    for k, h in enumerate(_ensure(parts, eq, lt, n))]
-
-        monkeypatch.setattr("starsum.exact_eval._ensure", shifted)
-
     def test_perturbed_sums_fail(self, monkeypatch, cold_kernel_sums):
         # negative control: a check that compared a side with itself would
-        # still pass once every H_k(v) is off by 1/(k + 1), a shift that
-        # keeps every term over the known denominator lcm(1..n)^p
-        self.shift_lists(monkeypatch, lambda k: rational(1, k + 1))
+        # still pass once every stored integer N_k of the H lists the H
+        # rows read is off by 1, that is H_k(x) by 1/lcm(1..k)^weight(x), a
+        # shift that keeps every term over the known denominator
+        # lcm(1..n)^p.  The patched entry returns a new list and leaves the
+        # memo's lists as they are
+        stored = exact_eval._stored
+
+        def shifted(parts, eq, lt, n):
+            return [value + 1 for value in stored(parts, eq, lt, n)]
+
+        monkeypatch.setattr(exact_eval, "_stored", shifted)
         for variant, kp, n in self.EXAMPLES:
             assert check_lemma31(variant, kp, n) is False
 
     def test_foreign_denominator_raises(self, monkeypatch, cold_kernel_sums):
-        # 1/97 is not over lcm(1..n)^p for n < 97: the sum refuses it
-        self.shift_lists(monkeypatch, lambda k: rational(1, 97))
+        # a step weight off by one grows H values whose integers their
+        # lift (lcm(1..n-1)/lcm(1..k))^weight does not divide, that is
+        # values not over lcm(1..k)^weight: the store refuses the first one
+        # by name, so the sum that reads its row is never formed
+        step_weight = exact_eval._step_weight
+        monkeypatch.setattr(exact_eval, "_step_weight", lambda scale, part, k:
+                            step_weight(scale, part, k) + 1)
         for variant, kp, n in self.EXAMPLES:
-            with pytest.raises(ArithmeticError, match="lcm"):
+            clear_memo()
+            with pytest.raises(ArithmeticError, match=r"^list value L_\d+\("
+                               r"[-\d, ]+\) is not over lcm"):
                 check_lemma31(variant, kp, n)
+            assert memo_stats()["rationals"] == 0
+
+    def test_a_check_forms_no_rational(self, monkeypatch, cold_kernel_sums):
+        # the kernel sums read the H lists' integers: a check on a cold
+        # memo grows lists and forms no rational, in exact_eval or here
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return make(*args)
+
+        make = exact_eval._Q
+        monkeypatch.setattr(exact_eval, "_Q", counting)
+        monkeypatch.setattr(families, "rational", counting)
+        for variant, kp, n in self.EXAMPLES + (
+                ("i", KernelParams(m=3, kind="A", a=1, c=2, v=(2, -1)), 12),):
+            assert check_lemma31(variant, kp, n) is True
+        assert memo_stats()["stored_values"] > 0
+        assert made == [] and memo_stats()["rationals"] == 0
 
     def test_grid(self):
         inner = (SignedIndex(()), SignedIndex((1,)), SignedIndex((-2,)))
