@@ -168,6 +168,7 @@ def _compared(params: dict, n: Optional[int], *extra: str):
 
 def _cmd_eval_mhs(args, stream) -> int:
     index = parse_index(args.index)
+    as_int("--n", args.n, 1 if args.mollified else 0)
     if args.mollified == "big":
         value = exact_eval.mollified_big(args.n, index)
     elif args.mollified == "small":
@@ -182,6 +183,7 @@ def _cmd_eval_mhs(args, stream) -> int:
 
 def _cmd_expand(args, stream) -> int:
     base = parse_index(args.base)
+    as_int("--coeff", args.coeff, 1)
     stream.write(str(pi_expand_weighted(base, args.coeff, args.sign)) + "\n")
     return 0
 

@@ -54,7 +54,8 @@ two sides differ.
 
 Arithmetic uses gmpy2.mpq when available and falls back to
 fractions.Fraction otherwise; results are identical, the fallback is just
-slower on large sweeps.
+slower where rationals are formed: the records a sweep keeps, as in
+``starsum verify``.
 """
 
 from __future__ import annotations
@@ -154,17 +155,14 @@ def rat_str(value) -> str:
 # N_k / lcm(1..k)^w once, on its first read, and keep it in _formed beside
 # its integers; _h_row reads the integers themselves and forms none.
 #
-# Memory bound: _stored, the one entry to the lists, returns a list long
-# enough at once (a hit); a call that will grow drops every list and every
-# formed rational first once more than _MEMO_LIMIT values are stored (the
-# sum of the list lengths), counts the drop, and hands growth to _grow,
-# which alone stores lists.  Every reader of the lists is here.
+# _stored, the one entry to the lists, returns a list long enough at once (a
+# hit) and hands growth to _grow, which alone stores lists.  The lists live
+# until clear_memo().  Every reader of the lists is here.
 # ---------------------------------------------------------------------------
 
 _lists: Dict[Tuple[tuple, int, int], List[int]] = {}
 _formed: Dict[Tuple[tuple, int, int], List] = {}
-_stored_values = _drops = _hits = _grown = _rationals = 0
-_MEMO_LIMIT = 600_000
+_hits = _grown = _rationals = 0
 
 
 def clear_memo() -> None:
@@ -174,25 +172,25 @@ def clear_memo() -> None:
     lists of a failures-only sweep.  A sweep's children
     (families.verify_sweep) each hold a memo of their own, which ends with
     them."""
-    global _stored_values, _drops, _hits, _grown, _rationals
+    global _hits, _grown, _rationals
     _lists.clear()
     _formed.clear()
-    _stored_values = _drops = _hits = _grown = _rationals = 0
+    _hits = _grown = _rationals = 0
     for cache in (_h_row, _kernel_sum, _term_weights, _step_weights,
                   _grow_ints):
         cache.cache_clear()
 
 
 def memo_stats() -> dict:
-    """The stored values, the H and T lists, the limit, and since the last
-    clear_memo() the drops by it, the lists grown, the hits (_stored calls
-    that returned at once) and the rationals formed from the lists (each
-    value at most once between drops).  All of them count this process's
-    memo only, not that of a sweep's children."""
+    """The stored values (the sum of the list lengths), the H and T lists,
+    and since the last clear_memo() the lists grown, the hits (_stored
+    calls that returned at once) and the rationals formed from the lists
+    (each value at most once).  All of them count this process's memo
+    only, not that of a sweep's children."""
     h_lists = sum(1 for _, _, lt in _lists if lt == 1)
-    return {"stored_values": _stored_values, "h_lists": h_lists,
-            "t_lists": len(_lists) - h_lists, "drops": _drops, "hits": _hits,
-            "grown": _grown, "rationals": _rationals, "limit": _MEMO_LIMIT}
+    return {"stored_values": sum(map(len, _lists.values())),
+            "h_lists": h_lists, "t_lists": len(_lists) - h_lists,
+            "hits": _hits, "grown": _grown, "rationals": _rationals}
 
 
 # Sized from the traffic: deep asks for n = 1..200, sweeps and caps n <= 50.
@@ -257,18 +255,12 @@ def _lifts(lo: int, hi: int, n: int, weight: int) -> List[int]:
 def _stored(parts: tuple, eq: int, lt: int, n: int) -> List[int]:
     """The stored integers N_0..N_m (m >= n) of a nonempty suffix, grown by
     _grow if the list is shorter.  This is the memo's entry policy: a list
-    long enough is a hit, and a call that will grow drops every list first
-    once more than _MEMO_LIMIT values are stored."""
-    global _stored_values, _drops, _hits
+    long enough is a hit."""
+    global _hits
     vals = _lists.get((parts, eq, lt))
     if vals is not None and len(vals) > n:
         _hits += 1
         return vals
-    if _stored_values > _MEMO_LIMIT:
-        _lists.clear()
-        _formed.clear()
-        _stored_values = 0
-        _drops += 1
     _grow(parts, eq, lt, n, n)
     return _lists[(parts, eq, lt)]
 
@@ -286,8 +278,7 @@ def _read(parts: tuple, eq: int, lt: int, n: int) -> List:
 
 def _form(key: Tuple[tuple, int, int], formed: List, ks) -> None:
     """Form L_k of key's list for each k of ks, on its first read, as
-    N_k / lcm(1..k)^weight, and keep it in formed until the memo is
-    dropped."""
+    N_k / lcm(1..k)^weight, and keep it in formed until clear_memo()."""
     global _rationals
     vals, weight = _lists[key], sum(map(abs, key[0]))
     for k in ks:
@@ -330,11 +321,8 @@ def _grow(parts: tuple, eq: int, lt: int, n: int, lo: int) -> List[int]:
     comment).  A value stored before the call is lifted onto that scale; a
     value grown here is the integer it was grown as, and is stored on its
     natural scale by the checked division _on_scale."""
-    global _stored_values, _grown
-    vals = _lists.get((parts, eq, lt))
-    if vals is None:
-        vals = _lists[(parts, eq, lt)] = [0]
-        _stored_values += 1
+    global _grown
+    vals = _lists.setdefault((parts, eq, lt), [0])
     weight = sum(map(abs, parts))
     last = len(vals) - 1
     if last >= n:
@@ -353,7 +341,6 @@ def _grow(parts: tuple, eq: int, lt: int, n: int, lo: int) -> List[int]:
                  for k, value, lift in zip(range(last + 1, n + 1),
                                            grown[1:],
                                            _lifts(last + 1, n, n, weight))])
-    _stored_values += n - last
     _grown += 1
     if lo >= last:
         return grown[lo - last:]

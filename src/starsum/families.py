@@ -12,7 +12,7 @@ record of a passing cell, so it decides a spec's cells by one integer pass
 (exact_eval._companion_failures) and reads from _cells only the cells that
 pass names.  A sweep checks its specs in shares, one per usable core: the
 caller checks the first, each other share runs in a forked child with a
-memo of its own (a share of the memo limit), and the records are merged
+memo of its own, and the records are merged
 back in enumeration order (verify_sweep); there is no option to set.  The
 module also hosts the binomial-kernel identities and small closed forms
 used as independent cross-checks.  None of them is rewritten through the
@@ -41,7 +41,6 @@ from math import comb, lcm
 from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from . import exact_eval
 from .exact_eval import (
     _companion_failures,
     _kernel_power,
@@ -434,12 +433,9 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
     its pass count and its records keyed by spec position, and the records
     are merged in enumeration order, so the result does not depend on the
     share count.  Each process grows its own memo: a child starts from the
-    caller's memo as it stood at the fork, holds at most 1/shares of
-    exact_eval's limit, and what it grows goes with it, so the memos of a
-    sweep hold under about twice the limit on any number of cores.  Only
-    cells formed as rationals grow the memo, so with failures_only the
-    limit bounds the failing cells alone.  There is no option: with one
-    usable core or one spec no child is started.
+    caller's memo as it stood at the fork, and what it grows goes with it.
+    There is no option: with one usable core or one spec no child is
+    started.
     A child's exception is raised again here, a child that ends without a
     reply raises RuntimeError naming it, and every child has ended and been
     joined when this returns or raises.
@@ -462,8 +458,7 @@ def verify_sweep(family: str, param_ranges: dict, n_max: int, *,
             reader, writer = context.Pipe(duplex=False)
             child = context.Process(
                 target=_share_child, name="verify_sweep share %d" % number,
-                args=(writer, len(rest) + 1, specs, positions, ns,
-                      failures_only))
+                args=(writer, specs, positions, ns, failures_only))
             child.start()
             # the child now holds the only write end, so its reader ends
             # in EOFError if the child ends without a reply
@@ -543,8 +538,7 @@ def _check_share(specs: List[FamilySpec], positions: Iterable[int],
     lists while they are cached; the records are keyed by position, so the
     order does not reach the result.  With failures_only the integer pass
     decides the cells, and a cell it fails whose rationals are equal raises
-    ArithmeticError; the memo, and so the per-child limit, holds only the
-    lists of cells formed as rationals."""
+    ArithmeticError."""
     passed, records = 0, {}
     lhs = {i: build_lhs(specs[i]) for i in positions}
     for i in sorted(lhs, key=lambda i: lhs[i].parts[::-1]):
@@ -566,15 +560,9 @@ def _check_share(specs: List[FamilySpec], positions: Iterable[int],
     return passed, records
 
 
-def _share_child(writer, shares: int, *share) -> None:
+def _share_child(writer, *share) -> None:
     """A child's body: _check_share(*share), or the exception it raised,
-    sent to the caller.  The child's memo holds at most 1/shares of
-    exact_eval's limit, the values it started with included, so that a
-    sweep's memos hold under about twice the limit whatever the number of
-    shares.  The limit matters only for cells formed as rationals: a
-    failures-only sweep's integer lists sit in exact_eval's bounded cache
-    of them, apart from the memo."""
-    exact_eval._MEMO_LIMIT //= shares
+    sent to the caller."""
     try:
         reply = _check_share(*share)
     except Exception as exc:

@@ -38,8 +38,8 @@ kernel's rounding error has a proven bound, about levels * N *
 (lt * (1 + ln N))^(levels-1) * 2^-(mp.prec+32) (see _chain_value), which is
 added to the doubling estimate; the sum is the achieved error that
 NumericValue.error carries.  clear_value_cache() empties the weight, level
-and row caches along with the value cache, which keeps at most
-_VALUE_CACHE_LIMIT values and evicts the oldest first.
+and row caches along with the value cache, which keeps every value it
+stores until then.
 
 Every limit enters through _limit, which checks tol, reads the empty index
 as 1 and refuses a leading +1 before it calls its evaluator: a chain, or in
@@ -312,10 +312,8 @@ def _chain_value(parts: Tuple[int, ...], eq: int, lt: int, seed_n: int,
     return value, math.ldexp(err, -bits) + math.ldexp(abs(float(value)), -prec)
 
 
-# (parts, eq, lt) -> (value, error bound), oldest first; the oldest entry
-# is evicted once _VALUE_CACHE_LIMIT entries are stored.
+# (parts, eq, lt) -> (value, error bound), kept until clear_value_cache()
 _VALUE_CACHE: Dict[Tuple[Tuple[int, ...], int, int], Tuple[object, float]] = {}
-_VALUE_CACHE_LIMIT = 1 << 16
 
 
 def clear_value_cache() -> None:
@@ -360,8 +358,6 @@ def _chain_eval(parts: Tuple[int, ...], eq: int, lt: int,
             bound = float(2 * diff + floor) + rounding
         if bound <= tol:
             note = "tail-chain seeds %d/%d dps %d" % (seed_n, check_n, dps)
-            if len(_VALUE_CACHE) >= _VALUE_CACHE_LIMIT:
-                del _VALUE_CACHE[next(iter(_VALUE_CACHE))]
             _VALUE_CACHE[key] = (second, bound)
             return second, bound, note
     raise EvaluationError("tail-chain could not certify tol=%g for %s"

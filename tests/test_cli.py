@@ -68,7 +68,7 @@ class TestEvalMhs:
         code, _, err = run_cli(capsys, "eval-mhs", "--index", "2", "--n",
                                "-1")
         assert code == 2
-        assert "n must be >= 0" in err
+        assert err == "error: --n must be >= 0, got -1\n"
 
 
 class TestExpand:
@@ -160,7 +160,7 @@ class TestVerify:
         assert first == second
 
     def test_workers_flag_is_gone(self):
-        # so is --memo-cap: the memo limit is a constant of exact_eval
+        # so is --memo-cap: the memo lives until clear_memo()
         for flag in ("--workers", "--memo-cap"):
             with pytest.raises(SystemExit) as exit_info:
                 main(["verify", "--family", "two-one", "--a", "1",

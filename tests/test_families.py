@@ -551,20 +551,6 @@ class TestSweepShares:
             verify_sweep(C21, self.GRID, self.N_MAX)
         assert multiprocessing.active_children() == []
 
-    def test_a_child_holds_a_share_of_the_memo_limit(self, monkeypatch):
-        self.use_cores(monkeypatch, 2)
-        limit, child_spec = memo_stats()["limit"], self.specs()[1]
-
-        def reporting(spec, ns):
-            if spec == child_spec:
-                raise ArithmeticError("limit %d" % memo_stats()["limit"])
-            return iter(())
-
-        monkeypatch.setattr(families, "_cells", reporting)
-        with pytest.raises(ArithmeticError, match="^limit %d$" % (limit // 2)):
-            verify_sweep(C21, self.GRID, self.N_MAX)
-        assert memo_stats()["limit"] == limit
-
     @pytest.mark.parametrize("cores,family,grid,specs", [
         (2, TWO_ONE, {"r": (1,), "a": (1,)}, 1),
         (1, C21, GRID, 12),

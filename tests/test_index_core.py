@@ -361,9 +361,15 @@ FLOORS = [
                  id="verify_ittw_conj2-ii"),
     pytest.param("n", 1, lambda v: zn.verify_ittw_conj2("iii", {"n": v}),
                  id="verify_ittw_conj2-iii"),
-    pytest.param("n", 0, lambda v: _cli("eval-mhs", "--index", "2", "--n",
-                                        str(v)),
+    pytest.param("--n", 0, lambda v: _cli("eval-mhs", "--index", "2", "--n",
+                                          str(v)),
                  id="cli-eval-mhs"),
+    pytest.param("--n", 1, lambda v: _cli("eval-mhs", "--index", "2",
+                                          "--mollified", "big", "--n", str(v)),
+                 id="cli-eval-mhs-mollified"),
+    pytest.param("--coeff", 1, lambda v: _cli("expand", "--base", "2,1",
+                                              "--coeff", str(v)),
+                 id="cli-expand"),
     pytest.param("--n-max", 1, lambda v: _cli("verify", "--family", "two-one",
                                               "--a", "1", "--n-max", str(v)),
                  id="cli-verify"),

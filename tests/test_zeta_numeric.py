@@ -499,21 +499,26 @@ class TestClosedForms:
 
 
 class TestValueCache:
-    def test_eviction_keeps_values(self, monkeypatch):
+    def test_eviction_keeps_values(self):
+        # warm values equal cold ones, and every evaluated key stays cached
+        # until clear_value_cache()
         indices = [(2,), (3,), (-2,), (2, 1), (-3, 2), (4,)]
         cold = []
         for s in indices:
             clear_value_cache()
             cold.append(zeta(s, 1e-20).value._mpf_)
-        monkeypatch.setattr(zn, "_VALUE_CACHE_LIMIT", 3)
         clear_value_cache()
         first = [zeta(s, 1e-20).value._mpf_ for s in indices]
-        assert len(zn._VALUE_CACHE) == 3
-        # the oldest entries went first
-        assert list(zn._VALUE_CACHE) == [(s, 0, 1) for s in indices[3:]]
-        again = [zeta(s, 1e-20).value._mpf_ for s in indices]
-        assert first == cold and again == cold
-        assert len(zn._VALUE_CACHE) == 3
+        keys = [(s, 0, 1) for s in indices]
+        assert list(zn._VALUE_CACHE) == keys
+        again = [zeta(s, 1e-20) for s in indices]
+        assert first == cold
+        assert [value.value._mpf_ for value in again] == cold
+        assert ({value.method_note for value in again}
+                == {"tail-chain (cached)"})
+        assert list(zn._VALUE_CACHE) == keys
+        clear_value_cache()
+        assert zn._VALUE_CACHE == {}
 
 
 class TestConvergenceContract:
